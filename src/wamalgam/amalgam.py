@@ -281,7 +281,7 @@ def local_norms_bupu(F, bupu, local):
                 member = bupu.member(i)
                 out[i] += haar_integral(abs(F.density) * member.values)
         return out
-    if F.grid is not bupu.grid and F.grid.shape != bupu.grid.shape:
+    if F.grid != bupu.grid:
         raise DimensionMismatchError("function and BUPU live on different grids")
     flat = np.abs(F.values).ravel()
     w = F.grid.weights.ravel()

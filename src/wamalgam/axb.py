@@ -157,6 +157,5 @@ def verify_axb_convolution(weight, p, q, left_specs, right_specs, *, grid,
         right_norm=space_norm(right_space, overflow_guard),
         levels=levels, growth_tolerance=growth_tolerance,
         family=f"axb p={p} q={q} v={weight.name} alpha={alpha:.4g}",
-        overflow_guard=overflow_guard,
     )
     return report

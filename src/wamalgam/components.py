@@ -19,6 +19,7 @@ from .errors import (
     GroupMismatchError,
     IndexMismatchError,
     InvalidExponentError,
+    NonFiniteSampleError,
     WeightDomainError,
 )
 from .groups import AxbGrid, SampledFunction
@@ -192,8 +193,11 @@ def quasi_norm(component, F, overflow_guard=DEFAULT_OVERFLOW_GUARD):
     """Quadrature evaluation of the component's quasi-norm of ``F``.
 
     Returns OVERFLOW when the result exceeds ``overflow_guard`` or the
-    power sums leave the floating range.
+    power sums leave the floating range, and raises NonFiniteSampleError
+    when a sample is NaN: an undefined sample is not a divergence.
     """
+    if np.isnan(F.values).any():
+        raise NonFiniteSampleError("samples contain NaN")
     if isinstance(component, MixedLpq):
         return _mixed_norm(component, F, overflow_guard)
     return _weighted_lp_norm(component, F, overflow_guard)
@@ -243,11 +247,6 @@ def _mixed_norm(component, F, guard):
         scale_weights = grid.u_step * a_axis ** (-float(n))
         total = np.sum(inner ** (component.q / component.p) * scale_weights)
         return _guarded(total ** (1.0 / component.q), guard)
-
-
-def component_p_exponent(component):
-    """Exponent r such that the component's quasi-norm is an r-norm."""
-    return component.p_exponent
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ class WellSpreadSet:
 
     def cell_masks(self, window, grid):
         """Flat grid indices of each translate ``x_i . window`` (cached)."""
-        key = (window.key(), id(grid))
+        key = (window.key(), grid)
         if key not in self._mask_cache:
             pts = grid.points()
             masks = []
@@ -123,14 +123,6 @@ def check_density(X, window, probe_grid=None):
     cert = {"window": window.descriptor(), "probes": int(len(pts)), "covered": True}
     X.density_window = window
     return cert
-
-
-def lattice_points(grid, spacing=1):
-    """Well-spread set of every ``spacing``-th grid-aligned lattice point."""
-    axes = [ax[::spacing] for ax in grid.axes]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    return WellSpreadSet(pts, grid=grid)
 
 
 def integer_lattice_set(grid):
@@ -371,15 +363,9 @@ def verify_bupu(bupu, tol=1e-12):
         if np.any(vals < -tol) or np.any(vals > 1 + tol):
             return {"passed": False, "reason": f"member {i} leaves [0, 1]"}
         if idx.size:
-            inside = window_contains_cached(bupu, i, pts[idx])
+            inside = bupu.size_window.contains(group, bupu.base_set.points[i], pts[idx])
             if not np.all(inside):
                 return {"passed": False, "reason": f"member {i} leaks its support"}
         total[idx] += vals
     err = float(np.abs(total - 1.0).max())
     return {"passed": err <= tol * max(1.0, len(bupu)), "sum_error": err}
-
-
-def window_contains_cached(bupu, i, query_pts):
-    return bupu.size_window.contains(
-        bupu.grid.group, bupu.base_set.points[i], query_pts
-    )

@@ -206,7 +206,12 @@ class Grid:
     ``axes`` hold the coordinate values per axis; ``interp_axes`` hold the
     coordinates in which multilinear interpolation is performed (identical
     to ``axes`` except on the axb group, where the scale axis interpolates
-    in log-coordinates).
+    in log-coordinates). Every interpolation axis is uniform, so the
+    difference of two grid points is a whole number of steps per axis;
+    convolution tabulates G once on these offsets with ``interpolate_axes``.
+
+    Grids compare by value: two grids are equal when they have the same
+    type and the same ``metadata()``.
     """
 
     group: GroupSpec
@@ -227,6 +232,13 @@ class Grid:
     @property
     def size(self):
         return int(np.prod(self.shape))
+
+    def __eq__(self, other):
+        return other is self or (type(other) is type(self)
+                                 and other.metadata() == self.metadata())
+
+    def __hash__(self):
+        return hash((type(self), self.shape))
 
     def refine(self, factor=2):
         raise NotImplementedError
@@ -260,29 +272,6 @@ class Grid:
                 gather.append(np.minimum(i0 + c, len(ax) - 1))
             out = out + w * values[tuple(gather)]
         return np.where(inside, out, 0.0)
-
-    def interpolate_tensor(self, values, axis_queries):
-        """Interpolate on the tensor product of per-axis query vectors.
-
-        Separable fast path used by convolution: cost is one gather per
-        corner of the cell, O(2^dim * prod(len(q))).
-        """
-        locs = [_axis_locate(ax, np.asarray(q, dtype=float))
-                for ax, q in zip(self.interp_axes, axis_queries)]
-        ndim = len(locs)
-        out_shape = tuple(len(q) for q in axis_queries)
-        out = np.zeros(out_shape, dtype=values.dtype)
-        for corner in _iter_product((0, 1), repeat=ndim):
-            gather = tuple(
-                np.minimum(i0 + c, len(ax) - 1)
-                for c, (i0, _, _), ax in zip(corner, locs, self.interp_axes)
-            )
-            w = 1.0
-            for axk, (c, (_, f, ins)) in enumerate(zip(corner, locs)):
-                wk = (f if c else (1.0 - f)) * ins
-                w = w * wk.reshape((-1,) + (1,) * (ndim - 1 - axk))
-            out = out + w * values[np.ix_(*gather)]
-        return out
 
 
 def _axis_locate(axis, q):
@@ -484,7 +473,7 @@ class SampledFunction:
 
     def _coerce(self, other):
         if isinstance(other, SampledFunction):
-            if other.grid is not self.grid and other.grid.shape != self.grid.shape:
+            if other.grid != self.grid:
                 raise DimensionMismatchError("operands live on different grids")
             return other.values
         return other

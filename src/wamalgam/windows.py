@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidElementError
-from .groups import AxbGroup, Euclidean, IntegerLattice
+from .groups import Euclidean, IntegerLattice
 
 _TOL = 1e-9
 
@@ -170,16 +170,6 @@ class RightTranslatedWindow:
 
 def right_translate(window, g):
     return RightTranslatedWindow(window, tuple(np.asarray(g, dtype=float)))
-
-
-def window_for(group, radius=None, beta=None, lo=None, hi=None):
-    """Convenience constructor dispatching on the group kind."""
-    if isinstance(group, AxbGroup):
-        return AxbWindow(radius=float(radius), beta=float(beta))
-    if lo is not None:
-        return BoxWindow(tuple(np.atleast_1d(lo).astype(float)),
-                         tuple(np.atleast_1d(hi).astype(float)))
-    return BoxWindow.centered(radius, group.n)
 
 
 def window_mask(window, grid, base):

@@ -15,6 +15,7 @@ from wamalgam import (
     UniformGrid,
     WeightedLp,
     ball_integral,
+    amalgam_norm,
     build_axb_lattice,
     check_doubling,
     check_submultiplicative,
@@ -37,6 +38,7 @@ from wamalgam.errors import (
     GroupMismatchError,
     IndexMismatchError,
     InvalidExponentError,
+    NonFiniteSampleError,
 )
 
 
@@ -87,6 +89,26 @@ def test_overflow_guard(z_grid):
     F = SampledFunction.sample(z_grid, lambda i: 1e9 * (i == 0))
     out = quasi_norm(WeightedLp(0.5), F, overflow_guard=1e6)
     assert is_overflow(out)
+
+
+def _gaussian_with_sample(grid, value):
+    F = SampledFunction.sample(grid, lambda x: np.exp(-x**2))
+    F.values[10] = value
+    return F
+
+
+def test_nan_sample_raises(line_grid):
+    F = _gaussian_with_sample(line_grid, np.nan)
+    with pytest.raises(NonFiniteSampleError):
+        quasi_norm(WeightedLp(1.0), F)
+    with pytest.raises(NonFiniteSampleError):
+        amalgam_norm(F, BoxWindow.centered(0.5, 1), "linf", WeightedLp(1.0))
+
+
+def test_infinite_sample_overflows(line_grid):
+    F = _gaussian_with_sample(line_grid, np.inf)
+    assert is_overflow(quasi_norm(WeightedLp(1.0), F))
+    assert is_overflow(amalgam_norm(F, BoxWindow.centered(0.5, 1), "linf", WeightedLp(1.0)))
 
 
 # ---------------------------------------------------------------------------

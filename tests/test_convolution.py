@@ -9,8 +9,11 @@ import pytest
 from wamalgam import (
     AmalgamSpace,
     AxbGrid,
+    AxbGroup,
     BoxWindow,
     DiscreteMeasure,
+    Euclidean,
+    IntegerLattice,
     LatticeGrid,
     SampledFunction,
     UniformGrid,
@@ -125,6 +128,58 @@ def test_lattice_associativity(z_grid):
         left = convolve(convolve(F, G), H)
         right = convolve(F, convolve(G, H))
         assert np.array_equal(left.values, right.values)
+
+
+def _bump(shift, axb):
+    """Gaussian centred at ``shift`` in each x coordinate (and at a = 1)."""
+    def fn(*coords):
+        xs = coords[:-1] if axb else coords
+        log_a = np.log(coords[-1]) if axb else 0.0
+        return np.exp(-sum((x - shift) ** 2 for x in xs) - log_a ** 2)
+    return fn
+
+
+_AXB1 = AxbGrid(AxbGroup(1), -4, 4, 24, 0.25, 4.0, 16)
+_POINT_REFERENCE_CASES = {
+    "R": (UniformGrid(Euclidean(1), -4, 4, 64), None),
+    "R, G on [-5, 7]": (UniformGrid(Euclidean(1), -4, 4, 64),
+                        UniformGrid(Euclidean(1), -5, 7, 40)),
+    "R2": (UniformGrid(Euclidean(2), [-3, -3], [3, 3], [20, 24]), None),
+    "axb n=1": (_AXB1, None),
+    "axb n=1, G on another window": (_AXB1, AxbGrid(AxbGroup(1), -3, 5, 20, 0.5, 8.0, 12)),
+    "axb n=2": (AxbGrid(AxbGroup(2), [-3, -3], [3, 3], [10, 12], 0.5, 2.0, 8), None),
+}
+
+
+@pytest.mark.parametrize("case", list(_POINT_REFERENCE_CASES))
+def test_convolve_matches_point_reference(case):
+    """Every output point of convolve equals the single-point quadrature."""
+    grid_f, grid_g = _POINT_REFERENCE_CASES[case]
+    grid_g = grid_g or grid_f
+    axb = isinstance(grid_f, AxbGrid)
+    F = SampledFunction.sample(grid_f, _bump(0.5, axb))
+    G = SampledFunction.sample(grid_g, _bump(-0.3, axb))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        out = convolve(F, G).values.ravel()
+    ref = np.array([convolve_point(F, G, z) for z in grid_f.points()])
+    peak = np.abs(ref).max()
+    assert peak > 0
+    assert np.abs(out - ref).max() <= 1e-12 * peak
+
+
+def test_z2_convolution_matches_point_reference_exactly():
+    rng = generator(95)
+    grid_f = LatticeGrid(IntegerLattice(2), [-4, -5], [5, 4])
+    grid_g = LatticeGrid(IntegerLattice(2), [-3, -6], [6, 3])
+    F = SampledFunction(grid_f, rng.integers(-2**20, 2**20 + 1, grid_f.shape).astype(float))
+    G = SampledFunction(grid_g, rng.integers(-2**20, 2**20 + 1, grid_g.shape).astype(float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        out = convolve(F, G).values.ravel()
+    ref = np.array([convolve_point(F, G, z) for z in grid_f.points()])
+    assert not np.any(ref.imag)
+    assert np.array_equal(out, ref.real)
 
 
 def test_truncation_warning_fires(euclid):

@@ -63,6 +63,17 @@ def test_separation_monotone_in_window(line_grid, rng):
     assert inner <= outer
 
 
+def test_cell_masks_keyed_by_grid_value(euclid):
+    X = WellSpreadSet(np.array([[0.0], [1.5]]))
+    window = BoxWindow.centered(0.5, 1)
+    # each grid is dropped after its call, so a key by id() may be reused
+    masks = X.cell_masks(window, UniformGrid(euclid, -4, 4, 64))
+    same = X.cell_masks(window, UniformGrid(euclid, -4, 4, 64))
+    other = X.cell_masks(window, UniformGrid(euclid, -2, 2, 64))
+    assert all(np.array_equal(a, b) for a, b in zip(masks, same))
+    assert not any(np.array_equal(a, b) for a, b in zip(masks, other))
+
+
 def test_density_certificate_and_failure(line_grid):
     X = euclidean_lattice(line_grid, 1.0)
     cert = check_density(X, BoxWindow.centered(0.5, 1))

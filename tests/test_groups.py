@@ -205,6 +205,25 @@ def test_grid_refinement_metadata(axb_grid, line_grid, z_grid):
     assert axb_grid.metadata()["kind"] == "axb"
 
 
+def test_grid_value_equality(euclid, axb):
+    grid = UniformGrid(euclid, -4, 4, 64)
+    twin = UniformGrid(euclid, -4, 4, 64)
+    assert grid == twin and hash(grid) == hash(twin)
+    assert grid != UniformGrid(euclid, -1, 1, 64)
+    assert grid != UniformGrid(euclid, -4, 4, 32)
+    assert AxbGrid(axb, -1, 1, 8, 0.5, 2.0, 4) != AxbGrid(axb, -1, 1, 8, 0.5, 4.0, 4)
+    assert LatticeGrid(IntegerLattice(1), -4, 4) != grid
+
+
+def test_arithmetic_compares_grids_by_value(euclid):
+    F = SampledFunction.sample(UniformGrid(euclid, -4, 4, 64), np.cos)
+    twin = SampledFunction.sample(UniformGrid(euclid, -4, 4, 64), np.cos)
+    assert np.array_equal((F + twin).values, 2 * F.values)
+    G = SampledFunction.sample(UniformGrid(euclid, -1, 1, 64), np.cos)
+    with pytest.raises(DimensionMismatchError):
+        F + G
+
+
 def test_interpolation_matches_samples(line_grid):
     F = SampledFunction.sample(line_grid, _smooth_bump(0.0))
     pts = line_grid.points()[::37]
