@@ -4,12 +4,29 @@ Convolution is the Haar quadrature ``(F*G)(z) = sum_y F(y) G(y^{-1} z)
 w(y)`` over the support of F. Every grid is uniform in its interpolation
 coordinates, so ``y^{-1} z`` only takes values at whole-step offsets
 between grid points: G is interpolated once into a table ``K`` on those
-offsets (once per source scale row on ax+b, whose x offsets scale with
-``1/a``), and each source adds ``F(y) w(y)`` times a window of ``K``. On
-the integer lattice the offsets are integers, ``K`` holds G's samples
-exactly, and the sum is exact. Embedding checks compare the target
-amalgam norm of F*G against the product of factor norms over a test
-family and track the empirical constant under grid refinement.
+offsets, and the quadrature is the middle of the linear convolution of
+``F w`` with ``K`` along the x axes. It is computed by FFT at a
+power-of-two length of at least ``2N - 1`` per axis, so the circular
+convolution does not wrap around; complex factors use the complex
+transform, real ones the real transform.
+
+On R^n and Z^n that is one transform. On ax+b, ``y^{-1} z`` scales the x
+offsets by ``1/a`` of the source's scale row, so each row of F's support
+gets its own table and transform. A source in row ``j`` only reaches the
+a-offsets of the ``Na`` output columns, so its table holds those columns
+alone, and the transform runs along x for all of them at once.
+
+On the integer lattice the offsets are integers and ``K`` holds G's
+samples. When F and G are integer-valued the FFT result is rounded, but
+only after an error bound computed from the inputs certifies that every
+entry is within 1/2 of the exact sum; otherwise both factors are split
+into base-2^k digits small enough for the bound, and the rounded digit
+convolutions are summed. The result is exact whenever
+``sum_y |F(y) G(y^{-1} z)| < 2^53`` at every output point z.
+
+Embedding checks compare the target amalgam norm of F*G against the
+product of factor norms over a test family and track the empirical
+constant under grid refinement.
 """
 
 from __future__ import annotations
@@ -42,30 +59,121 @@ def convolve(F, G):
     cutoff = _SUPPORT_CUTOFF
     if not isinstance(grid, LatticeGrid):
         cutoff *= max(1.0, np.abs(vals).max())
-    nz = np.argwhere(np.abs(vals) > cutoff)
-    fw = vals * grid.weights
+    fw = np.where(np.abs(vals) > cutoff, vals * grid.weights, 0.0)
     # every interpolation axis is uniform, so x_l - x_i = (l - i) h: entry
-    # k of an axis' offsets is (k - N + 1) h, and source i reads entries
-    # [N - 1 - i, 2N - 1 - i) of the table
+    # k of an axis' offsets is (k - N + 1) h, and source i adds fw[i] times
+    # table entries [N - 1 - i, 2N - 1 - i). Summed over i, that is entries
+    # [N - 1, 2N - 1) of the linear convolution fw * K along the x axes,
+    # which a circular one of length >= 2N - 1 holds without wrap-around.
     offsets = [np.concatenate((ax[0] - ax[:0:-1], ax - ax[0]))
                for ax in grid.interp_axes]
-    # on ax+b, y^{-1} z = ((z_x - y_x) / a_j, z_a / a_j): the x offsets
-    # scale with the source's scale row j; R^n and Z^n have one row, scale 1
+    xs = tuple(range(n))
+    # power-of-two lengths: the ones _fft_error_bound covers
+    size = [1 << int(2 * N - 2).bit_length() for N in grid.shape[:n]]
+    keep = tuple(slice(N - 1, 2 * N - 1) for N in grid.shape[:n])
+    exact = isinstance(grid, LatticeGrid) and _integral(fw) and _integral(G.values)
+    convolve_x = _exact_convolution if exact else _fft_convolve
+    # one row per (source values, x-offset scale, remaining table axes);
+    # R^n and Z^n have a single row with scale 1
+    rows = [(fw, 1.0, offsets[n:])]
     if isinstance(grid, AxbGrid):
-        rows, scales = nz[:, -1], grid.axes[-1]
-    else:
-        rows, scales = np.zeros(len(nz), dtype=int), np.ones(1)
+        # y^{-1} z = ((z_x - y_x) / a_j, z_a / a_j): the sources of scale
+        # row j read x offsets scaled by 1/a_j, and output column m reads
+        # a-offset m - j, so only table columns [Na - 1 - j, 2Na - 1 - j);
+        # the transform along x runs over those columns at once
+        na = grid.shape[-1]
+        rows = [(fw[..., j, None], grid.axes[-1][j],
+                 [offsets[n][na - 1 - j:2 * na - 1 - j]])
+                for j in np.flatnonzero(np.any(fw, axis=xs))]
     out = np.zeros(grid.shape, dtype=np.result_type(fw, G.values))
-    for j in np.unique(rows):
-        queries = [d / scales[j] for d in offsets[:n]] + offsets[n:]
+    for f, scale, cols in rows:
+        queries = [d / scale for d in offsets[:n]] + cols
         K = G.grid.interpolate_axes(G.values, np.ix_(*queries))
-        for iy in nz[rows == j]:
-            span = tuple(slice(size - 1 - i, 2 * size - 1 - i)
-                         for size, i in zip(grid.shape, iy))
-            out += fw[tuple(iy)] * K[span]
+        out += convolve_x(f, K, xs, size)[keep]
     result = SampledFunction(grid, out)
     _warn_truncation(result)
     return result
+
+
+def _fft_convolve(a, b, axes, size):
+    """Circular convolution of ``a`` and ``b`` at lengths ``size`` over ``axes``."""
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        spec = np.fft.fftn(a, size, axes) * np.fft.fftn(b, size, axes)
+        return np.fft.ifftn(spec, size, axes)
+    spec = np.fft.rfftn(a, size, axes) * np.fft.rfftn(b, size, axes)
+    return np.fft.irfftn(spec, size, axes)
+
+
+def _integral(a):
+    """True when every entry is a finite real integer."""
+    return not np.iscomplexobj(a) and bool(np.all(np.mod(a, 1.0) == 0))
+
+
+def _fft_error_bound(a, b, size):
+    """Bound on every entry's error in ``_fft_convolve(a, b)`` (real or complex).
+
+    Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.
+    (SIAM 2002), Theorem 24.2: the radix-2 Cooley-Tukey FFT of length L
+    computes y = F x with ``||y_hat - y||_2 <= delta ||y||_2``, where
+    ``delta = l eta / (1 - l eta)``, ``l = log2 L``, ``eta = mu + gamma_4
+    (sqrt(2) + mu)``, ``gamma_4 = 4u / (1 - 4u)`` and mu bounds the error of
+    the twiddle factors (taken as u). An n-D transform is 1-D transforms
+    along each axis, whose factors ``1 / (1 - l_k eta)`` multiply to at most
+    ``1 / (1 - l eta)`` with ``l = log2`` of the total length.
+
+    With A = F a, B = F b: ``||A||_inf <= ||a||_1``, ``||A||_2 = sqrt(L)
+    ||a||_2`` and the inverse transform divides 2-norms by ``sqrt(L)``. The
+    two spectra's errors, the complex products' rounding (``sqrt(2)
+    gamma_2`` relative, Higham Lemma 3.5, at most delta / 2 here) and the
+    inverse transform's error then add up to at most ``4 delta S`` in the
+    2-norm, so in every entry, with ``S = max(||a||_1 ||b||_2, ||a||_2
+    ||b||_1)``, as long as ``delta sqrt(L) < 0.1`` (any L below 2^60).
+    numpy computes power-of-two lengths with radix-4 and real-data passes,
+    which regroup the radix-2 butterflies; the bound is doubled to cover
+    that regrouping. On random integer inputs the measured error stays
+    below 1/500 of the returned bound.
+    """
+    u = 2.0 ** -53
+    gamma4 = 4 * u / (1 - 4 * u)
+    eta = u + gamma4 * (np.sqrt(2.0) + u)
+    l_eta = max(1.0, np.log2(np.prod(size, dtype=float))) * eta
+    delta = l_eta / (1 - l_eta)
+    a1, a2 = np.abs(a).sum(), np.sqrt(np.sum(np.abs(a) ** 2))
+    b1, b2 = np.abs(b).sum(), np.sqrt(np.sum(np.abs(b) ** 2))
+    return 2 * 4 * delta * max(a1 * b2, a2 * b1)
+
+
+def _exact_convolution(a, b, axes, size):
+    """Circular convolution of integer-valued arrays, rounded only where
+    ``_fft_error_bound`` certifies an error below 1/2."""
+    if _fft_error_bound(a, b, size) < 0.5:
+        return np.rint(_fft_convolve(a, b, axes, size))
+    # digits below 2^k in magnitude on the same supports have norms at most
+    # 2^k times the supports' indicators, so the bound scales by 4^k
+    unit = _fft_error_bound(a != 0, b != 0, size)
+    k = int(np.floor(np.log2(0.5 / unit) / 2))
+    if k < 1:
+        raise OverflowError("no digit width certifies an exact lattice convolution")
+    out = 0.0
+    for p, a_digit in enumerate(_digits(a, k)):
+        for q, b_digit in enumerate(_digits(b, k)):
+            digit = np.rint(_fft_convolve(a_digit, b_digit, axes, size))
+            # a power-of-two scale of an integer is exact; each partial sum
+            # is bounded by sum |a| |b| at that entry
+            out = out + np.ldexp(digit, k * (p + q))
+    return out
+
+
+def _digits(a, k):
+    """Signed base-2^k digits of an integer-valued array: ``a = sum_p
+    2^(kp) d_p`` with ``|d_p| < 2^k``, each step exact in float64."""
+    sign, rest = np.sign(a), np.abs(a)
+    digits = []
+    while rest.any():
+        low = np.mod(rest, 2.0 ** k)
+        digits.append(sign * low)
+        rest = (rest - low) / 2.0 ** k
+    return digits
 
 
 def convolve_point(F, G, z):
@@ -85,7 +193,10 @@ def convolve_measure(mu, G):
     for z, mass in mu.atoms:
         out = out + mass * translate(G, z, "left", coverage_warn=0.0).values
     if mu.density is not None:
-        out = out + convolve(mu.density, G).values
+        # the sum below is checked for truncation once, with the atoms
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            out = out + convolve(mu.density, G).values
     if not np.iscomplexobj(G.values) and all(m.imag == 0 for _, m in mu.atoms):
         out = out.real
     result = SampledFunction(grid, out)
@@ -93,24 +204,26 @@ def convolve_measure(mu, G):
     return result
 
 
-def _warn_truncation(out):
-    """Warn when the computed convolution carries mass at the window edge."""
+def _truncation_ratio(out):
+    """Largest absolute value on the window's edge over the peak (0 if none)."""
     vals = np.abs(out.values)
     peak = vals.max(initial=0.0)
     if peak <= 0:
-        return
+        return 0.0
     edge = 0.0
     for ax in range(vals.ndim):
-        sl_lo = [slice(None)] * vals.ndim
-        sl_hi = [slice(None)] * vals.ndim
-        sl_lo[ax] = 0
-        sl_hi[ax] = -1
-        edge = max(edge, vals[tuple(sl_lo)].max(initial=0.0),
-                   vals[tuple(sl_hi)].max(initial=0.0))
-    if edge > 1e-8 * peak:
+        edge = max(edge, vals.take(0, axis=ax).max(initial=0.0),
+                   vals.take(-1, axis=ax).max(initial=0.0))
+    return float(edge / peak)
+
+
+def _warn_truncation(out):
+    """Warn when the computed convolution carries mass at the window edge."""
+    ratio = _truncation_ratio(out)
+    if ratio > 1e-8:
         warnings.warn(
             f"convolution support reaches the window boundary "
-            f"(edge/peak = {edge / peak:.2e}); result is truncated",
+            f"(edge/peak = {ratio:.2e}); result is truncated",
             TruncationWarning,
             stacklevel=3,
         )
@@ -132,6 +245,7 @@ class EmbeddingReport:
     passed: bool = False
     growth_tolerance: float = 0.25
     failures: list = field(default_factory=list)
+    truncation: list = field(default_factory=list)
 
     def as_record(self):
         return {
@@ -143,6 +257,7 @@ class EmbeddingReport:
             "passed": self.passed,
             "growth_tolerance": self.growth_tolerance,
             "failures": self.failures,
+            "truncation": self.truncation,
         }
 
 
@@ -212,7 +327,9 @@ def verify_embedding(relation, left_specs, right_specs, *, grid,
     refinements, records per-pair ratios, and passes when the empirical
     constant is finite and does not grow by more than ``growth_tolerance``
     under one refinement. Overflow signals are recorded as failure
-    witnesses rather than raised.
+    witnesses rather than raised. Truncation does not change the verdict:
+    each level records the largest edge/peak ratio of its convolutions in
+    ``truncation``, and each level-0 pair its own ratio.
     """
     if pairing == "zip":
         pair_list = list(zip(left_specs, right_specs))
@@ -225,6 +342,7 @@ def verify_embedding(relation, left_specs, right_specs, *, grid,
         grids.append(grids[-1].refine(refine_factor))
     for level, gr in enumerate(grids):
         c_emp = 0.0
+        truncation = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             for idx, (fs, gs) in enumerate(pair_list):
@@ -232,6 +350,8 @@ def verify_embedding(relation, left_specs, right_specs, *, grid,
                 G = gs.sample(gr)
                 conv = (convolve_measure(F, G) if isinstance(F, DiscreteMeasure)
                         else convolve(F, G))
+                edge = _truncation_ratio(conv)
+                truncation = max(truncation, edge)
                 t = target_norm(conv)
                 lf = left_norm(F)
                 rf = right_norm(G)
@@ -249,8 +369,10 @@ def verify_embedding(relation, left_specs, right_specs, *, grid,
                         "target": float(t),
                         "product": float(lf * rf),
                         "ratio": float(ratio),
+                        "truncation": edge,
                     })
         report.refinement_trace.append(float(c_emp))
+        report.truncation.append(truncation)
     report.c_emp = report.refinement_trace[0]
     finite = all(np.isfinite(v) for v in report.refinement_trace)
     stable = all(

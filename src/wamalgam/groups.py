@@ -206,9 +206,10 @@ class Grid:
     ``axes`` hold the coordinate values per axis; ``interp_axes`` hold the
     coordinates in which multilinear interpolation is performed (identical
     to ``axes`` except on the axb group, where the scale axis interpolates
-    in log-coordinates). Every interpolation axis is uniform, so the
-    difference of two grid points is a whole number of steps per axis;
-    convolution tabulates G once on these offsets with ``interpolate_axes``.
+    in log-coordinates), and ``interp_steps`` their cell widths. Every
+    interpolation axis is uniform, so the difference of two grid points is
+    a whole number of steps per axis; convolution tabulates G on these
+    offsets with ``interpolate_axes``.
 
     Grids compare by value: two grids are equal when they have the same
     type and the same ``metadata()``.
@@ -217,6 +218,7 @@ class Grid:
     group: GroupSpec
     axes: tuple
     interp_axes: tuple
+    interp_steps: tuple
     weights: np.ndarray
     shape: tuple
 
@@ -258,8 +260,8 @@ class Grid:
 
     def interpolate_axes(self, values, queries):
         idx, frac, inside = [], [], None
-        for ax, q in zip(self.interp_axes, queries):
-            i0, f, ins = _axis_locate(ax, q)
+        for ax, step, q in zip(self.interp_axes, self.interp_steps, queries):
+            i0, f, ins = _axis_locate(ax, step, q)
             idx.append(i0)
             frac.append(f)
             inside = ins if inside is None else (inside & ins)
@@ -274,21 +276,14 @@ class Grid:
         return np.where(inside, out, 0.0)
 
 
-def _axis_locate(axis, q):
+def _axis_locate(axis, step, q):
     """Locate queries on a uniform axis: lower index, fraction, inside mask."""
     m = len(axis)
-    if m == 1:
-        step = 1.0
-        t = (q - axis[0]) / step
-        inside = np.abs(t) <= 0.5 + 1e-9
-        i0 = np.zeros(np.shape(q), dtype=int)
-        return i0, np.zeros(np.shape(q)), inside
-    step = axis[1] - axis[0]
     t = (q - axis[0]) / step
     # the window extends half a cell beyond the first/last midpoints
     inside = (t >= -0.5 - 1e-9) & (t <= m - 0.5 + 1e-9)
     tc = np.clip(t, 0.0, m - 1.0)
-    i0 = np.clip(np.floor(tc).astype(int), 0, m - 2)
+    i0 = np.clip(np.floor(tc).astype(int), 0, max(m - 2, 0))
     frac = tc - i0
     return i0, frac, inside
 
@@ -311,6 +306,7 @@ class UniformGrid(Grid):
             for k in range(group.n)
         )
         self.interp_axes = self.axes
+        self.interp_steps = tuple(self.steps)
         self.shape = tuple(self.cells)
         cell_volume = float(np.prod(self.steps))
         self.weights = np.full(self.shape, cell_volume)
@@ -346,6 +342,7 @@ class LatticeGrid(Grid):
         self.interp_axes = self.axes
         self.shape = tuple(len(ax) for ax in self.axes)
         self.steps = np.ones(group.n)
+        self.interp_steps = tuple(self.steps)
         self.weights = np.ones(self.shape)
 
     def refine(self, factor=2):
@@ -409,6 +406,7 @@ class AxbGrid(Grid):
         a_axis = np.exp(self.u_axis)
         self.axes = x_axes + (a_axis,)
         self.interp_axes = x_axes + (self.u_axis,)
+        self.interp_steps = tuple(self.x_steps) + (self.u_step,)
         self.shape = tuple(self.x_cells) + (self.a_cells,)
         cell_volume = float(np.prod(self.x_steps)) * self.u_step
         self.weights = np.broadcast_to(

@@ -140,24 +140,31 @@ def _bump(shift, axb):
 
 
 _AXB1 = AxbGrid(AxbGroup(1), -4, 4, 24, 0.25, 4.0, 16)
+_R1 = UniformGrid(Euclidean(1), -4, 4, 64)
+# (F's grid, G's grid or None for F's, whether F carries a complex phase)
 _POINT_REFERENCE_CASES = {
-    "R": (UniformGrid(Euclidean(1), -4, 4, 64), None),
-    "R, G on [-5, 7]": (UniformGrid(Euclidean(1), -4, 4, 64),
-                        UniformGrid(Euclidean(1), -5, 7, 40)),
-    "R2": (UniformGrid(Euclidean(2), [-3, -3], [3, 3], [20, 24]), None),
-    "axb n=1": (_AXB1, None),
-    "axb n=1, G on another window": (_AXB1, AxbGrid(AxbGroup(1), -3, 5, 20, 0.5, 8.0, 12)),
-    "axb n=2": (AxbGrid(AxbGroup(2), [-3, -3], [3, 3], [10, 12], 0.5, 2.0, 8), None),
+    "R": (_R1, None, False),
+    "R, complex F": (_R1, None, True),
+    "R, G on [-5, 7]": (_R1, UniformGrid(Euclidean(1), -5, 7, 40), False),
+    "R2": (UniformGrid(Euclidean(2), [-3, -3], [3, 3], [20, 24]), None, False),
+    "axb n=1": (_AXB1, None, False),
+    "axb n=1, complex F": (_AXB1, None, True),
+    "axb n=1, G on another window": (
+        _AXB1, AxbGrid(AxbGroup(1), -3, 5, 20, 0.5, 8.0, 12), False),
+    "axb n=2": (AxbGrid(AxbGroup(2), [-3, -3], [3, 3], [10, 12], 0.5, 2.0, 8),
+                None, False),
 }
 
 
 @pytest.mark.parametrize("case", list(_POINT_REFERENCE_CASES))
 def test_convolve_matches_point_reference(case):
     """Every output point of convolve equals the single-point quadrature."""
-    grid_f, grid_g = _POINT_REFERENCE_CASES[case]
+    grid_f, grid_g, phase = _POINT_REFERENCE_CASES[case]
     grid_g = grid_g or grid_f
     axb = isinstance(grid_f, AxbGrid)
     F = SampledFunction.sample(grid_f, _bump(0.5, axb))
+    if phase:
+        F = F * np.exp(1j * grid_f.mesh()[0])
     G = SampledFunction.sample(grid_g, _bump(-0.3, axb))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
@@ -165,6 +172,7 @@ def test_convolve_matches_point_reference(case):
     ref = np.array([convolve_point(F, G, z) for z in grid_f.points()])
     peak = np.abs(ref).max()
     assert peak > 0
+    assert np.iscomplexobj(out) == phase
     assert np.abs(out - ref).max() <= 1e-12 * peak
 
 
@@ -182,11 +190,38 @@ def test_z2_convolution_matches_point_reference_exactly():
     assert np.array_equal(out, ref.real)
 
 
+def test_z2_convolution_exact_beyond_one_certified_fft():
+    """Entries up to 2^22 on 10x10 windows: every sum of |F| |G| stays below
+    2^53, but the FFT's error bound does not certify rounding, so the
+    factors are convolved digit by digit."""
+    rng = generator(96)
+    grid_f = LatticeGrid(IntegerLattice(2), [-5, -5], [4, 4])
+    grid_g = LatticeGrid(IntegerLattice(2), [-4, -6], [5, 3])
+    F = SampledFunction(grid_f, rng.integers(-2**22, 2**22 + 1, grid_f.shape).astype(float))
+    G = SampledFunction(grid_g, rng.integers(-2**22, 2**22 + 1, grid_g.shape).astype(float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        out = convolve(F, G).values.ravel()
+    ref = np.array([convolve_point(F, G, z) for z in grid_f.points()])
+    assert not np.any(ref.imag)
+    assert np.array_equal(out, ref.real)
+
+
 def test_truncation_warning_fires(euclid):
     grid = UniformGrid(euclid, -2, 2, 200)
     chi = SampledFunction.sample(grid, lambda x: (np.abs(x) <= 1.5).astype(float))
     with pytest.warns(TruncationWarning):
         convolve(chi, chi)
+
+
+def test_density_measure_warns_once(euclid):
+    """One truncated result gives one warning, not one per summand."""
+    grid = UniformGrid(euclid, -2, 2, 200)
+    chi = SampledFunction.sample(grid, lambda x: (np.abs(x) <= 1.5).astype(float))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        convolve_measure(DiscreteMeasure(euclid, [], density=chi), chi)
+    assert [w.category for w in caught] == [TruncationWarning]
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +332,35 @@ def test_overflow_recorded_as_failure_witness(euclid):
         levels=1, family="huge")
     assert not report.passed
     assert report.failures and report.failures[0]["reason"] == "overflow"
+
+
+def test_embedding_records_truncation(euclid):
+    """Edge/peak ratios are recorded per level and per level-0 pair; the
+    verdict does not depend on them."""
+    grid = UniformGrid(euclid, -4, 4, 64)
+    window = BoxWindow.centered(0.5, 1)
+    space = AmalgamSpace("linf", WeightedLp(1.0), window)
+
+    class Box:
+        name = "box"
+
+        def __init__(self, half):
+            self.half = half
+
+        def sample(self, g):
+            return SampledFunction.sample(g, lambda x: (np.abs(x) <= self.half) * 1.0)
+
+    # the first pair stays inside the window; the second reaches its edge
+    report = verify_embedding(
+        "cor_conv_Lp", [Box(1.0), Box(3.0)], [Box(1.0), Box(3.0)], grid=grid,
+        target_norm=space_norm(space), left_norm=space_norm(space),
+        right_norm=space_norm(space), levels=2, family="boxes")
+    ratios = [pair["truncation"] for pair in report.pairs]
+    assert ratios[0] < 1e-12
+    assert ratios[1] > 1e-8
+    assert len(report.truncation) == 2
+    assert report.truncation[0] == max(ratios)
+    assert report.as_record()["truncation"] == report.truncation
 
 
 # ---------------------------------------------------------------------------

@@ -234,3 +234,14 @@ def test_lattice_interpolation_exact(z_grid):
     F = SampledFunction.sample(z_grid, lambda i: i * 2.0)
     assert F.eval_at(np.array([[3.0]]))[0] == 6.0
     assert F.eval_at(np.array([[40.0]]))[0] == 0.0
+
+
+def test_single_cell_axis_spans_its_cell(euclid):
+    """A one-cell axis is as wide as its cell, as in the Haar quadrature."""
+    grid = UniformGrid(euclid, -4, 4, 1)
+    F = SampledFunction.sample(grid, lambda x: np.ones_like(x))
+    assert haar_integral(F) == 8.0
+    inside = F.eval_at(np.array([[0.0], [2.0], [3.9], [-3.9]]))
+    outside = F.eval_at(np.array([[4.5], [-5.0]]))
+    assert np.array_equal(inside, np.ones(4))
+    assert np.array_equal(outside, np.zeros(2))
