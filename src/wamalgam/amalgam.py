@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyGridError,
     InvalidElementError,
+    NonFiniteSampleError,
 )
 from .groups import AxbGrid, LatticeGrid, SampledFunction, UniformGrid, haar_integral
 from .windows import (
@@ -274,43 +275,40 @@ def local_norms_bupu(F, bupu, local):
         if local != "m":
             raise InvalidElementError("measures carry the M local component")
         out = np.zeros(len(bupu))
-        for i in range(len(bupu)):
-            for z, mass in F.atoms:
-                out[i] += abs(mass) * float(bupu.member_value_at(i, z[None, :])[0])
-            if F.density is not None:
-                member = bupu.member(i)
-                out[i] += haar_integral(abs(F.density) * member.values)
+        if F.atoms:
+            zs = np.stack([z for z, _ in F.atoms])
+            masses = [abs(mass) for _, mass in F.atoms]
+            for i in range(len(bupu)):
+                for mass, value in zip(masses, bupu.member_value_at(i, zs)):
+                    out[i] += mass * float(value)
+        if F.density is not None:
+            if not np.all(np.isfinite(F.density.values)):
+                raise NonFiniteSampleError("samples contain non-finite values")
+            out += local_norms_bupu(F.density, bupu, "l1")
         return out
-    if F.grid != bupu.grid:
-        raise DimensionMismatchError("function and BUPU live on different grids")
-    flat = np.abs(F.values).ravel()
-    w = F.grid.weights.ravel()
-    out = np.empty(len(bupu))
-    for i, (idx, vals) in enumerate(zip(bupu.member_indices, bupu.member_values)):
-        if idx.size == 0:
-            out[i] = 0.0
-            continue
-        piece = flat[idx] * vals
-        out[i] = piece.max() if local == "linf" else float(np.sum(piece * w[idx]))
-    return out
+    return _reduce_rows(F, bupu.grid, bupu.operator, local)
 
 
 def local_norms_indicator(F, X, window, local):
     """Per-point local norms ``||F chi_{x_i . window}||_B``."""
-    local = normalize_local(local)
-    grid = F.grid
-    masks = X.cell_masks(window, grid)
-    flat = np.abs(F.values).ravel()
-    w = grid.weights.ravel()
-    out = np.empty(len(X))
-    for i, idx in enumerate(masks):
-        if idx.size == 0:
-            out[i] = 0.0
-        elif local == "linf":
-            out[i] = flat[idx].max()
-        else:
-            out[i] = float(np.sum(flat[idx] * w[idx]))
-    return out
+    return _reduce_rows(F, F.grid, X.cell_masks(window, F.grid), normalize_local(local))
+
+
+def _reduce_rows(F, grid, op, local):
+    """Row maxima of ``|F| v`` (linf) or row sums of ``|F| v w`` over ``op``.
+
+    ``v`` is the operator's values (1 for a membership operator) and ``w``
+    the quadrature weights; one gather feeds one ``reduceat``.
+    """
+    if F.grid != grid:
+        raise DimensionMismatchError("function and BUPU live on different grids")
+    piece = np.abs(F.values).ravel()[op.indices].astype(float, copy=False)
+    if op.values is not None:
+        piece *= op.values
+    if local == "linf":
+        return op.reduce(np.maximum, piece)
+    piece *= grid.weights.ravel()[op.indices]
+    return op.reduce(np.add, piece)
 
 
 def discrete_amalgam_norm(F, bupu, local, component, window=None,
@@ -457,15 +455,10 @@ class OperatorNormBound:
 
 def _unclipped_cells(X, window, grid):
     """Cells that stay clear of the outermost ring of the truncation window."""
-    masks = X.cell_masks(window, grid)
-    shape = np.array(grid.shape)
-    ok = np.zeros(len(masks), dtype=bool)
-    for i, flat in enumerate(masks):
-        if flat.size == 0:
-            continue
-        idx = np.stack(np.unravel_index(flat, grid.shape), axis=-1)
-        ok[i] = bool(np.all(idx >= 1) and np.all(idx <= shape - 2))
-    return ok
+    op = X.cell_masks(window, grid)
+    ring = np.ones(grid.shape, dtype=bool)
+    ring[(slice(1, -1),) * ring.ndim] = False
+    return (op.counts > 0) & ~op.reduce(np.logical_or, ring.ravel()[op.indices])
 
 
 def calibrate_equivalence_bracket(space, bupu, family, overflow_guard=DEFAULT_OVERFLOW_GUARD):

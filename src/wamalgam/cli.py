@@ -42,7 +42,7 @@ from .convolution import (
     verify_embedding,
 )
 from .discretization import build_axb_lattice, build_bupu, euclidean_lattice
-from .errors import ConfigError, WamalgamError
+from .errors import ConfigError, NonFiniteSampleError, WamalgamError
 from .families import build_family, delta_comb, generator
 from .groups import (
     AxbGrid,
@@ -196,12 +196,27 @@ def finalize_report(command, cfg, seed, grid, results, out_dir, name=None,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name or command}.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=2, default=_json_default)
-                    + "\n")
+    path.write_text(_dumps_report(report) + "\n")
     if fmt == "csv":
         rows = sorted(_flatten("results", results))
         write_csv(out_dir / f"{name or command}.csv", ["key", "value"], rows)
     return report, path
+
+
+def _dumps_report(report):
+    """The report as JSON; a non-finite float raises, naming its key path."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, default=_json_default,
+                          allow_nan=False)
+    except ValueError:
+        for key in sorted(report):
+            for path, value in _flatten(key, report[key]):
+                arr = np.asarray(value)
+                if arr.dtype.kind in "fc" and not np.all(np.isfinite(arr)):
+                    raise NonFiniteSampleError(
+                        f"{path}: non-finite value {value} has no JSON form"
+                    ) from None
+        raise
 
 
 def _flatten(prefix, node):

@@ -62,6 +62,8 @@ class WeightFunction:
     params: dict = field(default_factory=dict)
     submultiplicative: dict | None = None
     doubling: dict | None = None
+    _tabulated: tuple | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -71,11 +73,20 @@ class WeightFunction:
         return vals
 
     def on_grid(self, grid):
-        """Weight values over a grid, respecting the weight's domain."""
+        """Weight values over a grid, respecting the weight's domain.
+
+        The values on the last grid are kept (read-only), so repeated norms
+        on one grid evaluate the weight once.
+        """
+        if self._tabulated is not None and self._tabulated[0] == grid:
+            return self._tabulated[1]
         pts = grid.points()
         if self.domain == "base" and isinstance(grid, AxbGrid):
             pts = pts[..., :-1]
-        return self(pts).reshape(grid.shape)
+        vals = self(pts).reshape(grid.shape)
+        vals.flags.writeable = False
+        self._tabulated = (grid, vals)
+        return vals
 
     def certificate_record(self):
         rec = {"name": self.name, "params": self.params, "domain": self.domain}
@@ -464,13 +475,8 @@ def assemble_step_function(X, window, coefficients, grid):
     coefficients = np.asarray(coefficients)
     if coefficients.shape[0] != len(X.points):
         raise IndexMismatchError("coefficient count does not match the point set")
-    masks = X.cell_masks(window, grid)
-    out = np.zeros(grid.shape)
-    flat_view = out.reshape(-1)
-    for c, flat in zip(np.abs(coefficients), masks):
-        if flat.size:
-            flat_view[flat] += c
-    return SampledFunction(grid, out)
+    out = X.cell_masks(window, grid).scatter(np.abs(coefficients))
+    return SampledFunction(grid, out.reshape(grid.shape))
 
 
 def sequence_norm(seq, grid=None, overflow_guard=DEFAULT_OVERFLOW_GUARD):

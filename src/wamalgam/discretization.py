@@ -5,11 +5,25 @@ and separation certificates are numerical: density is probed on the grid
 (or a refined probe grid), separation is an exact all-pairs intersection
 count of translated windows, with closed sets so touching boundaries count
 as overlapping and the constants stay conservative.
+
+The layer works through one sparse operator per (X, window, grid): row i of
+a ``CellOperator`` holds the sorted flat grid indices of the cell
+``x_i . window``, stored CSR-style (``indptr``, ``indices``). Rows are built
+by index arithmetic wherever the window factorizes over the grid's tensor
+axes, which ``window.axis_masks`` reports: boxes and their right
+translates on R^n and Z^n, and the affine windows at n = 1. There the
+comparisons of ``contains`` run on the 1-D axis arrays and the row is the
+flat index set of their product, bit-identical to ``contains`` on all grid
+points; ax+b windows with n >= 2 test every grid point. Step functions are
+one ``np.bincount`` of the rows, local norms a ``reduceat`` over one gather,
+and a BUPU keeps its members in the same form (with values).
+``verify_bupu`` stays an independent per-point check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +32,95 @@ from .groups import AxbGrid, SampledFunction
 from .windows import AxbWindow, BoxWindow
 
 _TOL = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class CellOperator:
+    """Sparse |X| x N operator over a grid of N points, stored CSR-style.
+
+    Row i is ``indices[indptr[i]:indptr[i+1]]``, sorted flat grid indices;
+    ``values`` holds the row entries' values (a BUPU's members) or is None
+    for a 0/1 membership operator. Iterating yields the rows.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    size: int
+    values: np.ndarray | None = None
+
+    @classmethod
+    def from_rows(cls, rows, size, values=None):
+        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum([len(r) for r in rows], out=indptr[1:])
+        indices = (np.concatenate(rows).astype(np.intp, copy=False) if rows
+                   else np.empty(0, dtype=np.intp))
+        if values is not None:
+            values = np.concatenate(values) if values else np.empty(0)
+        return cls(indptr, indices, int(size), values)
+
+    def __len__(self):
+        return len(self.indptr) - 1
+
+    def __getitem__(self, i):
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @cached_property
+    def counts(self):
+        return np.diff(self.indptr)
+
+    def reduce(self, ufunc, entries):
+        """Per-row ``ufunc.reduceat`` of per-entry values; empty rows give 0."""
+        out = np.zeros(len(self), dtype=entries.dtype)
+        full = self.counts > 0
+        if full.any():
+            out[full] = ufunc.reduceat(entries, self.indptr[:-1][full])
+        return out
+
+    def scatter(self, coefficients):
+        """Flat ``sum_i c_i chi_{row i}`` over the grid, skipping rows with c_i = 0.
+
+        ``np.bincount`` adds in entry order, so every grid point sums its
+        rows in row order.
+        """
+        rows = np.flatnonzero(coefficients)
+        entries = (self.indices if len(rows) == len(self) else
+                   np.concatenate([self[i] for i in rows] or [self.indices[:0]]))
+        return np.bincount(entries,
+                           weights=np.repeat(coefficients[rows], self.counts[rows]),
+                           minlength=self.size)
+
+
+def _cell_operator(points, window, grid):
+    """The rows ``x_i . window``: by index arithmetic, or by ``contains``.
+
+    ``contains`` on every grid point builds the rows of a window that does
+    not factor over the grid's axes. A factorized row is the product of
+    its per-axis index sets, so its length is known before it is built
+    and it is written in place.
+    """
+    group = grid.group
+    masks = [window.axis_masks(group, x, grid.axes) for x in points]
+    if any(m is None for m in masks):
+        pts = grid.points()
+        return CellOperator.from_rows(
+            [np.flatnonzero(window.contains(group, x, pts)) for x in points], grid.size)
+    support = [[np.flatnonzero(m) for m in axis_masks] for axis_masks in masks]
+    indptr = np.zeros(len(points) + 1, dtype=np.intp)
+    np.cumsum([np.prod([len(s) for s in sub]) for sub in support], out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    for i, sub in enumerate(support):
+        indices[indptr[i]:indptr[i + 1]] = np.ravel_multi_index(
+            np.ix_(*sub), grid.shape).ravel()
+    return CellOperator(indptr, indices, grid.size)
+
+
+def _grid_point(grid, flat):
+    """Coordinates of the grid point with C-order flat index ``flat``."""
+    idx = np.unravel_index(flat, grid.shape)
+    return np.array([ax[i] for ax, i in zip(grid.axes, idx)])
 
 
 @dataclass
@@ -38,15 +141,10 @@ class WellSpreadSet:
         return len(self.points)
 
     def cell_masks(self, window, grid):
-        """Flat grid indices of each translate ``x_i . window`` (cached)."""
+        """The ``CellOperator`` of the translates ``x_i . window`` (cached)."""
         key = (window.key(), grid)
         if key not in self._mask_cache:
-            pts = grid.points()
-            masks = []
-            for x in self.points:
-                m = window.contains(grid.group, x, pts)
-                masks.append(np.flatnonzero(m))
-            self._mask_cache[key] = masks
+            self._mask_cache[key] = _cell_operator(self.points, window, grid)
         return self._mask_cache[key]
 
     def translated(self, g, side="left"):
@@ -109,18 +207,14 @@ def check_density(X, window, probe_grid=None):
     grid = probe_grid if probe_grid is not None else X.grid
     if grid is None:
         raise EmptyGridError("density check needs a probe grid")
-    pts = grid.points()
-    covered = np.zeros(len(pts), dtype=bool)
-    for x in X.points:
-        covered |= window.contains(grid.group, x, pts)
-        if covered.all():
-            break
+    covered = np.zeros(grid.size, dtype=bool)
+    covered[X.cell_masks(window, grid).indices] = True
     if not covered.all():
-        missing = pts[int(np.argmin(covered))]
+        missing = _grid_point(grid, int(np.argmin(covered)))
         raise DensityError(
             f"point set is not dense for window {window.descriptor()}", missing
         )
-    cert = {"window": window.descriptor(), "probes": int(len(pts)), "covered": True}
+    cert = {"window": window.descriptor(), "probes": grid.size, "covered": True}
     X.density_window = window
     return cert
 
@@ -196,6 +290,7 @@ class Bupu:
 
     Members are stored sparsely as flat grid indices plus values; they are
     nonnegative, bounded by one, and sum to one at every grid point.
+    ``operator`` holds all members as one ``CellOperator`` with values.
     """
 
     base_set: WellSpreadSet
@@ -207,6 +302,11 @@ class Bupu:
     def __len__(self):
         return len(self.member_indices)
 
+    @cached_property
+    def operator(self):
+        return CellOperator.from_rows(self.member_indices, self.grid.size,
+                                      self.member_values)
+
     def member(self, i):
         """Member i as a dense SampledFunction."""
         out = np.zeros(self.grid.shape)
@@ -214,39 +314,51 @@ class Bupu:
         return SampledFunction(self.grid, out)
 
     def total(self):
-        out = np.zeros(self.grid.shape)
-        flat = out.reshape(-1)
-        for idx, vals in zip(self.member_indices, self.member_values):
-            flat[idx] += vals
-        return SampledFunction(self.grid, out)
+        op = self.operator
+        total = np.bincount(op.indices, weights=op.values, minlength=op.size)
+        return SampledFunction(self.grid, total.reshape(self.grid.shape))
 
     def member_value_at(self, i, pts):
-        """Nearest-grid evaluation of member i at arbitrary points."""
-        dense = self.member(i)
-        return dense.eval_at(pts)
+        """Member i at arbitrary points, interpolated multilinearly (``eval_at``)."""
+        return self.member(i).eval_at(pts)
+
+
+def _bupu_from_operator(X, window, grid, op):
+    """A Bupu whose member lists are views of the rows of ``op``."""
+    rows = range(len(op))
+    bupu = Bupu(X, window, grid, [op[i] for i in rows],
+                [op.values[op.indptr[i]:op.indptr[i + 1]] for i in rows])
+    bupu.operator = op
+    return bupu
 
 
 def _hat(t):
     return np.maximum(0.0, 1.0 - np.abs(t))
 
 
+def _box_hat_factors(point, window, coords):
+    """Per-axis factors of the tensor hat supported in ``point . window``.
+
+    ``coords[k]`` holds coordinates along axis k; degenerate axes collapse
+    to indicators.
+    """
+    lo = np.asarray(window.lo)
+    hi = np.asarray(window.hi)
+    center = point + (lo + hi) / 2.0
+    half = (hi - lo) / 2.0
+    return [_hat((c - center[k]) / half[k]) if half[k] > 0
+            else (np.abs(c - center[k]) <= _TOL).astype(float)
+            for k, c in enumerate(coords)]
+
+
 def _raw_hat_values(group, point, window, grid_pts):
-    """Tensor hat supported exactly in ``point . window``."""
+    """Tensor hat supported exactly in ``point . window``, at every point."""
     if isinstance(window, BoxWindow):
-        lo = np.asarray(window.lo)
-        hi = np.asarray(window.hi)
-        center = point + (lo + hi) / 2.0
-        half = (hi - lo) / 2.0
-        if np.any(half <= 0):
-            # degenerate axes collapse to indicators on those axes
-            vals = np.ones(len(grid_pts))
-            for k in range(len(lo)):
-                if half[k] > 0:
-                    vals *= _hat((grid_pts[:, k] - center[k]) / half[k])
-                else:
-                    vals *= np.abs(grid_pts[:, k] - center[k]) <= _TOL
-            return vals
-        return np.prod(_hat((grid_pts - center) / half), axis=-1)
+        factors = _box_hat_factors(point, window, grid_pts.T)
+        vals = factors[0]
+        for f in factors[1:]:
+            vals = vals * f
+        return vals
     if isinstance(window, AxbWindow):
         x0, a0 = point[:-1], point[-1]
         half_x = window.radius * a0
@@ -257,6 +369,23 @@ def _raw_hat_values(group, point, window, grid_pts):
     raise InvalidElementError(f"unsupported window type {type(window).__name__}")
 
 
+def _box_hat_row(point, window, grid):
+    """Support and values of a box hat: the product of its per-axis hats."""
+    factors = _box_hat_factors(point, window, grid.axes)
+    support = [np.flatnonzero(f > 0) for f in factors]
+    vals = factors[0][support[0]]
+    for f, s in zip(factors[1:], support[1:]):
+        vals = np.multiply.outer(vals, f[s])
+    idx, vals = _positive(vals.ravel())
+    return np.ravel_multi_index(np.ix_(*support), grid.shape).ravel()[idx], vals
+
+
+def _positive(vals):
+    """Flat indices and values of the positive entries."""
+    idx = np.flatnonzero(vals > 0)
+    return idx, vals[idx]
+
+
 def build_bupu(X, window, grid=None, kind="hat"):
     """Partition of unity subordinate to ``x_i . window``.
 
@@ -264,40 +393,41 @@ def build_bupu(X, window, grid=None, kind="hat"):
     by their pointwise sum; ``kind="voronoi"`` assigns each grid point to
     its nearest lattice point, giving a {0,1}-valued partition. Raises
     DensityError (naming an uncovered grid point) when X is not dense
-    enough for the window.
+    enough for the window. Box hats cost the sum of the axis lengths plus
+    their support per member; other windows evaluate every grid point.
     """
     grid = grid if grid is not None else X.grid
     if grid is None:
         raise EmptyGridError("building a BUPU needs a grid")
-    pts = grid.points()
-    n_pts = len(pts)
     if kind == "voronoi":
+        pts = grid.points()
         owner = _voronoi_owner(X, grid, pts)
-        member_indices, member_values = [], []
-        for i in range(len(X)):
-            idx = np.flatnonzero(owner == i)
-            member_indices.append(idx)
-            member_values.append(np.ones(len(idx)))
-        bupu = Bupu(X, window, grid, member_indices, member_values)
+        indptr = np.zeros(len(X) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(owner, minlength=len(X)), out=indptr[1:])
+        op = CellOperator(indptr, np.argsort(owner, kind="stable"), grid.size,
+                          np.ones(grid.size))
+        bupu = _bupu_from_operator(X, window, grid, op)
         _check_supports(bupu, window, pts)
         return bupu
 
-    raw_indices, raw_values = [], []
-    total = np.zeros(n_pts)
-    for x in X.points:
-        vals = _raw_hat_values(grid.group, x, window, pts)
-        idx = np.flatnonzero(vals > 0)
-        raw_indices.append(idx)
-        raw_values.append(vals[idx])
-        total[idx] += vals[idx]
+    if isinstance(window, BoxWindow):
+        rows = [_box_hat_row(x, window, grid) for x in X.points]
+    else:
+        pts = grid.points()
+        rows = [_positive(_raw_hat_values(grid.group, x, window, pts))
+                for x in X.points]
+    op = CellOperator.from_rows([idx for idx, _ in rows], grid.size,
+                                [vals for _, vals in rows])
+    del rows
+    total = np.bincount(op.indices, weights=op.values, minlength=grid.size)
     uncovered = np.flatnonzero(total <= 0)
     if uncovered.size:
         raise DensityError(
             "point set is not dense for the requested BUPU size window",
-            pts[uncovered[0]],
+            _grid_point(grid, uncovered[0]),
         )
-    member_values = [v / total[idx] for idx, v in zip(raw_indices, raw_values)]
-    return Bupu(X, window, grid, raw_indices, member_values)
+    np.divide(op.values, total[op.indices], out=op.values)
+    return _bupu_from_operator(X, window, grid, op)
 
 
 def _voronoi_owner(X, grid, pts):

@@ -7,6 +7,10 @@ group (acting by the group law, so a translate of the scale interval is
 again a scale interval and the spatial ball dilates with the base scale).
 Boundaries count as inside throughout; midpoint grids never place a point
 on a generic boundary, so indicator assemblies stay exact.
+
+``axis_masks`` gives the per-axis factors of ``contains`` over a tensor
+grid, or None where membership does not factor over the grid's axes (the
+affine windows with n >= 2, right translates on ax+b).
 """
 
 from __future__ import annotations
@@ -51,18 +55,30 @@ class BoxWindow:
     def origin(cls, n=1):
         return cls((0.0,) * n, (0.0,) * n)
 
-    def contains(self, group, base, queries):
-        """Mask of ``queries`` lying in ``base . window`` (vectorized)."""
+    def _bounds(self):
+        """Closed bounds of the relative coordinates, widened by ``_TOL``."""
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
+        scale = np.maximum(np.abs(lo), np.abs(hi)) + 1.0
+        return lo - _TOL * scale, hi + _TOL * scale
+
+    def contains(self, group, base, queries):
+        """Mask of ``queries`` lying in ``base . window`` (vectorized)."""
         base = np.asarray(base, dtype=float)
         rel = np.asarray(queries, dtype=float) - base
         if rel.shape[-1] != len(self.lo):
             raise DimensionMismatchError("window dimension does not match points")
-        scale = np.maximum(np.abs(lo), np.abs(hi)) + 1.0
-        return np.all(
-            (rel >= lo - _TOL * scale) & (rel <= hi + _TOL * scale), axis=-1
-        )
+        lo, hi = self._bounds()
+        return np.all((rel >= lo) & (rel <= hi), axis=-1)
+
+    def axis_masks(self, group, base, axes):
+        """Per-axis factors of ``contains`` on the tensor grid with ``axes``."""
+        if len(axes) != len(self.lo):
+            raise DimensionMismatchError("window dimension does not match points")
+        base = np.asarray(base, dtype=float)
+        lo, hi = self._bounds()
+        return [((ax - b) >= l) & ((ax - b) <= h)
+                for ax, b, l, h in zip(axes, base, lo, hi)]
 
     def key(self):
         return ("box", self.lo, self.hi)
@@ -71,8 +87,33 @@ class BoxWindow:
         return {"shape": "box", "lo": list(self.lo), "hi": list(self.hi)}
 
 
+class _AffineWindow:
+    """Membership in an affine window: a ball test in x and a scale test in a."""
+
+    def contains(self, group, base, queries):
+        base = np.asarray(base, dtype=float)
+        q = np.asarray(queries, dtype=float)
+        bx, ba = base[..., :-1], base[..., -1]
+        qx, qa = q[..., :-1], q[..., -1]
+        dist = np.linalg.norm(qx - bx, axis=-1)
+        return self._in_ball(dist, ba) & self._in_scales(qa, ba)
+
+    def axis_masks(self, group, base, axes):
+        """Per-axis factors of ``contains`` on an (x, a) grid; None for n >= 2.
+
+        The distance is the same ``np.linalg.norm`` over a length-1 last
+        axis that ``contains`` takes, so the masks are bit-identical to it.
+        """
+        if len(axes) != 2:
+            return None
+        base = np.asarray(base, dtype=float)
+        bx, ba = base[..., :-1], base[..., -1]
+        dist = np.linalg.norm(axes[0][:, None] - bx, axis=-1)
+        return [self._in_ball(dist, ba), self._in_scales(axes[1], ba)]
+
+
 @dataclass(frozen=True)
-class AxbWindow:
+class AxbWindow(_AffineWindow):
     """Affine neighborhood ``ball(0, radius) x (1/beta, beta)`` on ax+b.
 
     The translate by a base point (x, a) is ``ball(x, a*radius) x (a/beta,
@@ -86,16 +127,11 @@ class AxbWindow:
         if self.radius <= 0 or self.beta <= 1:
             raise InvalidElementError("need radius > 0 and beta > 1")
 
-    def contains(self, group, base, queries):
-        base = np.asarray(base, dtype=float)
-        q = np.asarray(queries, dtype=float)
-        bx, ba = base[..., :-1], base[..., -1]
-        qx, qa = q[..., :-1], q[..., -1]
-        dist = np.linalg.norm(qx - bx, axis=-1)
-        in_ball = dist <= self.radius * ba * (1 + _TOL)
-        lg = np.abs(np.log(qa) - np.log(ba))
-        in_scales = lg <= np.log(self.beta) * (1 + _TOL)
-        return in_ball & in_scales
+    def _in_ball(self, dist, ba):
+        return dist <= self.radius * ba * (1 + _TOL)
+
+    def _in_scales(self, qa, ba):
+        return np.abs(np.log(qa) - np.log(ba)) <= np.log(self.beta) * (1 + _TOL)
 
     def key(self):
         return ("axb", self.radius, self.beta)
@@ -105,7 +141,7 @@ class AxbWindow:
 
 
 @dataclass(frozen=True)
-class AxbCoverWindow:
+class AxbCoverWindow(_AffineWindow):
     """Scale-linked cover set: ``ball(x, a * radius_mult) x a*(s_lo, s_hi)``.
 
     Contains the right translate ``(x,a) . U(r, beta) . (y, b)`` when built
@@ -125,17 +161,13 @@ class AxbCoverWindow:
         return cls(window.beta * float(np.linalg.norm(y)) + window.radius,
                    b / window.beta, b * window.beta)
 
-    def contains(self, group, base, queries):
-        base = np.asarray(base, dtype=float)
-        q = np.asarray(queries, dtype=float)
-        bx, ba = base[..., :-1], base[..., -1]
-        qx, qa = q[..., :-1], q[..., -1]
-        dist = np.linalg.norm(qx - bx, axis=-1)
-        in_ball = dist <= self.radius_mult * ba * (1 + _TOL)
+    def _in_ball(self, dist, ba):
+        return dist <= self.radius_mult * ba * (1 + _TOL)
+
+    def _in_scales(self, qa, ba):
         ratio = qa / ba
-        in_scales = (ratio >= self.scale_lo * (1 - _TOL)) & (
+        return (ratio >= self.scale_lo * (1 - _TOL)) & (
             ratio <= self.scale_hi * (1 + _TOL))
-        return in_ball & in_scales
 
     def key(self):
         return ("axb-cover", self.radius_mult, self.scale_lo, self.scale_hi)
@@ -156,6 +188,19 @@ class RightTranslatedWindow:
         ginv = group.inverse(np.asarray(self.g, dtype=float))
         moved = group.multiply(np.asarray(queries, dtype=float), ginv)
         return self.base_window.contains(group, base, moved)
+
+    def axis_masks(self, group, base, axes):
+        """Per-axis factors of ``contains``; None unless the group adds.
+
+        On R^n and Z^n, ``q g^{-1}`` moves each axis by its own offset.
+        """
+        if not isinstance(group, (Euclidean, IntegerLattice)):
+            return None
+        ginv = group.inverse(np.asarray(self.g, dtype=float))
+        if len(axes) != len(ginv):
+            raise DimensionMismatchError("window dimension does not match points")
+        return self.base_window.axis_masks(
+            group, base, [ax + s for ax, s in zip(axes, ginv)])
 
     def key(self):
         return ("rtrans", self.base_window.key(), self.g)

@@ -1,0 +1,242 @@
+"""The sparse membership operator against per-point references.
+
+Every row of ``WellSpreadSet.cell_masks`` must equal the flat indices of
+``window.contains`` over all grid points, and the layer built on it (step
+functions, BUPUs, local and discrete norms, the estimator) must agree with
+per-point loops.
+"""
+
+import numpy as np
+import pytest
+
+from wamalgam import (
+    AmalgamSpace,
+    AxbGrid,
+    AxbGroup,
+    AxbWindow,
+    BoxWindow,
+    DiscreteMeasure,
+    Euclidean,
+    IntegerLattice,
+    LatticeGrid,
+    SampledFunction,
+    UniformGrid,
+    WeightedLp,
+    WellSpreadSet,
+    build_axb_lattice,
+    build_bupu,
+    discrete_amalgam_norm,
+    estimate_translation_operator_norm,
+    euclidean_lattice,
+    quasi_norm,
+    right_translate,
+    shifted_power_weight,
+)
+from wamalgam.amalgam import local_norms_bupu
+from wamalgam.components import assemble_step_function
+from wamalgam.discretization import _raw_hat_values
+from wamalgam.errors import DimensionMismatchError
+from wamalgam.windows import AxbCoverWindow
+
+
+def reference_rows(X, window, grid):
+    pts = grid.points()
+    return [np.flatnonzero(window.contains(grid.group, x, pts)) for x in X.points]
+
+
+def reference_step(rows, coefficients, grid):
+    out = np.zeros(grid.size)
+    for c, idx in zip(np.abs(coefficients), rows):
+        out[idx] += c
+    return SampledFunction(grid, out.reshape(grid.shape))
+
+
+def _case(name, rng):
+    E1, E2 = Euclidean(1), Euclidean(2)
+    # R and R2-right also place cell faces on grid points in exact
+    # arithmetic; R puts the faces widened by _TOL on grid points as well,
+    # so rounding decides those points
+    if name == "R":
+        grid = UniformGrid(E1, -5.0, 5.0, 200)  # midpoints -4.975 + 0.05 k
+        window = BoxWindow((-0.7,), (1.3,))
+        lo, hi = (b[0] for b in window._bounds())
+        ax = grid.axes[0]
+        pts = np.concatenate([rng.uniform(-6.0, 6.0, 25),
+                              0.025 + 0.05 * np.arange(-60, 61, 7),
+                              ax[::9] - lo, ax[::9] - hi])
+        return WellSpreadSet(pts[:, None], grid=grid), window, grid
+    if name == "R2":
+        grid = UniformGrid(E2, -3.0, 3.0, (40, 30))
+        X = WellSpreadSet(rng.uniform(-3.5, 3.5, (20, 2)), grid=grid)
+        return X, BoxWindow((-0.5, -1.0), (0.75, 0.25)), grid
+    if name == "R2-right":
+        grid = UniformGrid(E2, -3.0, 3.0, 30)  # midpoints -2.9 + 0.2 k
+        X = euclidean_lattice(grid, 1.0)
+        return X, right_translate(BoxWindow.centered(0.5, 2), (0.4, -0.6)), grid
+    if name == "Z":
+        # integer offsets put grid points exactly on both box faces
+        grid = LatticeGrid(IntegerLattice(1), -10, 10)
+        X = WellSpreadSet(np.arange(-12.0, 13.0, 3.0)[:, None], grid=grid)
+        return X, BoxWindow((-2.0,), (3.0,)), grid
+    if name == "Z2-right":
+        grid = LatticeGrid(IntegerLattice(2), -6, 6)
+        X = WellSpreadSet(np.array([[0.0, 0.0], [-5.0, 3.0], [6.0, 6.0]]), grid=grid)
+        return X, right_translate(BoxWindow((-1.0, -2.0), (2.0, 1.0)), (1.0, -2.0)), grid
+    if name in ("axb", "axb-cover"):
+        grid = AxbGrid(AxbGroup(1), -4.0, 4.0, 64, 0.25, 4.0, 40)
+        lattice = build_axb_lattice(0.5, 2.0, j_range=(-2, 2), x_extent=4.0)
+        window = AxbWindow(1.0, 2.0)
+        radius = window.radius
+        if name == "axb-cover":
+            window = AxbCoverWindow.for_right_translate(window, [0.7, 1.3])
+            radius = window.radius_mult
+        # bases whose ball has a grid point on its rim in exact arithmetic
+        a = grid.axes[1]
+        rim = np.column_stack([grid.axes[0][3] + radius * a, a])
+        X = WellSpreadSet(np.concatenate([lattice.points, rim]), grid=grid)
+        return X, window, grid
+    grid = AxbGrid(AxbGroup(2), -3.0, 3.0, 12, 0.5, 2.0, 6)
+    X = build_axb_lattice(1.0, 2.0, k_range=(-2, 2), j_range=(0, 1), grid=grid, n=2)
+    return X, AxbWindow(1.0, 2.0), grid
+
+
+CASES = ["R", "R2", "R2-right", "Z", "Z2-right", "axb", "axb-cover", "axb-n2"]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_rows_equal_contains(name, rng):
+    X, window, grid = _case(name, rng)
+    op = X.cell_masks(window, grid)
+    ref = reference_rows(X, window, grid)
+    assert len(op) == len(ref) == len(X)
+    for row, expected in zip(op, ref):
+        assert np.array_equal(row, expected)
+    assert sum(r.size for r in ref) > 0
+    factorizes = window.axis_masks(grid.group, X.points[0], grid.axes) is not None
+    assert factorizes == (name != "axb-n2")
+
+
+def test_lattice_rows_include_both_faces():
+    grid = LatticeGrid(IntegerLattice(1), -10, 10)
+    X = WellSpreadSet(np.array([[0.0]]), grid=grid)
+    row = X.cell_masks(BoxWindow((-2.0,), (3.0,)), grid)[0]
+    assert np.array_equal(grid.axes[0][row], np.arange(-2.0, 4.0))
+
+
+@pytest.mark.parametrize("name", ["R2", "Z", "axb-n2"])
+def test_step_function_bit_identical_to_row_loop(name, rng):
+    X, window, grid = _case(name, rng)
+    coefficients = rng.standard_normal(len(X)) * (rng.uniform(size=len(X)) > 0.3)
+    got = assemble_step_function(X, window, coefficients, grid)
+    ref = reference_step(reference_rows(X, window, grid), coefficients, grid)
+    assert np.array_equal(got.values, ref.values)
+
+
+@pytest.mark.parametrize("window", [BoxWindow.centered(1.0, 2),
+                                    BoxWindow((-1.0, -0.75), (1.25, 1.0))])
+def test_box_hat_members_equal_per_point_hats(window):
+    grid = UniformGrid(Euclidean(2), -4.0, 4.0, 32)
+    X = euclidean_lattice(grid, 1.0)
+    bupu = build_bupu(X, window, grid=grid)
+    pts = grid.points()
+    raw = [_raw_hat_values(grid.group, x, window, pts) for x in X.points]
+    total = np.zeros(grid.size)
+    for vals in raw:
+        idx = np.flatnonzero(vals > 0)
+        total[idx] += vals[idx]
+    for i, vals in enumerate(raw):
+        idx = np.flatnonzero(vals > 0)
+        assert np.array_equal(bupu.member_indices[i], idx)
+        assert np.array_equal(bupu.member_values[i], vals[idx] / total[idx])
+    # the per-point hat is the product of the 1-D hats
+    lo, hi = np.asarray(window.lo), np.asarray(window.hi)
+    x = X.points[10]
+    t = (pts - (x + (lo + hi) / 2)) / ((hi - lo) / 2)
+    assert np.array_equal(raw[10], np.prod(np.maximum(0.0, 1.0 - np.abs(t)), axis=-1))
+
+
+def _relative(a, b):
+    return abs(a - b) / abs(b)
+
+
+def test_discrete_norms_and_estimator_match_per_point_reference(rng):
+    grid = UniformGrid(Euclidean(2), -4.0, 4.0, 32)
+    X = euclidean_lattice(grid, 1.0)
+    size_window = BoxWindow.centered(1.0, 2)
+    bupu = build_bupu(X, size_window, grid=grid)
+    F = SampledFunction.sample(
+        grid, lambda x, y: np.exp(-((x - 0.4) ** 2 + 2 * (y + 0.9) ** 2)))
+    absF, w = np.abs(F.values).ravel(), grid.weights.ravel()
+    cells = reference_rows(X, size_window, grid)
+    for local in ("linf", "l1"):
+        for p in (0.5, 2.0):
+            Y = WeightedLp(p)
+            for variant, rows, vals in (
+                    ("bupu", bupu.member_indices, bupu.member_values),
+                    ("indicator", cells, [np.ones(r.size) for r in cells])):
+                coeffs = [(absF[idx] * v).max() if local == "linf"
+                          else np.sum(absF[idx] * v * w[idx])
+                          for idx, v in zip(rows, vals)]
+                ref = quasi_norm(Y, reference_step(cells, coeffs, grid))
+                got = discrete_amalgam_norm(F, bupu, local, Y, variant=variant)
+                assert _relative(got, ref) <= 1e-12
+
+    space = AmalgamSpace("linf", WeightedLp(1.0, shifted_power_weight(1.0)),
+                         size_window)
+    # moved cells reach grid index 1 on the x axis and N - 2 on the y axis
+    g = np.array([-0.75, 0.75])
+    bound = estimate_translation_operator_norm(space, g, "right", grid=grid,
+                                               well_spread=X, coeff_count=8)
+    moved = reference_rows(X, right_translate(size_window, g), grid)
+    shape = np.array(grid.shape)
+
+    def unclipped(idx):
+        ij = np.stack(np.unravel_index(idx, grid.shape), axis=-1)
+        return idx.size > 0 and np.all(ij >= 1) and np.all(ij <= shape - 2)
+
+    ok = np.array([unclipped(a) and unclipped(b) for a, b in zip(cells, moved)])
+    assert 0 < ok.sum() < len(X)
+    Y = WeightedLp(1.0, shifted_power_weight(1.0))
+    draws = np.random.default_rng(0)
+    vectors = [np.abs(draws.standard_normal(len(X))) * ok for _ in range(8)]
+    vectors += list(np.eye(len(X))[ok])
+    ratio = max(quasi_norm(Y, reference_step(moved, lam, grid))
+                / quasi_norm(Y, reference_step(cells, lam, grid)) for lam in vectors)
+    assert _relative(bound.sequence_ratio, ratio) <= 1e-12
+    assert _relative(bound.upper, ratio) <= 1e-12
+
+
+def test_measure_local_norms_by_hand():
+    E = Euclidean(1)
+    grid = UniformGrid(E, -4.0, 4.0, 64)  # step 1/8, midpoints at +-1/16, ...
+    X = euclidean_lattice(grid, 1.0)
+    # each grid point belongs to its nearest integer: 8 points per inner
+    # member, 4 for the members at +-4
+    bupu = build_bupu(X, BoxWindow.centered(0.75, 1), grid=grid, kind="voronoi")
+    density = SampledFunction(grid, np.full(grid.shape, 2.0))
+    # 0.1 lies between two points of member 0; 0.5 halfway between members 0, 1
+    mu = DiscreteMeasure(E, [(np.array([0.1]), 3.0), (np.array([0.5]), -1j)],
+                         density=density)
+    expected = np.full(len(X), 2.0 * 0.125 * 8)
+    expected[[0, -1]] = 2.0 * 0.125 * 4
+    zero = int(np.flatnonzero(X.points[:, 0] == 0.0)[0])
+    expected[zero] += 3.0 + 0.5
+    expected[zero + 1] += 0.5
+    np.testing.assert_allclose(local_norms_bupu(mu, bupu, "m"), expected,
+                               rtol=1e-15)
+    other = DiscreteMeasure(E, [], density=SampledFunction(
+        UniformGrid(E, -2.0, 2.0, 64), np.ones(64)))
+    with pytest.raises(DimensionMismatchError):
+        local_norms_bupu(other, bupu, "m")
+
+
+def test_integer_samples_on_the_lattice():
+    grid = LatticeGrid(IntegerLattice(1), -8, 8)
+    X = WellSpreadSet(np.arange(-8.0, 9.0, 4.0)[:, None], grid=grid)
+    bupu = build_bupu(X, BoxWindow.centered(4.0, 1), grid=grid)
+    F = SampledFunction(grid, np.arange(-8, 9))
+    for variant in ("bupu", "indicator"):
+        for local in ("linf", "l1"):
+            got = discrete_amalgam_norm(F, bupu, local, WeightedLp(1.0),
+                                        variant=variant)
+            assert np.isfinite(got) and got > 0

@@ -216,3 +216,28 @@ def test_axb_verify_subcommand(tmp_path):
     rep = load_report(tmp_path / "axb-verify.json")
     assert rep["results"]["passed"]
     assert rep["results"]["relation"] == "axb_relation"
+
+
+def test_report_refuses_non_finite_values(tmp_path):
+    from wamalgam.cli import finalize_report
+    from wamalgam.errors import NonFiniteSampleError
+
+    results = {"lower": 1.5, "bound": {"upper": float("inf")}}
+    with pytest.raises(NonFiniteSampleError, match=r"results\.bound\.upper"):
+        finalize_report("estimate", {}, 7, None, results, tmp_path)
+    assert not (tmp_path / "estimate.json").exists()
+
+
+def test_non_finite_report_exits_1_without_traceback(tmp_path, monkeypatch, capsys):
+    from wamalgam import cli
+
+    def nan_command(cfg, args):
+        cli.finalize_report("doubling", cfg, args.seed, None,
+                            {"verdict": {"c": float("nan")}}, args.out)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_doubling", nan_command)
+    assert cli.main(["doubling", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "results.verdict.c" in err and "Traceback" not in err
+

@@ -14,6 +14,7 @@ from wamalgam import (
     SampledFunction,
     UniformGrid,
     WeightedLp,
+    WeightFunction,
     ball_integral,
     amalgam_norm,
     build_axb_lattice,
@@ -109,6 +110,26 @@ def test_infinite_sample_overflows(line_grid):
     F = _gaussian_with_sample(line_grid, np.inf)
     assert is_overflow(quasi_norm(WeightedLp(1.0), F))
     assert is_overflow(amalgam_norm(F, BoxWindow.centered(0.5, 1), "linf", WeightedLp(1.0)))
+
+
+def test_weight_tabulated_once_per_grid(euclid):
+    calls = []
+
+    def evaluate(p):
+        calls.append(len(p))
+        return 1.0 + np.abs(p[..., 0])
+
+    Y = WeightedLp(2.0, WeightFunction("counted", evaluate))
+    grid = UniformGrid(euclid, -2, 2, 16)
+    F = SampledFunction.sample(grid, lambda x: np.exp(-x**2))
+    first = quasi_norm(Y, F)
+    assert quasi_norm(Y, SampledFunction.sample(UniformGrid(euclid, -2, 2, 16),
+                                                lambda x: np.exp(-x**2))) == first
+    assert calls == [16]
+    quasi_norm(Y, SampledFunction.sample(UniformGrid(euclid, -2, 2, 32),
+                                         lambda x: np.exp(-x**2)))
+    assert calls == [16, 32]
+    assert not Y.weight.on_grid(grid).flags.writeable
 
 
 # ---------------------------------------------------------------------------
