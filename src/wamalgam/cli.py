@@ -43,7 +43,13 @@ from .convolution import (
 )
 from .discretization import build_axb_lattice, build_bupu, euclidean_lattice
 from .errors import ConfigError, NonFiniteSampleError, WamalgamError
-from .families import build_family, delta_comb, generator
+from .families import (
+    FAMILY_BUILDERS,
+    N_DIMENSIONAL_FAMILIES,
+    build_family,
+    delta_comb,
+    generator,
+)
 from .groups import (
     AxbGrid,
     AxbGroup,
@@ -150,6 +156,20 @@ def build_component(cfg, group, key="component"):
         return MixedLpq(float(c.get("p", 1.0)), q, weight,
                         n=group.n if isinstance(group, AxbGroup) else 1)
     raise ConfigError(f"config.{key}.type: unknown component type {ctype!r}")
+
+
+def build_family_on(cfg, group, count, seed):
+    """``count`` specs of the config's ``family.kind`` on R^n or Z^n, n = group.n."""
+    kind = _get(cfg, "family.kind", "gaussian-bumps")
+    if kind not in FAMILY_BUILDERS:
+        raise ConfigError(f"config.family.kind: unknown family {kind!r}; "
+                          f"choose from {sorted(FAMILY_BUILDERS)}")
+    if kind in N_DIMENSIONAL_FAMILIES:
+        return build_family(kind, count, seed, n=group.n)
+    if group.n != 1:
+        raise ConfigError(f"config.family.kind: family {kind!r} is one-dimensional, "
+                          f"but config.group.n is {group.n}")
+    return build_family(kind, count, seed)
 
 
 def build_function(cfg, grid, seed, key="function"):
@@ -298,8 +318,7 @@ def cmd_equivalence(cfg, args):
     X = euclidean_lattice(grid, spacing)
     bupu = build_bupu(X, BoxWindow.centered(spacing, group.n), grid=grid)
     count = int(_get(cfg, "family.count", 50))
-    specs = build_family(_get(cfg, "family.kind", "gaussian-bumps"), count,
-                         args.seed)
+    specs = build_family_on(cfg, group, count, args.seed)
     ratios = []
     for spec in specs:
         F = spec.sample(grid)

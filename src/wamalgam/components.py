@@ -330,6 +330,14 @@ def check_submultiplicative(weight, group, sample_points, tol=1e-12):
 # Ball integrals and the doubling condition
 
 
+# relative change of a ball integral allowed when its cells are doubled: at
+# 64 cells per radius a pole |x|^-n at the centre moves it by about 10%, a
+# smooth weight by 3/4 of its O(h^2) midpoint error (3% for exp|x| at h = 1)
+_BALL_REFINEMENT_TOL = 0.05
+# rounding slack in the fitted doubling constants
+_DOUBLING_ROUNDING = 1e-9
+
+
 def ball_integral(weight, center, radius, cells_per_radius=64):
     """Midpoint quadrature of the weight over a Euclidean ball.
 
@@ -337,8 +345,27 @@ def ball_integral(weight, center, radius, cells_per_radius=64):
     ratios of ball integrals of homogeneous weights are quadrature-exact.
     In dimension >= 2 the ball is integrated as an iterated integral with
     exact chord lengths, which keeps the boundary error smooth.
+
+    The value is checked against the same rule on twice as many cells per
+    radius. When the two differ by more than 5%, the quadrature has not
+    converged: the weight has a pole that is not locally integrable
+    (``|x|^s`` with ``s <= -n`` at a point of the ball), or it varies too
+    fast for the mesh. Then ``WeightDomainError`` is raised; otherwise the
+    value on ``cells_per_radius`` cells is returned.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
+    value = _midpoint_ball(weight, center, radius, cells_per_radius)
+    fine = _midpoint_ball(weight, center, radius, 2 * cells_per_radius)
+    if not abs(fine - value) <= _BALL_REFINEMENT_TOL * abs(fine):
+        raise WeightDomainError(
+            f"ball integral of weight {weight.name} over ball({center.tolist()}, "
+            f"{radius}) does not converge: {value!r} on {cells_per_radius} "
+            f"cells per radius, {fine!r} on {2 * cells_per_radius} (not "
+            f"locally integrable, or too few cells for the weight)")
+    return value
+
+
+def _midpoint_ball(weight, center, radius, cells_per_radius):
     n = center.shape[0]
     m = 2 * int(cells_per_radius)
     h = 2.0 * radius / m
@@ -369,7 +396,11 @@ def check_doubling(weight, centers, radii, scales=(2.0, 4.0), cells_per_radius=6
     least-squares fit of log ratio against log t, and c absorbs the largest
     residual slack. Failure is declared when, for some center, the
     log-ratio at t = 2 grows by more than ``growth_factor`` across each of
-    ``growth_octaves`` consecutive radius octaves.
+    ``growth_octaves`` consecutive radius octaves. A fit with ``c < 1`` or
+    ``alpha < 0`` (beyond rounding) is rejected too: for a positive weight
+    a larger ball never holds less mass, so such a fit means the quadrature
+    missed mass. ``ball_integral`` raises ``WeightDomainError`` on a weight
+    that is not locally integrable.
     """
     centers = [np.atleast_1d(np.asarray(c, dtype=float)) for c in centers]
     radii = np.asarray(sorted(radii), dtype=float)
@@ -399,10 +430,13 @@ def check_doubling(weight, centers, radii, scales=(2.0, 4.0), cells_per_radius=6
 
     logt = np.log(scales)
     logr = np.log(np.maximum(ratios, 1e-300))
-    alpha = float(np.sum(logr * logt)
-                  / (logr.shape[0] * logr.shape[1] * np.sum(logt**2)))
-    alpha = max(alpha, 0.0)
+    fitted = float(np.sum(logr * logt)
+                   / (logr.shape[0] * logr.shape[1] * np.sum(logt**2)))
+    alpha = max(fitted, 0.0)
     c = float(np.max(ratios / scales[None, None, :] ** alpha))
+    if fitted < -_DOUBLING_ROUNDING or c < 1.0 - _DOUBLING_ROUNDING:
+        return {"passed": False, "c": c, "alpha": fitted,
+                "reason": "fit has c < 1 or alpha < 0: larger balls hold less mass"}
     with np.errstate(divide="ignore", invalid="ignore"):
         per_triple = np.log(np.maximum(ratios, 1e-300)) / logt
     record = {

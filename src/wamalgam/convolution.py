@@ -3,18 +3,21 @@
 Convolution is the Haar quadrature ``(F*G)(z) = sum_y F(y) G(y^{-1} z)
 w(y)`` over the support of F. Every grid is uniform in its interpolation
 coordinates, so ``y^{-1} z`` only takes values at whole-step offsets
-between grid points: G is interpolated once into a table ``K`` on those
+between grid points: G is interpolated into a table ``K`` on those
 offsets, and the quadrature is the middle of the linear convolution of
 ``F w`` with ``K`` along the x axes. It is computed by FFT at a
 power-of-two length of at least ``2N - 1`` per axis, so the circular
 convolution does not wrap around; complex factors use the complex
 transform, real ones the real transform.
 
-On R^n and Z^n that is one transform. On ax+b, ``y^{-1} z`` scales the x
-offsets by ``1/a`` of the source's scale row, so each row of F's support
-gets its own table and transform. A source in row ``j`` only reaches the
-a-offsets of the ``Na`` output columns, so its table holds those columns
-alone, and the transform runs along x for all of them at once.
+The table is multilinear interpolation of G, built by one 2-tap pass
+per axis (``Grid.interpolate_along``). On R^n and Z^n there is one table
+and one transform. On ax+b, ``y^{-1} z`` scales the x offsets by ``1/a``
+of the source's scale row but not the scale offsets, so the scale axis
+is tabulated once per convolution, on all ``2Na - 1`` offsets. Each row
+of F's support then takes the ``Na`` columns its sources reach and
+interpolates them along x at its own scaled offsets; the transform runs
+along x for all of those columns at once.
 
 On the integer lattice the offsets are integers and ``K`` holds G's
 samples. When F and G are integer-valued the FFT result is rounded, but
@@ -60,39 +63,57 @@ def convolve(F, G):
     if not isinstance(grid, LatticeGrid):
         cutoff *= max(1.0, np.abs(vals).max())
     fw = np.where(np.abs(vals) > cutoff, vals * grid.weights, 0.0)
-    # every interpolation axis is uniform, so x_l - x_i = (l - i) h: entry
-    # k of an axis' offsets is (k - N + 1) h, and source i adds fw[i] times
-    # table entries [N - 1 - i, 2N - 1 - i). Summed over i, that is entries
-    # [N - 1, 2N - 1) of the linear convolution fw * K along the x axes,
-    # which a circular one of length >= 2N - 1 holds without wrap-around.
-    offsets = [np.concatenate((ax[0] - ax[:0:-1], ax - ax[0]))
-               for ax in grid.interp_axes]
+    # source i adds fw[i] times table entries [N - 1 - i, 2N - 1 - i) (see
+    # _offset_tables). Summed over i, that is entries [N - 1, 2N - 1) of
+    # the linear convolution fw * K along the x axes, which a circular one
+    # of length >= 2N - 1 holds without wrap-around.
     xs = tuple(range(n))
     # power-of-two lengths: the ones _fft_error_bound covers
     size = [1 << int(2 * N - 2).bit_length() for N in grid.shape[:n]]
     keep = tuple(slice(N - 1, 2 * N - 1) for N in grid.shape[:n])
     exact = isinstance(grid, LatticeGrid) and _integral(fw) and _integral(G.values)
     convolve_x = _exact_convolution if exact else _fft_convolve
-    # one row per (source values, x-offset scale, remaining table axes);
-    # R^n and Z^n have a single row with scale 1
-    rows = [(fw, 1.0, offsets[n:])]
-    if isinstance(grid, AxbGrid):
-        # y^{-1} z = ((z_x - y_x) / a_j, z_a / a_j): the sources of scale
-        # row j read x offsets scaled by 1/a_j, and output column m reads
-        # a-offset m - j, so only table columns [Na - 1 - j, 2Na - 1 - j);
-        # the transform along x runs over those columns at once
-        na = grid.shape[-1]
-        rows = [(fw[..., j, None], grid.axes[-1][j],
-                 [offsets[n][na - 1 - j:2 * na - 1 - j]])
-                for j in np.flatnonzero(np.any(fw, axis=xs))]
     out = np.zeros(grid.shape, dtype=np.result_type(fw, G.values))
-    for f, scale, cols in rows:
-        queries = [d / scale for d in offsets[:n]] + cols
-        K = G.grid.interpolate_axes(G.values, np.ix_(*queries))
-        out += convolve_x(f, K, xs, size)[keep]
+    for row, K in _offset_tables(grid, fw, G):
+        out += convolve_x(fw[row], K, xs, size)[keep]
     result = SampledFunction(grid, out)
     _warn_truncation(result)
     return result
+
+
+def _offset_tables(grid, fw, G):
+    """Yield ``(row, K)``: the sources ``fw[row]`` and G's table ``K`` on
+    the whole-step offsets between points of ``grid``, as they read it.
+
+    Every interpolation axis is uniform, so x_l - x_i = (l - i) h: entry k
+    of an axis' offsets is (k - N + 1) h. The table is multilinear
+    interpolation of G there, one 2-tap pass per axis. The axes after x
+    (ax+b's scale axis) are read at the same offsets by every source, so
+    they are interpolated once. R^n and Z^n have one row, all of ``fw``,
+    reading the whole table. On ax+b, y^{-1} z = ((z_x - y_x) / a_j,
+    z_a / a_j): the sources of scale row j read x offsets scaled by 1/a_j,
+    and output column m reads a-offset m - j, so their table is columns
+    [Na - 1 - j, 2Na - 1 - j), interpolated along x at ``offsets / a_j``.
+    Rows without support are skipped.
+    """
+    n = grid.group.n
+    offsets = [np.concatenate((ax[0] - ax[:0:-1], ax - ax[0]))
+               for ax in grid.interp_axes]
+    table = G.values
+    for k in range(n, len(offsets)):
+        table = G.grid.interpolate_along(table, k, offsets[k])
+    # (sources, x-offset scale, table columns) per row
+    rows = [((...,), 1.0, ())]
+    if isinstance(grid, AxbGrid):
+        na = grid.shape[-1]
+        rows = [((..., slice(j, j + 1)), grid.axes[-1][j],
+                 (slice(na - 1 - j, 2 * na - 1 - j),))
+                for j in np.flatnonzero(np.any(fw, axis=tuple(range(n))))]
+    for row, scale, cols in rows:
+        K = table[(...,) + cols]
+        for k in range(n):
+            K = G.grid.interpolate_along(K, k, offsets[k] / scale)
+        yield row, K
 
 
 def _fft_convolve(a, b, axes, size):

@@ -430,15 +430,29 @@ def build_bupu(X, window, grid=None, kind="hat"):
     return _bupu_from_operator(X, window, grid, op)
 
 
+# entries of the squared-distance block that _voronoi_owner holds at once
+_OWNER_BLOCK = 1 << 16
+
+
 def _voronoi_owner(X, grid, pts):
-    """Index of the nearest lattice point, in grid-adapted coordinates."""
+    """Index of the nearest lattice point, in grid-adapted coordinates.
+
+    Grid points are taken in blocks of about ``_OWNER_BLOCK / |X|`` rows,
+    so the distance array stays small; each row's distances and ``argmin``
+    (first minimum on ties) are those of the whole array.
+    """
     if isinstance(grid, AxbGrid):
         q = np.column_stack([pts[:, :-1], np.log(pts[:, -1])])
         c = np.column_stack([X.points[:, :-1], np.log(X.points[:, -1])])
     else:
         q, c = pts, X.points
-    d2 = np.sum((q[:, None, :] - c[None, :, :]) ** 2, axis=-1)
-    return np.argmin(d2, axis=1)
+    rows = max(1, _OWNER_BLOCK // max(len(c), 1))
+    owner = np.empty(len(q), dtype=np.intp)
+    for start in range(0, len(q), rows):
+        block = q[start:start + rows, None, :]
+        d2 = np.sum((block - c[None, :, :]) ** 2, axis=-1)
+        owner[start:start + rows] = np.argmin(d2, axis=1)
+    return owner
 
 
 def _check_supports(bupu, window, pts):

@@ -165,6 +165,9 @@ FAMILY_BUILDERS = {
     "atom-cloud": atom_cloud,
 }
 
+# the builders that take ``n`` and sample R^n or Z^n for any n
+N_DIMENSIONAL_FAMILIES = frozenset({"gaussian-bumps", "lattice-sequence"})
+
 
 def build_family(kind, count, seed, **kwargs):
     """A list of specs drawn from one family with one seeded generator."""

@@ -208,8 +208,14 @@ class Grid:
     to ``axes`` except on the axb group, where the scale axis interpolates
     in log-coordinates), and ``interp_steps`` their cell widths. Every
     interpolation axis is uniform, so the difference of two grid points is
-    a whole number of steps per axis; convolution tabulates G on these
-    offsets with ``interpolate_axes``.
+    a whole number of steps per axis.
+
+    Two interpolators share ``_axis_locate``: ``interpolate`` evaluates at
+    scattered group points (a 2^d-corner sum), and ``interpolate_along``
+    is one 2-tap pass along a single axis at 1-D queries. Multilinear
+    interpolation on a tensor of queries is that pass folded over the
+    axes, which is how convolution tabulates G on the offsets: on ax+b the
+    scale axis once per convolution, the x axes once per source scale row.
 
     Grids compare by value: two grids are equal when they have the same
     type and the same ``metadata()``.
@@ -256,9 +262,6 @@ class Grid:
         functions are treated as compactly supported in their window).
         """
         queries = self.axis_queries(np.asarray(pts, dtype=float))
-        return self.interpolate_axes(values, queries)
-
-    def interpolate_axes(self, values, queries):
         idx, frac, inside = [], [], None
         for ax, step, q in zip(self.interp_axes, self.interp_steps, queries):
             i0, f, ins = _axis_locate(ax, step, q)
@@ -274,6 +277,20 @@ class Grid:
                 gather.append(np.minimum(i0 + c, len(ax) - 1))
             out = out + w * values[tuple(gather)]
         return np.where(inside, out, 0.0)
+
+    def interpolate_along(self, values, k, q):
+        """Linear interpolation of ``values`` along axis ``k`` at the 1-D
+        interpolation coordinates ``q``; the other axes are kept as they
+        are. Queries outside the window along ``k`` give zero."""
+        i0, frac, inside = _axis_locate(self.interp_axes[k], self.interp_steps[k], q)
+        i0, frac = i0[inside], frac[inside]
+        frac = frac.reshape((-1,) + (1,) * (values.ndim - 1 - k))
+        lo = np.take(values, i0, axis=k)
+        hi = np.take(values, np.minimum(i0 + 1, values.shape[k] - 1), axis=k)
+        shape = values.shape[:k] + (len(q),) + values.shape[k + 1:]
+        out = np.zeros(shape, dtype=np.result_type(values, 1.0))
+        out[(slice(None),) * k + (inside,)] = (1.0 - frac) * lo + frac * hi
+        return out
 
 
 def _axis_locate(axis, step, q):

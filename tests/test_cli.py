@@ -241,3 +241,43 @@ def test_non_finite_report_exits_1_without_traceback(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert "results.verdict.c" in err and "Traceback" not in err
 
+
+
+def test_equivalence_on_the_plane(tmp_path):
+    cfg = tmp_path / "plane.json"
+    cfg.write_text(json.dumps({"group": {"kind": "euclidean", "n": 2},
+                               "grid": {"lo": -6, "hi": 6, "cells": 48},
+                               "family": {"count": 3}}))
+    r = run_cli(["equivalence", "--config", str(cfg), "--seed", "7",
+                 "--out", str(tmp_path)], tmp_path)
+    assert r.returncode == 0, r.stderr
+    rep = load_report(tmp_path / "equivalence.json")
+    assert rep["grid"]["cells"] == [48, 48]
+    assert rep["results"]["family_size"] == 3
+    assert rep["results"]["bracket_constant"] >= 1.0
+
+
+@pytest.mark.parametrize("family, message", [
+    ("piecewise-constant", "config.family.kind: family 'piecewise-constant' is "
+                           "one-dimensional, but config.group.n is 2"),
+    ("no-such-family", "config.family.kind: unknown family 'no-such-family'"),
+])
+def test_equivalence_family_errors_name_the_key(tmp_path, family, message):
+    cfg = tmp_path / "plane.json"
+    cfg.write_text(json.dumps({"group": {"kind": "euclidean", "n": 2},
+                               "grid": {"lo": -6, "hi": 6, "cells": 48},
+                               "family": {"count": 3, "kind": family}}))
+    r = run_cli(["equivalence", "--config", str(cfg), "--out", str(tmp_path)],
+                tmp_path)
+    assert r.returncode == 1
+    assert message in r.stderr and "Traceback" not in r.stderr
+
+
+def test_n_dimensional_families_take_n():
+    import inspect
+
+    from wamalgam.families import FAMILY_BUILDERS, N_DIMENSIONAL_FAMILIES
+
+    assert N_DIMENSIONAL_FAMILIES == {
+        kind for kind, builder in FAMILY_BUILDERS.items()
+        if "n" in inspect.signature(builder).parameters}

@@ -40,6 +40,7 @@ from wamalgam.errors import (
     IndexMismatchError,
     InvalidExponentError,
     NonFiniteSampleError,
+    WeightDomainError,
 )
 
 
@@ -249,6 +250,41 @@ def test_doubling_alpha_scale_consistent():
     for radii in ([0.25, 0.5, 1.0], [8.0, 16.0, 32.0]):
         recs.append(check_doubling(constant_weight(1.0), [0.0, 2.0], radii))
     assert abs(recs[0]["alpha"] - recs[1]["alpha"]) <= 0.05
+
+
+def test_doubling_accepts_integrable_pole():
+    rec = check_doubling(power_weight(-0.5), [0.0], [0.5, 1, 2, 4, 8])
+    assert rec["passed"]
+    assert rec["alpha"] == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("s, n", [(-1.0, 1), (-3.0, 1), (-2.0, 2)])
+def test_doubling_rejects_non_integrable_pole(s, n):
+    """|x|^s is locally integrable only for s > -n: the midpoint rule never
+    samples the pole, so the refinement check has to catch it."""
+    with pytest.raises(WeightDomainError, match="does not converge"):
+        check_doubling(power_weight(s), [np.zeros(n)], [0.5, 1, 2, 4, 8])
+
+
+def test_ball_integral_refinement_check():
+    # the pole sits inside the ball, not at its centre
+    with pytest.raises(WeightDomainError, match="does not converge"):
+        ball_integral(power_weight(-1.0), 1.5, 2.0)
+    # away from the pole the same weight is smooth
+    assert ball_integral(power_weight(-1.0), 1.5, 1.0) == pytest.approx(
+        math.log(5.0), rel=1e-4)
+
+
+def test_doubling_rejects_fit_with_less_mass_in_larger_balls(monkeypatch):
+    """A positive weight has c >= 1 and alpha >= 0; a quadrature that loses
+    mass in the larger balls must not be certified with alpha clipped to 0."""
+    import wamalgam.components as components
+
+    monkeypatch.setattr(components, "ball_integral",
+                        lambda weight, x, r, cells: r ** -0.5)
+    rec = check_doubling(constant_weight(1.0), [0.0], [0.5, 1.0, 2.0])
+    assert not rec["passed"] and "c < 1 or alpha < 0" in rec["reason"]
+    assert rec["alpha"] < 0 and rec["c"] < 1
 
 
 # ---------------------------------------------------------------------------

@@ -177,3 +177,36 @@ def test_bupu_csv_export(tmp_path, line_grid):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "member,support_lo0,support_hi0,x0,value"
     assert len(lines) > len(X)
+
+
+def _broadcast_owner(X, grid, pts):
+    if isinstance(grid, AxbGrid):
+        q = np.column_stack([pts[:, :-1], np.log(pts[:, -1])])
+        c = np.column_stack([X.points[:, :-1], np.log(X.points[:, -1])])
+    else:
+        q, c = pts, X.points
+    return np.argmin(np.sum((q[:, None, :] - c[None, :, :]) ** 2, axis=-1), axis=1)
+
+
+@pytest.mark.parametrize("block", [None, 1000])
+def test_voronoi_owner_matches_broadcast(axb_grid, monkeypatch, block):
+    """Blocked owners are bit-identical to the one-array formula, ties
+    (grid points midway between lattice points) included."""
+    from wamalgam import discretization
+    from wamalgam.groups import Euclidean
+
+    if block is not None:
+        # a block that does not divide the grid: the last one is partial
+        monkeypatch.setattr(discretization, "_OWNER_BLOCK", block)
+    # step 1/8 with grid points on the integers, so on the half-integers too
+    grid2 = UniformGrid(Euclidean(2), -4.0625, 3.9375, 64)
+    X2 = euclidean_lattice(grid2, 1.0)
+    Xa = build_axb_lattice(0.5, 2.0, j_range=(-2, 2), grid=axb_grid, x_extent=6.0)
+    for X, grid in ((X2, grid2), (Xa, axb_grid)):
+        pts = grid.points()
+        want = _broadcast_owner(X, grid, pts)
+        got = discretization._voronoi_owner(X, grid, pts)
+        assert np.array_equal(got, want)
+    # many grid points of R^2 are equidistant from two or four lattice points
+    d2 = np.sum((grid2.points()[:, None, :] - X2.points[None]) ** 2, axis=-1)
+    assert np.sum(d2 == d2.min(axis=1, keepdims=True)) > grid2.size
