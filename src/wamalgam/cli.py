@@ -158,16 +158,23 @@ def build_component(cfg, group, key="component"):
     raise ConfigError(f"config.{key}.type: unknown component type {ctype!r}")
 
 
-def build_family_on(cfg, group, count, seed):
-    """``count`` specs of the config's ``family.kind`` on R^n or Z^n, n = group.n."""
-    kind = _get(cfg, "family.kind", "gaussian-bumps")
+def build_family_on(cfg, group, count, seed, key="family.kind"):
+    """``count`` specs of the family named at config ``key``, drawn for
+    ``group``: the n-dimensional families on R^n or Z^n with n = group.n,
+    the one-dimensional ones on R or Z, and ``axb-bumps`` on ax+b with n = 1
+    (also the default there)."""
+    on_axb = group.kind == "axb"
+    kind = _get(cfg, key, "axb-bumps" if on_axb else "gaussian-bumps")
     if kind not in FAMILY_BUILDERS:
-        raise ConfigError(f"config.family.kind: unknown family {kind!r}; "
+        raise ConfigError(f"config.{key}: unknown family {kind!r}; "
                           f"choose from {sorted(FAMILY_BUILDERS)}")
+    if on_axb != (kind == "axb-bumps"):
+        raise ConfigError(f"config.{key}: family {kind!r} does not sample "
+                          f"config.group.kind {group.kind!r}")
     if kind in N_DIMENSIONAL_FAMILIES:
         return build_family(kind, count, seed, n=group.n)
     if group.n != 1:
-        raise ConfigError(f"config.family.kind: family {kind!r} is one-dimensional, "
+        raise ConfigError(f"config.{key}: family {kind!r} is one-dimensional, "
                           f"but config.group.n is {group.n}")
     return build_family(kind, count, seed)
 
@@ -192,8 +199,7 @@ def build_function(cfg, grid, seed, key="function"):
         spec = delta_comb({int(k): float(v) for k, v in entries.items()})
         return spec.sample(grid)
     if kind == "bumps":
-        family = f.get("family", "gaussian-bumps")
-        spec = build_family(family, 1, seed)[0]
+        [spec] = build_family_on(cfg, grid.group, 1, seed, key=f"{key}.family")
         return spec.sample(grid)
     raise ConfigError(f"config.{key}.kind: unknown function kind {kind!r}")
 

@@ -5,27 +5,36 @@ w(y)`` over the support of F. Every grid is uniform in its interpolation
 coordinates, so ``y^{-1} z`` only takes values at whole-step offsets
 between grid points: G is interpolated into a table ``K`` on those
 offsets, and the quadrature is the middle of the linear convolution of
-``F w`` with ``K`` along the x axes. It is computed by FFT at a
-power-of-two length of at least ``2N - 1`` per axis, so the circular
-convolution does not wrap around; complex factors use the complex
+``F w`` with ``K`` along the x axes. Complex factors use the complex
 transform, real ones the real transform.
 
 The table is multilinear interpolation of G, built by one 2-tap pass
-per axis (``Grid.interpolate_along``). On R^n and Z^n there is one table
-and one transform. On ax+b, ``y^{-1} z`` scales the x offsets by ``1/a``
-of the source's scale row but not the scale offsets, so the scale axis
-is tabulated once per convolution, on all ``2Na - 1`` offsets. Each row
-of F's support then takes the ``Na`` columns its sources reach and
-interpolates them along x at its own scaled offsets; the transform runs
-along x for all of those columns at once.
+per axis (``Grid.interpolate_along``). On R^n and Z^n there is one table.
+On ax+b, ``y^{-1} z`` scales the x offsets by ``1/a`` of the source's
+scale row but not the scale offsets, so the scale axis is tabulated once
+per convolution, on all ``2Na - 1`` offsets. Each row j of F's support
+then takes the ``Na`` columns its sources reach and interpolates them
+along x at its own scaled offsets.
+
+The transform along x is linear, so the rows need not be inverted one by
+one: ``F w`` is transformed once for all its columns, each row adds the
+product of its source column's spectrum and its table's spectrum into
+one sum, and a single inverse transform of that sum gives the result.
+A convolution costs one forward transform per row (its table), one of
+``F w`` and one inverse. These transforms use the smallest length
+``2^a 3^b 5^c >= 2N - 1`` per axis: that is enough for the circular
+convolution not to wrap around, and numpy's FFT runs such lengths by
+radix-2, 3 and 5 passes, e.g. 160 points for an 80-point axis, not 256.
 
 On the integer lattice the offsets are integers and ``K`` holds G's
-samples. When F and G are integer-valued the FFT result is rounded, but
-only after an error bound computed from the inputs certifies that every
-entry is within 1/2 of the exact sum; otherwise both factors are split
-into base-2^k digits small enough for the bound, and the rounded digit
-convolutions are summed. The result is exact whenever
-``sum_y |F(y) G(y^{-1} z)| < 2^53`` at every output point z.
+samples. When F and G are integer-valued the result is computed by
+``_exact_convolution`` at power-of-two lengths instead, because its error
+bound is the radix-2 one. The FFT result is rounded, but only after that
+bound, computed from the inputs, certifies that every entry is within 1/2
+of the exact sum; otherwise both factors are split into base-2^k digits
+small enough for the bound, and the rounded digit convolutions are
+summed. The result is exact whenever ``sum_y |F(y) G(y^{-1} z)| < 2^53``
+at every output point z.
 
 Embedding checks compare the target amalgam norm of F*G against the
 product of factor norms over a test family and track the empirical
@@ -68,17 +77,53 @@ def convolve(F, G):
     # the linear convolution fw * K along the x axes, which a circular one
     # of length >= 2N - 1 holds without wrap-around.
     xs = tuple(range(n))
-    # power-of-two lengths: the ones _fft_error_bound covers
-    size = [1 << int(2 * N - 2).bit_length() for N in grid.shape[:n]]
     keep = tuple(slice(N - 1, 2 * N - 1) for N in grid.shape[:n])
-    exact = isinstance(grid, LatticeGrid) and _integral(fw) and _integral(G.values)
-    convolve_x = _exact_convolution if exact else _fft_convolve
-    out = np.zeros(grid.shape, dtype=np.result_type(fw, G.values))
-    for row, K in _offset_tables(grid, fw, G):
-        out += convolve_x(fw[row], K, xs, size)[keep]
-    result = SampledFunction(grid, out)
+    if isinstance(grid, LatticeGrid) and _integral(fw) and _integral(G.values):
+        # power-of-two lengths: the ones _fft_error_bound covers
+        size = [1 << int(2 * N - 2).bit_length() for N in grid.shape[:n]]
+        [(row, K)] = _offset_tables(grid, fw, G)
+        out = _exact_convolution(fw[row], K, xs, size)
+    else:
+        out = _summed_spectra(grid, fw, G, xs)
+    result = SampledFunction(grid, out[keep].copy())
     _warn_truncation(result)
     return result
+
+
+def _summed_spectra(grid, fw, G, xs):
+    """Sum over the rows of ``_offset_tables`` of the circular convolutions
+    of ``fw[row]`` with their tables along ``xs``: one forward transform
+    of ``fw``, one of each table, and one inverse of the summed spectra.
+
+    The lengths are the smallest 5-smooth ones of at least ``2N - 1``.
+    """
+    size = [_smooth_length(int(2 * N - 1)) for N in grid.shape[:len(xs)]]
+    if np.iscomplexobj(fw) or np.iscomplexobj(G.values):
+        fft, ifft = np.fft.fftn, np.fft.ifftn
+    else:
+        fft, ifft = np.fft.rfftn, np.fft.irfftn
+    FW = fft(fw, size, xs)
+    spec = np.zeros_like(FW)
+    for row, K in _offset_tables(grid, fw, G):
+        term = fft(K, size, xs)
+        spec += np.multiply(FW[row], term, out=term)
+    return ifft(spec, size, xs)
+
+
+def _smooth_length(n):
+    """Smallest ``2^a 3^b 5^c >= n`` (n >= 1)."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            length = odd
+            while length < n:
+                length *= 2
+            best = min(best, length)
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def _offset_tables(grid, fw, G):
@@ -117,10 +162,7 @@ def _offset_tables(grid, fw, G):
 
 
 def _fft_convolve(a, b, axes, size):
-    """Circular convolution of ``a`` and ``b`` at lengths ``size`` over ``axes``."""
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        spec = np.fft.fftn(a, size, axes) * np.fft.fftn(b, size, axes)
-        return np.fft.ifftn(spec, size, axes)
+    """Circular convolution of real ``a`` and ``b`` at lengths ``size`` over ``axes``."""
     spec = np.fft.rfftn(a, size, axes) * np.fft.rfftn(b, size, axes)
     return np.fft.irfftn(spec, size, axes)
 
@@ -131,7 +173,7 @@ def _integral(a):
 
 
 def _fft_error_bound(a, b, size):
-    """Bound on every entry's error in ``_fft_convolve(a, b)`` (real or complex).
+    """Bound on every entry's error in ``_fft_convolve(a, b)``.
 
     Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.
     (SIAM 2002), Theorem 24.2: the radix-2 Cooley-Tukey FFT of length L
@@ -152,8 +194,11 @@ def _fft_error_bound(a, b, size):
     numpy computes power-of-two lengths with radix-4 and real-data passes,
     which regroup the radix-2 butterflies; the bound is doubled to cover
     that regrouping. On random integer inputs the measured error stays
-    below 1/500 of the returned bound.
+    below 1/500 of the returned bound. The bound is for radix-2 lengths
+    only, so any other length raises ``ValueError``.
     """
+    if any(L < 1 or L & (L - 1) for L in size):
+        raise ValueError(f"certified FFT lengths must be powers of two, got {list(size)}")
     u = 2.0 ** -53
     gamma4 = 4 * u / (1 - 4 * u)
     eta = u + gamma4 * (np.sqrt(2.0) + u)
@@ -166,7 +211,8 @@ def _fft_error_bound(a, b, size):
 
 def _exact_convolution(a, b, axes, size):
     """Circular convolution of integer-valued arrays, rounded only where
-    ``_fft_error_bound`` certifies an error below 1/2."""
+    ``_fft_error_bound`` certifies an error below 1/2; ``size`` must be
+    powers of two."""
     if _fft_error_bound(a, b, size) < 0.5:
         return np.rint(_fft_convolve(a, b, axes, size))
     # digits below 2^k in magnitude on the same supports have norms at most

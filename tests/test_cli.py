@@ -3,12 +3,14 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import wamalgam
 from conftest import child_env
+from wamalgam.errors import TruncationWarning
 
 
 def run_cli(args, cwd):
@@ -281,3 +283,55 @@ def test_n_dimensional_families_take_n():
     assert N_DIMENSIONAL_FAMILIES == {
         kind for kind, builder in FAMILY_BUILDERS.items()
         if "n" in inspect.signature(builder).parameters}
+
+
+def _bumps_config(tmp_path, group, family=None):
+    bumps = {"kind": "bumps"}
+    if family is not None:
+        bumps["family"] = family
+    cfg = tmp_path / "bumps.json"
+    cfg.write_text(json.dumps({"group": group,
+                               "grid": {"cells": 16, "x_cells": 16, "a_cells": 8},
+                               "function": bumps, "f": bumps, "g": bumps}))
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["norm", "convolve"])
+@pytest.mark.parametrize("group, samples", [
+    pytest.param({"kind": "euclidean", "n": 2}, 16 * 16, id="plane"),
+    pytest.param({"kind": "axb", "n": 1}, 16 * 8, id="axb"),
+])
+def test_bumps_function_on_its_group(tmp_path, command, group, samples):
+    """A ``bumps`` function is drawn in the group's dimension: the default
+    family on the plane (16² grid) and on ax+b."""
+    from wamalgam import cli
+
+    cfg = _bumps_config(tmp_path, group)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    results = load_report(tmp_path / f"{command}.json")["results"]
+    if command == "norm":
+        assert results["value"] > 0
+    else:
+        assert results["samples"] == samples and results["max_abs"] > 0
+
+
+@pytest.mark.parametrize("command, key", [("norm", "function"), ("convolve", "f")])
+@pytest.mark.parametrize("group, family, message", [
+    pytest.param({"kind": "euclidean", "n": 2}, "piecewise-constant",
+                 "family 'piecewise-constant' is one-dimensional, "
+                 "but config.group.n is 2", id="plane-one-dimensional"),
+    pytest.param({"kind": "euclidean", "n": 2}, "no-such-family",
+                 "unknown family 'no-such-family'", id="plane-unknown"),
+    pytest.param({"kind": "axb", "n": 1}, "gaussian-bumps",
+                 "family 'gaussian-bumps' does not sample config.group.kind 'axb'",
+                 id="axb-gaussian-bumps"),
+])
+def test_bumps_family_errors_name_the_key(tmp_path, capsys, command, key, group,
+                                          family, message):
+    from wamalgam import cli
+
+    cfg = _bumps_config(tmp_path, group, family)
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert f"config.{key}.family: {message}" in capsys.readouterr().err

@@ -35,6 +35,7 @@ from wamalgam import (
     verify_embedding,
 )
 from wamalgam.cli import _exhaustive_lp_algebra
+from wamalgam.convolution import _exact_convolution, _fft_error_bound, _smooth_length
 from wamalgam.errors import TruncationWarning
 from wamalgam.families import axb_bump_sum, gaussian_bump_sum, lattice_sequence
 
@@ -141,30 +142,53 @@ def _bump(shift, axb):
 
 _AXB1 = AxbGrid(AxbGroup(1), -4, 4, 24, 0.25, 4.0, 16)
 _R1 = UniformGrid(Euclidean(1), -4, 4, 64)
-# (F's grid, G's grid or None for F's, whether F carries a complex phase)
+
+
+def _phase(grid):
+    return np.exp(1j * grid.mesh()[0])
+
+
+def _scale_rows(*rows):
+    """Keep F on the listed scale rows only."""
+    def factor(grid):
+        keep = np.zeros(grid.shape[-1])
+        keep[list(rows)] = 1.0
+        return keep
+    return factor
+
+
+# (F's grid, G's grid or None for F's, a factor applied to F or None). The
+# transforms run at the smallest 2^a 3^b 5^c >= 2N - 1 points per x axis:
+# 15 for 7 cells, 160 for 80, 162 for 81 and 90 for 45.
 _POINT_REFERENCE_CASES = {
-    "R": (_R1, None, False),
-    "R, complex F": (_R1, None, True),
-    "R, G on [-5, 7]": (_R1, UniformGrid(Euclidean(1), -5, 7, 40), False),
-    "R2": (UniformGrid(Euclidean(2), [-3, -3], [3, 3], [20, 24]), None, False),
-    "axb n=1": (_AXB1, None, False),
-    "axb n=1, complex F": (_AXB1, None, True),
+    "R": (_R1, None, None),
+    "R, complex F": (_R1, None, _phase),
+    "R, G on [-5, 7]": (_R1, UniformGrid(Euclidean(1), -5, 7, 40), None),
+    "R, 7 cells": (UniformGrid(Euclidean(1), -4, 4, 7), None, None),
+    "R, 80 cells": (UniformGrid(Euclidean(1), -4, 4, 80), None, None),
+    "R, 81 cells": (UniformGrid(Euclidean(1), -4, 4, 81), None, None),
+    "R2": (UniformGrid(Euclidean(2), [-3, -3], [3, 3], [20, 24]), None, None),
+    "axb n=1": (_AXB1, None, None),
+    "axb n=1, complex F": (_AXB1, None, _phase),
     "axb n=1, G on another window": (
-        _AXB1, AxbGrid(AxbGroup(1), -3, 5, 20, 0.5, 8.0, 12), False),
+        _AXB1, AxbGrid(AxbGroup(1), -3, 5, 20, 0.5, 8.0, 12), None),
+    "axb n=1, F on scale rows 1, 2, 6 and 13": (_AXB1, None, _scale_rows(1, 2, 6, 13)),
+    "axb n=1, 80x48": (AxbGrid(AxbGroup(1), -4, 4, 80, 0.25, 4.0, 48), None, None),
+    "axb n=1, 45x27": (AxbGrid(AxbGroup(1), -4, 4, 45, 0.25, 4.0, 27), None, None),
     "axb n=2": (AxbGrid(AxbGroup(2), [-3, -3], [3, 3], [10, 12], 0.5, 2.0, 8),
-                None, False),
+                None, None),
 }
 
 
 @pytest.mark.parametrize("case", list(_POINT_REFERENCE_CASES))
 def test_convolve_matches_point_reference(case):
     """Every output point of convolve equals the single-point quadrature."""
-    grid_f, grid_g, phase = _POINT_REFERENCE_CASES[case]
+    grid_f, grid_g, factor = _POINT_REFERENCE_CASES[case]
     grid_g = grid_g or grid_f
     axb = isinstance(grid_f, AxbGrid)
     F = SampledFunction.sample(grid_f, _bump(0.5, axb))
-    if phase:
-        F = F * np.exp(1j * grid_f.mesh()[0])
+    if factor:
+        F = F * factor(grid_f)
     G = SampledFunction.sample(grid_g, _bump(-0.3, axb))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
@@ -172,8 +196,59 @@ def test_convolve_matches_point_reference(case):
     ref = np.array([convolve_point(F, G, z) for z in grid_f.points()])
     peak = np.abs(ref).max()
     assert peak > 0
-    assert np.iscomplexobj(out) == phase
+    assert np.iscomplexobj(out) == np.iscomplexobj(F.values)
     assert np.abs(out - ref).max() <= 1e-12 * peak
+
+
+@pytest.mark.parametrize("complex_g", [False, True])
+def test_zero_factor_on_axb_gives_zeros(complex_g):
+    """F = 0 has no scale row to sum: the result is zero, of the factors'
+    dtype, with no warning."""
+    F = SampledFunction(_AXB1, np.zeros(_AXB1.shape))
+    G = SampledFunction.sample(_AXB1, _bump(-0.3, True))
+    if complex_g:
+        G = G * _phase(_AXB1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = convolve(F, G).values
+    assert out.shape == _AXB1.shape
+    assert out.dtype == (np.complex128 if complex_g else np.float64)
+    assert not np.any(out)
+
+
+def test_one_inverse_transform_per_convolution(monkeypatch):
+    """Every scale row's spectrum goes into one sum with one inverse."""
+    calls = []
+    irfftn = np.fft.irfftn
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return irfftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfftn", counted)
+    F = SampledFunction.sample(_AXB1, _bump(0.5, True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        convolve(F, F)
+    assert len(calls) == 1
+
+
+def test_smooth_length_is_the_smallest_5_smooth_bound():
+    smooth = np.array([2 ** a * 3 ** b * 5 ** c for a in range(14)
+                       for b in range(9) for c in range(7)])
+    for n in range(1, 5001):
+        assert _smooth_length(n) == smooth[smooth >= n].min(), n
+
+
+@pytest.mark.parametrize("check", [
+    lambda a, b: _fft_error_bound(a, b, [320]),
+    lambda a, b: _exact_convolution(a, b, (0,), [320]),
+])
+def test_certified_lengths_are_powers_of_two(check):
+    """Higham's bound is for radix-2 transforms: 320 = 2^6 * 5 is refused."""
+    a = np.arange(160.0)
+    with pytest.raises(ValueError, match="powers of two"):
+        check(a, a)
 
 
 def test_z2_convolution_matches_point_reference_exactly():

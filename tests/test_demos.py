@@ -1,4 +1,4 @@
-"""The demos that drive the discretization layer run to completion."""
+"""Every demo runs to completion."""
 
 import subprocess
 import sys
@@ -11,8 +11,10 @@ from conftest import child_env
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize("demo", ["02_lattices_and_bupus", "03_amalgam_norms",
-                                  "06_axb_mixed_norms", "07_operator_norms"])
+@pytest.mark.parametrize("demo", ["01_groups_and_haar", "02_lattices_and_bupus",
+                                  "03_amalgam_norms", "04_weights_and_doubling",
+                                  "05_convolution_algebra", "06_axb_mixed_norms",
+                                  "07_operator_norms"])
 def test_discretization_demos_run(tmp_path, demo):
     r = subprocess.run([sys.executable, str(DEMOS / f"{demo}.py")],
                        capture_output=True, text=True, cwd=tmp_path,
