@@ -24,16 +24,16 @@ from wamalgam import (
     space_norm,
     verify_embedding,
 )
-from wamalgam.cli import _exhaustive_lp_algebra
 from wamalgam.errors import TruncationWarning
 from wamalgam.families import gaussian_bump_sum, generator
+from wamalgam.relations import exhaustive_lp_algebra
 
 # --- exact algebra on Z -------------------------------------------------------
 
 print("exhaustive l^p_w algebra on Z (support 4, values {-1,0,1,2}):")
 for p in (0.5, 1.0):
     for weighted in (False, True):
-        rec = _exhaustive_lp_algebra(p, weighted)
+        rec = exhaustive_lp_algebra(p, weighted)
         w = "(1+|i|)" if weighted else "1"
         print(f"  p = {p}, w = {w:7s}: {rec['pairs_checked']} pairs, "
               f"{rec['violations']} violations, C_emp = {rec['c_emp']:.6f}")

@@ -77,6 +77,7 @@ from .groups import (
     element,
     haar_integral,
 )
+from .relations import RELATIONS, RelationSettings, exhaustive_lp_algebra
 from .windows import (
     AxbWindow,
     BoxWindow,

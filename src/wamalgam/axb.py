@@ -16,7 +16,6 @@ import numpy as np
 
 from .amalgam import AmalgamSpace
 from .components import (
-    DEFAULT_OVERFLOW_GUARD,
     WeightedLp,
     MixedLpq,
     WeightFunction,
@@ -127,9 +126,7 @@ def verify_axb_convolution(weight, p, q, left_specs, right_specs, *, grid,
                            window=None, alpha=None,
                            doubling_centers=(0.0, 1.5, -3.0),
                            doubling_radii=(0.5, 1.0, 2.0),
-                           levels=2, growth_tolerance=0.25,
-                           overflow_guard=DEFAULT_OVERFLOW_GUARD,
-                           right_weight=None):
+                           levels=2, right_weight=None):
     """Verify W(L^inf, L^{p,q}(v)) * W(L^inf, L^r_w) into W(L^inf, L^{p,q}(v)).
 
     ``r = min(1, p, q)`` and w is the right-translation bound with the
@@ -152,10 +149,10 @@ def verify_axb_convolution(weight, p, q, left_specs, right_specs, *, grid,
     right_space = AmalgamSpace("linf", WeightedLp(r, w), window)
     report = verify_embedding(
         "axb_relation", left_specs, right_specs, grid=grid,
-        target_norm=space_norm(target_space, overflow_guard),
-        left_norm=space_norm(target_space, overflow_guard),
-        right_norm=space_norm(right_space, overflow_guard),
-        levels=levels, growth_tolerance=growth_tolerance,
+        target_norm=space_norm(target_space),
+        left_norm=space_norm(target_space),
+        right_norm=space_norm(right_space),
+        levels=levels,
         family=f"axb p={p} q={q} v={weight.name} alpha={alpha:.4g}",
     )
     return report

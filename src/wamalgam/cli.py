@@ -4,8 +4,11 @@ Commands: norm, doubling, equivalence, convolve, verify, axb, report.
 Configs are JSON; every report embeds the exact config used, the grid
 metadata, the seed, and the library version, and is serialized with
 sorted keys so that identical configs and seeds give byte-identical
-output up to the timestamp field. Exit status: 0 on pass, 2 when a
-property check reports a failure verdict, 1 on usage or config errors.
+output up to the timestamp field. ``main`` checks the config against
+``config.CONFIG_SCHEMA`` once; each command returns its grid, results,
+summary line and verdict, and ``main`` writes the report. Exit status: 0
+on pass, 2 when a property check reports a failure verdict or argparse a
+usage error, 1 on config or run errors.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -21,31 +23,23 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .amalgam import AmalgamSpace, amalgam_norm, discrete_amalgam_norm
-from .axb import (
-    compute_ball_weights,
-    lpq_discrete_norm,
-    right_translation_bound,
-    verify_axb_convolution,
-)
+from .amalgam import amalgam_norm, discrete_amalgam_norm
+from .axb import compute_ball_weights, lpq_discrete_norm, right_translation_bound
 from .components import (
     MixedLpq,
     WeightedLp,
     WEIGHT_FAMILIES,
     check_doubling,
+    constant_weight,
     is_overflow,
 )
-from .convolution import (
-    convolve,
-    space_norm,
-    reflected_space_norm,
-    verify_embedding,
-)
+from .config import GROUPS, validate_config
+from .convolution import convolve
 from .discretization import build_axb_lattice, build_bupu, euclidean_lattice
 from .errors import ConfigError, NonFiniteSampleError, WamalgamError
 from .families import (
-    FAMILY_BUILDERS,
     N_DIMENSIONAL_FAMILIES,
+    FunctionSpec,
     build_family,
     delta_comb,
     generator,
@@ -59,47 +53,21 @@ from .groups import (
     SampledFunction,
     UniformGrid,
 )
+from .relations import RELATIONS, RelationSettings
 from .windows import AxbWindow, BoxWindow
-
-RELATIONS = ("cor_conv_Lp", "thm_conv_a", "thm_conv_b", "thm_convYvee",
-             "axb_relation")
-AXB_SUBCOMMANDS = ("tilde-v", "discrete-norm", "translation-bound", "verify")
 
 
 # ---------------------------------------------------------------------------
-# Config handling
-
-
-def _get(cfg, path, default=None, required=False, kind=None):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(f"config.{path}: missing required key")
-            return default
-        node = node[part]
-    if kind is not None and not isinstance(node, kind):
-        raise ConfigError(
-            f"config.{path}: expected {getattr(kind, '__name__', kind)}, "
-            f"got {type(node).__name__}"
-        )
-    return node
+# Builders over a config checked by ``validate_config``
 
 
 def build_group(cfg):
-    kind = _get(cfg, "group.kind", "euclidean")
-    n = int(_get(cfg, "group.n", 1))
-    if kind == "euclidean":
-        return Euclidean(n)
-    if kind == "lattice":
-        return IntegerLattice(n)
-    if kind == "axb":
-        return AxbGroup(n)
-    raise ConfigError(f"config.group.kind: unknown kind {kind!r}")
+    group = cfg.get("group", {})
+    return GROUPS[group.get("kind", "euclidean")](group.get("n", 1))
 
 
 def build_grid(cfg, group):
-    g = _get(cfg, "grid", {}, kind=dict)
+    g = cfg.get("grid", {})
     try:
         if isinstance(group, Euclidean):
             return UniformGrid(group, g.get("lo", -8.0), g.get("hi", 8.0),
@@ -113,61 +81,48 @@ def build_grid(cfg, group):
         raise ConfigError(f"config.grid: {exc}") from exc
 
 
-def build_window(cfg, group, key="window"):
-    w = _get(cfg, key, {}, kind=dict)
+def build_window(cfg, group):
+    w = cfg.get("window", {})
     try:
         if isinstance(group, AxbGroup):
             return AxbWindow(w.get("radius", 0.5), w.get("beta", 1.5))
         if "lo" in w or "hi" in w:
-            lo = np.atleast_1d(w.get("lo", 0.0)).astype(float)
-            hi = np.atleast_1d(w.get("hi", 1.0)).astype(float)
-            return BoxWindow(tuple(lo), tuple(hi))
+            return BoxWindow(tuple(np.atleast_1d(w.get("lo", 0.0))),
+                             tuple(np.atleast_1d(w.get("hi", 1.0))))
         return BoxWindow.centered(w.get("radius", 0.5), group.n)
     except WamalgamError as exc:
-        raise ConfigError(f"config.{key}: {exc}") from exc
+        raise ConfigError(f"config.window: {exc}") from exc
 
 
-def build_weight(cfg, key="weight"):
-    w = _get(cfg, key, None)
+def build_weight(w, key):
+    """The weight described by ``w``, the config at ``key``; None if absent."""
     if w is None:
         return None
-    family = _get({key: w}, f"{key}.family", required=True)
-    if family not in WEIGHT_FAMILIES:
-        raise ConfigError(f"config.{key}.family: unknown family {family!r}; "
-                          f"choose from {sorted(WEIGHT_FAMILIES)}")
+    if "family" not in w:
+        raise ConfigError(f"config.{key}.family: missing required key")
     params = {k: v for k, v in w.items() if k != "family"}
     try:
-        return WEIGHT_FAMILIES[family](**params)
+        return WEIGHT_FAMILIES[w["family"]](**params)
     except TypeError as exc:
-        raise ConfigError(f"config.{key}: bad parameters for {family}: {exc}")
+        raise ConfigError(f"config.{key}: bad parameters for {w['family']}: {exc}")
 
 
-def build_component(cfg, group, key="component"):
-    c = _get(cfg, key, {}, kind=dict)
-    ctype = c.get("type", "lp")
-    weight = build_weight({key: c.get("weight")}, key) if c.get("weight") else None
-    if ctype == "lp":
-        p = c.get("p", 1.0)
-        p = math.inf if p in ("inf", "Infinity") else float(p)
-        return WeightedLp(p, weight)
-    if ctype == "lpq":
-        q = c.get("q", 1.0)
-        q = math.inf if q in ("inf", "Infinity") else float(q)
-        return MixedLpq(float(c.get("p", 1.0)), q, weight,
-                        n=group.n if isinstance(group, AxbGroup) else 1)
-    raise ConfigError(f"config.{key}.type: unknown component type {ctype!r}")
+def build_component(cfg, group):
+    c = cfg.get("component", {})
+    weight = build_weight(c.get("weight"), "component.weight")
+    if c.get("type", "lp") == "lp":
+        return WeightedLp(c.get("p", 1.0), weight)
+    return MixedLpq(c.get("p", 1.0), c.get("q", 1.0), weight,
+                    n=group.n if isinstance(group, AxbGroup) else 1)
 
 
-def build_family_on(cfg, group, count, seed, key="family.kind"):
-    """``count`` specs of the family named at config ``key``, drawn for
-    ``group``: the n-dimensional families on R^n or Z^n with n = group.n,
-    the one-dimensional ones on R or Z, and ``axb-bumps`` on ax+b with n = 1
-    (also the default there)."""
+def build_family_on(kind, group, count, seed, key):
+    """``count`` specs of the family ``kind``, named at config ``key``, drawn
+    for ``group``: the n-dimensional families on R^n or Z^n with n = group.n,
+    the one-dimensional ones on R or Z, and ``axb-bumps`` on ax+b with n = 1.
+    None picks ``axb-bumps`` on ax+b and ``gaussian-bumps`` elsewhere."""
     on_axb = group.kind == "axb"
-    kind = _get(cfg, key, "axb-bumps" if on_axb else "gaussian-bumps")
-    if kind not in FAMILY_BUILDERS:
-        raise ConfigError(f"config.{key}: unknown family {kind!r}; "
-                          f"choose from {sorted(FAMILY_BUILDERS)}")
+    kind = kind or ("axb-bumps" if on_axb else "gaussian-bumps")
     if on_axb != (kind == "axb-bumps"):
         raise ConfigError(f"config.{key}: family {kind!r} does not sample "
                           f"config.group.kind {group.kind!r}")
@@ -180,11 +135,11 @@ def build_family_on(cfg, group, count, seed, key="family.kind"):
 
 
 def build_function(cfg, grid, seed, key="function"):
-    f = _get(cfg, key, {}, kind=dict)
+    f = cfg.get(key, {})
     kind = f.get("kind", "indicator")
     if kind == "indicator":
-        lo = np.atleast_1d(f.get("lo", 0.0)).astype(float)
-        hi = np.atleast_1d(f.get("hi", 1.0)).astype(float)
+        lo = np.atleast_1d(f.get("lo", 0.0))
+        hi = np.atleast_1d(f.get("hi", 1.0))
 
         def fn(*coords):
             mask = np.ones(np.broadcast_shapes(*[np.shape(c) for c in coords]),
@@ -195,13 +150,12 @@ def build_function(cfg, grid, seed, key="function"):
 
         return SampledFunction.sample(grid, fn)
     if kind == "sequence":
-        entries = f.get("entries", {"0": 1.0})
-        spec = delta_comb({int(k): float(v) for k, v in entries.items()})
-        return spec.sample(grid)
-    if kind == "bumps":
-        [spec] = build_family_on(cfg, grid.group, 1, seed, key=f"{key}.family")
-        return spec.sample(grid)
-    raise ConfigError(f"config.{key}.kind: unknown function kind {kind!r}")
+        return delta_comb(f.get("entries", {0: 1.0})).sample(grid)
+    [spec] = build_family_on(f.get("family"), grid.group, 1, seed, f"{key}.family")
+    if not isinstance(spec, FunctionSpec):
+        raise ConfigError(f"config.{key}.family: family {f['family']!r} draws "
+                          f"measures, not functions")
+    return spec.sample(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +231,7 @@ def write_csv(path, header, rows):
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns (grid, results, summary, passed) for ``main`` to report
 
 
 def cmd_norm(cfg, args):
@@ -285,7 +239,7 @@ def cmd_norm(cfg, args):
     grid = build_grid(cfg, group)
     window = build_window(cfg, group)
     component = build_component(cfg, group)
-    local = _get(cfg, "local", "linf")
+    local = cfg.get("local", "linf")
     F = build_function(cfg, grid, args.seed)
     value = amalgam_norm(F, window, local, component)
     results = {
@@ -293,23 +247,17 @@ def cmd_norm(cfg, args):
         "window": window.descriptor(),
         "value": "OVERFLOW" if is_overflow(value) else float(value),
     }
-    report, path = finalize_report("norm", cfg, args.seed, grid, results, args.out,
-                                   fmt=args.format)
-    print(f"norm: {results['value']}  -> {path}")
-    return 0
+    return grid, results, f"norm: {results['value']}", True
 
 
 def cmd_doubling(cfg, args):
-    weight = build_weight(cfg) or WEIGHT_FAMILIES["constant"](1.0)
-    n = int(_get(cfg, "group.n", 1))
-    centers = [np.full(n, c) for c in _get(cfg, "centers", [0.0, 1.5, -3.0])]
-    radii = _get(cfg, "radii", [0.5, 1.0, 2.0, 4.0])
-    record = check_doubling(weight, centers, radii)
+    weight = build_weight(cfg.get("weight"), "weight") or constant_weight(1.0)
+    n = cfg.get("group", {}).get("n", 1)
+    centers = [np.full(n, c) for c in cfg.get("centers", [0.0, 1.5, -3.0])]
+    record = check_doubling(weight, centers, cfg.get("radii", [0.5, 1.0, 2.0, 4.0]))
     results = {"weight": weight.certificate_record(), "verdict": record}
-    report, path = finalize_report("doubling", cfg, args.seed, None, results,
-                                   args.out, fmt=args.format)
-    print(f"doubling: {'pass' if record['passed'] else 'fail'}  -> {path}")
-    return 0 if record["passed"] else 2
+    status = "pass" if record["passed"] else "fail"
+    return None, results, f"doubling: {status}", record["passed"]
 
 
 def cmd_equivalence(cfg, args):
@@ -319,12 +267,13 @@ def cmd_equivalence(cfg, args):
     grid = build_grid(cfg, group)
     window = build_window(cfg, group)
     component = build_component(cfg, group)
-    local = _get(cfg, "local", "linf")
-    spacing = float(_get(cfg, "lattice_spacing", 1.0))
+    local = cfg.get("local", "linf")
+    spacing = cfg.get("lattice_spacing", 1.0)
     X = euclidean_lattice(grid, spacing)
     bupu = build_bupu(X, BoxWindow.centered(spacing, group.n), grid=grid)
-    count = int(_get(cfg, "family.count", 50))
-    specs = build_family_on(cfg, group, count, args.seed)
+    family = cfg.get("family", {})
+    specs = build_family_on(family.get("kind"), group, family.get("count", 50),
+                            args.seed, "family.kind")
     ratios = []
     for spec in specs:
         F = spec.sample(grid)
@@ -344,10 +293,7 @@ def cmd_equivalence(cfg, args):
         "bracket_constant": bracket,
         "family_size": int(len(ratios)),
     }
-    report, path = finalize_report("equivalence", cfg, args.seed, grid, results,
-                                   args.out, fmt=args.format)
-    print(f"equivalence bracket C* = {bracket:.4f}  -> {path}")
-    return 0
+    return grid, results, f"equivalence bracket C* = {bracket:.4f}", True
 
 
 def cmd_convolve(cfg, args):
@@ -363,205 +309,59 @@ def cmd_convolve(cfg, args):
     csv_path = write_csv(Path(args.out) / "convolve.csv", header, rows)
     results = {"samples": int(len(rows)), "csv": str(csv_path),
                "max_abs": float(np.abs(out.values).max())}
-    report, path = finalize_report("convolve", cfg, args.seed, grid, results,
-                                   args.out, fmt=args.format)
-    print(f"convolve: {len(rows)} samples -> {csv_path}")
-    return 0
-
-
-def _exhaustive_lp_algebra(p, weighted, support_len=4, offset=-1,
-                           values=(-1, 0, 1, 2)):
-    """Exhaustive l^p_w algebra check over short integer sequences."""
-    grids = np.meshgrid(*([np.array(values)] * support_len), indexing="ij")
-    seqs = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
-    conv = np.zeros((len(seqs), len(seqs), 2 * support_len - 1))
-    for i in range(support_len):
-        conv[:, :, i:i + support_len] += seqs[:, None, i, None] * seqs[None, :, :]
-    coords_f = np.arange(offset, offset + support_len)
-    coords_c = np.arange(2 * offset, 2 * offset + 2 * support_len - 1)
-    wf = (1.0 + np.abs(coords_f)) if weighted else np.ones(support_len)
-    wc = (1.0 + np.abs(coords_c)) if weighted else np.ones(2 * support_len - 1)
-    norm_f = np.sum(np.abs(seqs * wf) ** p, axis=1) ** (1.0 / p)
-    norm_c = np.sum(np.abs(conv * wc) ** p, axis=2) ** (1.0 / p)
-    products = norm_f[:, None] * norm_f[None, :]
-    nonzero = products > 0
-    ratios = np.where(nonzero, norm_c / np.where(nonzero, products, 1.0), 0.0)
-    violations = int(np.sum(ratios > 1.0 + 1e-9))
-    return {
-        "p": p,
-        "weighted": weighted,
-        "pairs_checked": int(nonzero.sum()),
-        "violations": violations,
-        "c_emp": float(ratios.max()),
-    }
+    return grid, results, f"convolve: {len(rows)} samples", True
 
 
 def cmd_verify(cfg, args):
-    relation = args.relation
-    if relation not in RELATIONS:
-        raise ConfigError(f"relation: unknown relation {relation!r}; "
-                          f"choose from {RELATIONS}")
-    levels = max(1, args.refine)
-    if relation == "cor_conv_Lp":
-        p = float(_get(cfg, "p", 0.5))
-        weighted = bool(_get(cfg, "weighted", False))
-        rec = _exhaustive_lp_algebra(p, weighted)
-        results = {
-            "relation": relation,
-            "passed": rec["violations"] == 0,
-            "c_emp": rec["c_emp"],
-            "refinement_trace": [rec["c_emp"]],
-            "detail": rec,
-        }
-        grid = None
-    else:
-        report = _run_relation(relation, cfg, args.seed, levels)
-        results = report.as_record()
-        results["passed"] = report.passed
-        grid = None
-    rep, path = finalize_report("verify", cfg, args.seed, grid, results,
-                                args.out, name=f"verify-{relation}",
-                                fmt=args.format)
+    relation = RELATIONS[args.relation]
+    grid = None
+    if "grid" in cfg and relation.group is not None:
+        grid = build_grid(cfg, relation.group)
+    results = relation.run(RelationSettings(
+        seed=args.seed, levels=args.refine, p=cfg.get("p"), q=cfg.get("q", 1.0),
+        weighted=cfg.get("weighted", False),
+        weight=build_weight(cfg.get("weight"), "weight"), grid=grid,
+        count=cfg.get("family", {}).get("count")))
     status = "pass" if results["passed"] else "fail"
-    print(f"verify {relation}: {status} (C_emp = {results['c_emp']:.6g}) -> {path}")
-    return 0 if results["passed"] else 2
-
-
-def _run_relation(relation, cfg, seed, levels):
-    if relation == "axb_relation":
-        group = AxbGroup(int(_get(cfg, "group.n", 1)))
-        grid = build_grid({"grid": _get(cfg, "grid", {})}, group)
-        weight = build_weight(cfg) or WEIGHT_FAMILIES["constant"](1.0)
-        p = float(_get(cfg, "p", 1.0))
-        q = float(_get(cfg, "q", 1.0))
-        count = int(_get(cfg, "family.count", 6))
-        left = build_family("axb-bumps", count, seed)
-        right = build_family("axb-bumps", count, seed + 1)
-        return verify_axb_convolution(weight, p, q, left, right, grid=grid,
-                                      levels=levels)
-    group = Euclidean(1)
-    grid = build_grid({"grid": _get(cfg, "grid", {"cells": 256, "lo": -16.0,
-                                                  "hi": 16.0})}, group)
-    window = BoxWindow.centered(0.5, 1)
-    p = float(_get(cfg, "p", 1.0))
-    weight = build_weight(cfg) or WEIGHT_FAMILIES["shifted-power"](1.0)
-    Y = WeightedLp(p, weight)
-    target = AmalgamSpace("linf", Y, window)
-    count = int(_get(cfg, "family.count", 8))
-    bound_weight = WEIGHT_FAMILIES["shifted-power"](abs(weight.params.get("s", 1.0)))
-    if relation == "thm_conv_a":
-        left = build_family("atom-cloud", count, seed, group=group)
-        right = build_family("gaussian-bumps", count, seed + 1,
-                             center_range=(-4.0, 4.0))
-        left_space = AmalgamSpace("m", Y, window)
-        right_space = AmalgamSpace("linf", WeightedLp(min(1.0, p), bound_weight),
-                                   window)
-        return verify_embedding(relation, left, right, grid=grid,
-                                target_norm=space_norm(target),
-                                left_norm=space_norm(left_space),
-                                right_norm=space_norm(right_space),
-                                levels=levels, family="measures * bumps")
-    if relation == "thm_conv_b":
-        left = build_family("gaussian-bumps", count, seed,
-                            center_range=(-4.0, 4.0))
-        right = build_family("gaussian-bumps", count, seed + 1,
-                             center_range=(-4.0, 4.0))
-        right_space = AmalgamSpace("linf", WeightedLp(min(1.0, p), bound_weight),
-                                   window)
-        return verify_embedding(relation, left, right, grid=grid,
-                                target_norm=space_norm(target),
-                                left_norm=space_norm(target),
-                                right_norm=space_norm(right_space),
-                                levels=levels, family="bumps * bumps")
-    # thm_convYvee
-    left = build_family("gaussian-bumps", count, seed, center_range=(-4.0, 4.0))
-    right = build_family("gaussian-bumps", count, seed + 1,
-                         center_range=(-4.0, 4.0))
-    left_space = AmalgamSpace("linf", WeightedLp(min(1.0, p), bound_weight),
-                              window)
-    return verify_embedding(relation, left, right, grid=grid,
-                            target_norm=space_norm(target),
-                            left_norm=space_norm(left_space),
-                            right_norm=reflected_space_norm(target),
-                            levels=levels, family="bumps * reflected bumps")
+    return (None, results, f"verify {relation.name}: {status} "
+            f"(C_emp = {results['c_emp']:.6g})", results["passed"])
 
 
 def cmd_axb(cfg, args):
     sub = args.subcommand
-    if sub not in AXB_SUBCOMMANDS:
-        raise ConfigError(f"axb subcommand: unknown {sub!r}; "
-                          f"choose from {AXB_SUBCOMMANDS}")
-    n = int(_get(cfg, "group.n", 1))
+    n = cfg.get("group", {}).get("n", 1)
+    p, q = cfg.get("p", 1.0), cfg.get("q", 1.0)
     if sub == "translation-bound":
-        value = right_translation_bound(
-            _get(cfg, "y", [0.0]), float(_get(cfg, "b", 1.0)),
-            float(_get(cfg, "p", 1.0)), float(_get(cfg, "q", 1.0)),
-            float(_get(cfg, "alpha", 1.0)), n)
-        rep, path = finalize_report("axb", cfg, args.seed, None,
-                                    {"subcommand": sub, "value": value},
-                                    args.out, name="axb-translation-bound",
-                                    fmt=args.format)
-        print(f"translation bound: {value:.6g} -> {path}")
-        return 0
-    group = AxbGroup(n)
-    grid = build_grid(cfg, group)
-    if sub == "verify":
-        weight = build_weight(cfg) or WEIGHT_FAMILIES["constant"](1.0)
-        p = float(_get(cfg, "p", 1.0))
-        q = float(_get(cfg, "q", 1.0))
-        count = int(_get(cfg, "family.count", 6))
-        left = build_family("axb-bumps", count, args.seed)
-        right = build_family("axb-bumps", count, args.seed + 1)
-        report = verify_axb_convolution(weight, p, q, left, right, grid=grid,
-                                        levels=max(1, args.refine))
-        results = report.as_record()
-        rep, path = finalize_report("axb", cfg, args.seed, grid, results,
-                                    args.out, name="axb-verify",
-                                    fmt=args.format)
-        print(f"axb verify: {'pass' if report.passed else 'fail'} "
-              f"(C_emp = {report.c_emp:.6g}) -> {path}")
-        return 0 if report.passed else 2
-    lat = _get(cfg, "lattice", {}, kind=dict)
-    X = build_axb_lattice(
-        float(lat.get("a0", 0.5)), float(lat.get("b0", 2.0)),
-        tuple(lat.get("k_range", [-10, 10])), tuple(lat.get("j_range", [-2, 2])),
-        grid=grid, n=n)
-    weight = build_weight(cfg) or WEIGHT_FAMILIES["constant"](1.0)
+        value = right_translation_bound(cfg.get("y", [0.0]), cfg.get("b", 1.0), p, q,
+                                        cfg.get("alpha", 1.0), n)
+        return None, {"subcommand": sub, "value": value}, \
+            f"translation bound: {value:.6g}", True
+    grid = build_grid(cfg, AxbGroup(n))
+    lat = cfg.get("lattice", {})
+    X = build_axb_lattice(lat.get("a0", 0.5), lat.get("b0", 2.0),
+                          lat.get("k_range", [-10, 10]), lat.get("j_range", [-2, 2]),
+                          grid=grid, n=n)
+    weight = build_weight(cfg.get("weight"), "weight") or constant_weight(1.0)
     table = compute_ball_weights(weight, X)
     if sub == "tilde-v":
         rows = [[str(k), j, *x[:-1], x[-1], v]
                 for (k, j), x, v in zip(X.labels, X.points, table.values)]
         csv_path = write_csv(Path(args.out) / "axb-tilde-v.csv",
                              ["k", "j", "x", "a", "value"], rows)
-        rep, path = finalize_report("axb", cfg, args.seed, grid,
-                                    {"subcommand": sub, "entries": len(rows),
-                                     "csv": str(csv_path)},
-                                    args.out, name="axb-tilde-v",
-                                    fmt=args.format)
-        print(f"tilde-v: {len(rows)} entries -> {csv_path}")
-        return 0
-    # discrete-norm
-    p = float(_get(cfg, "p", 1.0))
-    qraw = _get(cfg, "q", 1.0)
-    q = math.inf if qraw in ("inf", "Infinity") else float(qraw)
-    rng = generator(args.seed)
-    lam = np.abs(rng.standard_normal(len(X)))
+        results = {"subcommand": sub, "entries": len(rows), "csv": str(csv_path)}
+        return grid, results, f"tilde-v: {len(rows)} entries", True
+    lam = np.abs(generator(args.seed).standard_normal(len(X)))
     value = lpq_discrete_norm(lam, table, p, q, n)
-    rep, path = finalize_report("axb", cfg, args.seed, grid,
-                                {"subcommand": sub, "value": value,
-                                 "coefficients": int(len(lam))},
-                                args.out, name="axb-discrete-norm",
-                                fmt=args.format)
-    print(f"discrete norm: {value:.6g} -> {path}")
-    return 0
+    results = {"subcommand": sub, "value": value, "coefficients": int(len(lam))}
+    return grid, results, f"discrete norm: {value:.6g}", True
 
 
-def cmd_report(cfg, args):
-    path = Path(args.path)
+def show_report(path):
+    """Print the header and the first results of the report at ``path``."""
+    path = Path(path)
     if not path.exists():
         raise ConfigError(f"report path {path} does not exist")
-    text = path.read_text()
-    data = json.loads(text)
+    data = json.loads(path.read_text())
     # schema round-trip: parse -> serialize -> parse must be the identity
     if json.loads(json.dumps(data, sort_keys=True)) != data:
         raise ConfigError(f"report {path} does not round-trip")
@@ -581,21 +381,10 @@ def cmd_report(cfg, args):
 # Entry point
 
 
-def _add_common_flags(parser, suppress=False):
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--config", type=str,
-                        default=d if suppress else None,
-                        help="path to a JSON config file")
-    parser.add_argument("--out", type=str,
-                        default=d if suppress else "reports",
-                        help="output directory for reports")
-    parser.add_argument("--seed", type=int, default=d if suppress else 0,
-                        help="PCG64 seed")
-    parser.add_argument("--refine", type=int, default=d if suppress else 2,
-                        help="number of grid resolutions for verification")
-    parser.add_argument("--format", choices=("json", "csv"),
-                        default=d if suppress else "json",
-                        help="primary report format")
+def _levels(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def build_parser():
@@ -603,21 +392,23 @@ def build_parser():
         prog="wamalgam",
         description="Wiener amalgam space computations on concrete groups",
     )
-    _add_common_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
-    names = ("norm", "doubling", "equivalence", "convolve")
-    for name in names:
+    for name, positional, choices in (
+            ("norm", None, None), ("doubling", None, None),
+            ("equivalence", None, None), ("convolve", None, None),
+            ("verify", "relation", tuple(RELATIONS)),
+            ("axb", "subcommand", ("tilde-v", "discrete-norm", "translation-bound")),
+            ("report", "path", None)):
         p = sub.add_parser(name)
-        _add_common_flags(p, suppress=True)
-    p_verify = sub.add_parser("verify")
-    p_verify.add_argument("relation", choices=RELATIONS)
-    _add_common_flags(p_verify, suppress=True)
-    p_axb = sub.add_parser("axb")
-    p_axb.add_argument("subcommand", choices=AXB_SUBCOMMANDS)
-    _add_common_flags(p_axb, suppress=True)
-    p_report = sub.add_parser("report")
-    p_report.add_argument("path")
-    _add_common_flags(p_report, suppress=True)
+        if positional:
+            p.add_argument(positional, choices=choices)
+        p.add_argument("--config", help="path to a JSON config file")
+        p.add_argument("--out", default="reports", help="output directory for reports")
+        p.add_argument("--seed", type=int, default=0, help="PCG64 seed")
+        p.add_argument("--refine", type=_levels, default=2,
+                       help="number of grid resolutions for verification")
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="primary report format")
     return parser
 
 
@@ -635,20 +426,20 @@ def load_config(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "norm": cmd_norm,
-        "doubling": cmd_doubling,
-        "equivalence": cmd_equivalence,
-        "convolve": cmd_convolve,
-        "verify": cmd_verify,
-        "axb": cmd_axb,
-        "report": cmd_report,
-    }
+    args = build_parser().parse_args(argv)
     try:
+        if args.command == "report":
+            return show_report(args.path)
         cfg = load_config(args)
-        return handlers[args.command](cfg, args)
+        # looked up per call, so a test can stand in for a command
+        command = globals()[f"cmd_{args.command}"]
+        grid, results, summary, passed = command(validate_config(cfg), args)
+        sub = getattr(args, "relation", None) or getattr(args, "subcommand", None)
+        name = f"{args.command}-{sub}" if sub else None
+        _, path = finalize_report(args.command, cfg, args.seed, grid, results,
+                                  args.out, name=name, fmt=args.format)
+        print(f"{summary} -> {path}")
+        return 0 if passed else 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

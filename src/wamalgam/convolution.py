@@ -44,7 +44,7 @@ constant under grid refinement.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -315,17 +315,7 @@ class EmbeddingReport:
     truncation: list = field(default_factory=list)
 
     def as_record(self):
-        return {
-            "relation": self.relation,
-            "family": self.family,
-            "pairs": self.pairs,
-            "c_emp": self.c_emp,
-            "refinement_trace": self.refinement_trace,
-            "passed": self.passed,
-            "growth_tolerance": self.growth_tolerance,
-            "failures": self.failures,
-            "truncation": self.truncation,
-        }
+        return asdict(self)
 
 
 def space_norm(space, overflow_guard=DEFAULT_OVERFLOW_GUARD):
@@ -385,31 +375,27 @@ def reflected_space_norm(space, overflow_guard=DEFAULT_OVERFLOW_GUARD):
 
 
 def verify_embedding(relation, left_specs, right_specs, *, grid,
-                     target_norm, left_norm, right_norm,
-                     levels=2, refine_factor=2, growth_tolerance=0.25,
-                     family="", pairing="zip"):
+                     target_norm, left_norm, right_norm, levels=2, family=""):
     """Empirically verify ``||F*G||_target <= C ||F||_left ||G||_right``.
 
-    Samples every (F, G) pair on the base grid and on ``levels - 1``
-    refinements, records per-pair ratios, and passes when the empirical
-    constant is finite and does not grow by more than ``growth_tolerance``
-    under one refinement. Overflow signals are recorded as failure
-    witnesses rather than raised. Truncation does not change the verdict:
-    each level records the largest edge/peak ratio of its convolutions in
-    ``truncation``, and each level-0 pair its own ratio.
+    Samples the pairs ``zip(left_specs, right_specs)`` on the base grid and
+    on ``levels - 1`` refinements by 2, records per-pair ratios, and passes
+    when every level compared a pair and the empirical constant is finite
+    and grows by at most the report's ``growth_tolerance`` under one
+    refinement. Overflow signals and levels that compared no pair are
+    recorded as failure witnesses rather than raised. Truncation does not
+    change the verdict: each level records the largest edge/peak ratio of
+    its convolutions in ``truncation``, and each level-0 pair its own ratio.
     """
-    if pairing == "zip":
-        pair_list = list(zip(left_specs, right_specs))
-    else:
-        pair_list = [(f, g) for f in left_specs for g in right_specs]
-    report = EmbeddingReport(relation=relation, family=family,
-                             growth_tolerance=growth_tolerance)
+    pair_list = list(zip(left_specs, right_specs))
+    report = EmbeddingReport(relation=relation, family=family)
     grids = [grid]
     for _ in range(levels - 1):
-        grids.append(grids[-1].refine(refine_factor))
+        grids.append(grids[-1].refine(2))
     for level, gr in enumerate(grids):
         c_emp = 0.0
         truncation = 0.0
+        compared = 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             for idx, (fs, gs) in enumerate(pair_list):
@@ -430,6 +416,7 @@ def verify_embedding(relation, left_specs, right_specs, *, grid,
                     continue
                 ratio = t / (lf * rf)
                 c_emp = max(c_emp, ratio)
+                compared += 1
                 if level == 0:
                     report.pairs.append({
                         "pair": idx,
@@ -438,13 +425,15 @@ def verify_embedding(relation, left_specs, right_specs, *, grid,
                         "ratio": float(ratio),
                         "truncation": edge,
                     })
+        if not compared:
+            report.failures.append({"level": level, "reason": "no pair compared"})
         report.refinement_trace.append(float(c_emp))
         report.truncation.append(truncation)
     report.c_emp = report.refinement_trace[0]
     finite = all(np.isfinite(v) for v in report.refinement_trace)
     stable = all(
         report.refinement_trace[k + 1]
-        <= (1 + growth_tolerance) * report.refinement_trace[k]
+        <= (1 + report.growth_tolerance) * report.refinement_trace[k]
         for k in range(len(report.refinement_trace) - 1)
     )
     report.passed = finite and stable and not report.failures

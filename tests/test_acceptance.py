@@ -45,8 +45,8 @@ from wamalgam import (
     shifted_power_weight,
     verify_axb_convolution,
 )
-from wamalgam.cli import _exhaustive_lp_algebra
 from wamalgam.families import axb_bump_sum, gaussian_bump_sum
+from wamalgam.relations import exhaustive_lp_algebra
 
 
 def _report(number, budget, elapsed, detail=""):
@@ -81,7 +81,7 @@ def test_criterion_02_lp_algebra_exhaustive():
     checked = 0
     for p in (0.5, 1.0):
         for weighted in (False, True):
-            rec = _exhaustive_lp_algebra(p, weighted)
+            rec = exhaustive_lp_algebra(p, weighted)
             assert rec["violations"] == 0
             checked += rec["pairs_checked"]
     _report(2, 60, time.time() - start, f"{checked} pairs, zero violations")

@@ -111,6 +111,41 @@ def test_unknown_relation_usage_error(tmp_path):
     assert r.returncode == 2, r.stderr  # argparse usage failure
 
 
+def test_refine_below_one_is_a_usage_error(tmp_path, capsys):
+    from wamalgam import cli
+
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["verify", "cor_conv_Lp", "--refine", "0", "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "--refine: expected an integer >= 1, got '0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    (["verify", "cor_conv_Lp"], {"p": "abc"}, "config.p"),
+    (["verify", "cor_conv_Lp"], {"p": 0}, "config.p"),
+    (["norm"], {"grid": {"cells": "x"}}, "config.grid.cells"),
+    (["norm"], {"group": {"n": "two"}}, "config.group.n"),
+    (["doubling"], {"weight": {"family": "power", "s": "x"}}, "config.weight.s"),
+    (["norm"], {"windw": 1}, "config.windw: unknown key"),
+    (["doubling"], [1], "config: expected an object, got list"),
+    (["verify", "cor_conv_Lp"], {"weighted": "no"}, "config.weighted"),
+    (["equivalence"], {"family": {"count": 0}}, "config.family.count"),
+    (["norm"], {"component": {"type": "lpq", "q": "x"}}, "config.component.q"),
+    (["axb", "discrete-norm"], {"q": "x"}, "config.q"),
+])
+def test_bad_config_names_the_key(tmp_path, capsys, argv, config, key):
+    """Bad values and unknown keys exit 1 with their key path, before any
+    command runs."""
+    from wamalgam import cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_axb_translation_bound(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"y": [0.0], "b": 2.0, "p": 1.0, "q": 1.0,
@@ -204,7 +239,7 @@ def test_csv_format_flattens_results(tmp_path):
     assert "results.c_emp" in keys and "results.passed" in keys
 
 
-def test_axb_verify_subcommand(tmp_path):
+def test_verify_axb_relation(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "grid": {"x_lo": -5.0, "x_hi": 5.0, "x_cells": 48, "a_lo": 0.2,
@@ -212,10 +247,10 @@ def test_axb_verify_subcommand(tmp_path):
         "family": {"count": 2},
         "p": 1.0, "q": 1.0,
     }))
-    r = run_cli(["axb", "verify", "--config", str(cfg), "--seed", "4",
+    r = run_cli(["verify", "axb_relation", "--config", str(cfg), "--seed", "4",
                  "--refine", "1", "--out", str(tmp_path)], tmp_path)
     assert r.returncode == 0, r.stderr
-    rep = load_report(tmp_path / "axb-verify.json")
+    rep = load_report(tmp_path / "verify-axb_relation.json")
     assert rep["results"]["passed"]
     assert rep["results"]["relation"] == "axb_relation"
 
@@ -327,6 +362,9 @@ def test_bumps_function_on_its_group(tmp_path, command, group, samples):
     pytest.param({"kind": "axb", "n": 1}, "gaussian-bumps",
                  "family 'gaussian-bumps' does not sample config.group.kind 'axb'",
                  id="axb-gaussian-bumps"),
+    pytest.param({"kind": "euclidean", "n": 1}, "atom-cloud",
+                 "family 'atom-cloud' draws measures, not functions",
+                 id="line-measures"),
 ])
 def test_bumps_family_errors_name_the_key(tmp_path, capsys, command, key, group,
                                           family, message):

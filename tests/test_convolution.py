@@ -34,10 +34,10 @@ from wamalgam import (
     translate,
     verify_embedding,
 )
-from wamalgam.cli import _exhaustive_lp_algebra
 from wamalgam.convolution import _exact_convolution, _fft_error_bound, _smooth_length
-from wamalgam.errors import TruncationWarning
+from wamalgam.errors import InvalidExponentError, TruncationWarning
 from wamalgam.families import axb_bump_sum, gaussian_bump_sum, lattice_sequence
+from wamalgam.relations import exhaustive_lp_algebra
 
 
 def test_binomial_convolution(z_grid):
@@ -305,7 +305,7 @@ def test_density_measure_warns_once(euclid):
 
 def test_exhaustive_lp_algebra_spot_value():
     # ||(d0+d1)*(d0+d1)||_{1/2} = (2 + sqrt(2))^2 <= 16 = product of norms
-    rec = _exhaustive_lp_algebra(0.5, weighted=False)
+    rec = exhaustive_lp_algebra(0.5, weighted=False)
     assert rec["violations"] == 0
     assert rec["c_emp"] <= 1.0 + 1e-9
     na = (1.0 + np.sqrt(2.0) + 1.0) ** 2
@@ -316,9 +316,15 @@ def test_exhaustive_lp_algebra_spot_value():
 @pytest.mark.parametrize("p", [0.5, 1.0])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_exhaustive_lp_algebra_no_violations(p, weighted):
-    rec = _exhaustive_lp_algebra(p, weighted)
+    rec = exhaustive_lp_algebra(p, weighted)
     assert rec["violations"] == 0
     assert rec["c_emp"] <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0])
+def test_exhaustive_lp_algebra_rejects_non_positive_p(p):
+    with pytest.raises(InvalidExponentError):
+        exhaustive_lp_algebra(p, weighted=False)
 
 
 def test_lattice_algebra_spot_example(z_grid):
@@ -407,6 +413,17 @@ def test_overflow_recorded_as_failure_witness(euclid):
         levels=1, family="huge")
     assert not report.passed
     assert report.failures and report.failures[0]["reason"] == "overflow"
+
+
+def test_embedding_without_pairs_does_not_pass(euclid):
+    """A level that compared no pair is a failure, not a pass at C_emp = 0."""
+    grid = UniformGrid(euclid, -4, 4, 32)
+    norm = space_norm(AmalgamSpace("linf", WeightedLp(1.0), BoxWindow.centered(0.5, 1)))
+    report = verify_embedding("cor_conv_Lp", [], [], grid=grid, target_norm=norm,
+                              left_norm=norm, right_norm=norm, levels=2)
+    assert not report.passed
+    assert report.failures == [{"level": 0, "reason": "no pair compared"},
+                               {"level": 1, "reason": "no pair compared"}]
 
 
 def test_embedding_records_truncation(euclid):
