@@ -7,6 +7,11 @@ feeds it to a global component. Local components are L-infinity, L^1
 many atoms plus an optional density). Fast paths exploit that box windows
 on uniform grids and affine windows on (x, log a) grids act by sliding
 index stencils; everything else falls back to per-point membership masks.
+A sliding max over a window of L indices runs by doubling: log2(L) passes
+of ``max(V[:-s], V[s:])`` for s = 1, 2, 4, ..., then two reads of the last
+level, so N samples cost O(N log L) time and O(N) memory. On ax+b, where
+the x half-width grows with the scale, all scale rows share the passes and
+each reads its own level. Sliding sums are differences of running sums.
 """
 
 from __future__ import annotations
@@ -106,43 +111,76 @@ class AmalgamSpace:
 
 
 def _sliding_max(values, axis, lo, hi):
-    """max over index offsets [lo, hi] along axis, zero-padded outside."""
+    """max over index offsets [lo, hi] along axis, zero-padded outside.
+
+    ``lo`` and ``hi`` are integers, or integer arrays shaped like
+    ``values.swapaxes(0, axis)[0]``: one window per column. The doubling
+    pass with shift s leaves in each table row the max of the 2s rows from
+    it on (of those that exist), so a window of length L is the max of two
+    reads of the level with s <= L < 2s. Each column keeps its own level,
+    and one gather reads them all.
+    """
     m = values.shape[axis]
-    length = hi - lo + 1
-    pad_l, pad_r = max(0, -lo), max(0, hi)
-    padding = [(0, 0)] * values.ndim
-    padding[axis] = (pad_l, pad_r)
-    V = np.pad(values, padding)
-    if values.size * length <= 4_000_000:
-        S = np.lib.stride_tricks.sliding_window_view(V, length, axis=axis)
-        sl = [slice(None)] * S.ndim
-        sl[axis] = slice(lo + pad_l, lo + pad_l + m)
-        return S[tuple(sl)].max(axis=-1)
-    out = None
-    for d in range(length):
-        sl = [slice(None)] * V.ndim
-        sl[axis] = slice(lo + pad_l + d, lo + pad_l + d + m)
-        piece = V[tuple(sl)]
-        out = piece.copy() if out is None else np.maximum(out, piece)
+    lo, hi = _clipped(lo, m), _clipped(hi, m)
+    span = 1 << (np.frexp(hi - lo + 1)[1] - 1)  # largest power of 2 <= length
+    # one zero row after the data stands for the outside in windows that
+    # the table's end cuts short
+    table, row0 = _table(values, axis, lo, np.maximum(hi - span + 1, 1))
+    kept = table if np.ndim(span) == 0 else np.empty_like(table)
+    s, top = 1, span.max()
+    while True:
+        if kept is not table:
+            kept[:, span == s] = table[:, span == s]
+        if s == top:
+            break
+        np.maximum(table[:-s], table[s:], out=table[:-s])
+        s *= 2
+    out = np.empty(values.shape)
+    np.maximum(_rows(kept, row0 + lo, m), _rows(kept, row0 + hi - span + 1, m),
+               out=out.swapaxes(0, axis))
     return out
 
 
 def _sliding_sum(values, axis, lo, hi):
-    """sum over index offsets [lo, hi] along axis, zero-padded outside."""
+    """sum over index offsets [lo, hi] along axis, zero-padded outside.
+
+    ``lo`` and ``hi`` are integers or per-column arrays, as for
+    ``_sliding_max``; each sum is a difference of two running sums.
+    """
     m = values.shape[axis]
-    pad_l, pad_r = max(0, -lo), max(0, hi)
-    padding = [(0, 0)] * values.ndim
-    padding[axis] = (pad_l, pad_r)
-    V = np.pad(values, padding)
-    cs = np.cumsum(V, axis=axis)
-    zeros_shape = list(cs.shape)
-    zeros_shape[axis] = 1
-    cs = np.concatenate([np.zeros(zeros_shape), cs], axis=axis)
-    upper = [slice(None)] * cs.ndim
-    lower = [slice(None)] * cs.ndim
-    upper[axis] = slice(hi + pad_l + 1, hi + pad_l + 1 + m)
-    lower[axis] = slice(lo + pad_l, lo + pad_l + m)
-    return cs[tuple(upper)] - cs[tuple(lower)]
+    lo, hi = _clipped(lo, m), _clipped(hi, m)
+    table, row0 = _table(values, axis, lo - 1, hi)
+    np.cumsum(table, axis=0, out=table)
+    out = np.empty(values.shape)
+    np.subtract(_rows(table, row0 + hi, m), _rows(table, row0 + lo - 1, m),
+                out=out.swapaxes(0, axis))
+    return out
+
+
+def _clipped(offsets, m):
+    """Index offsets clipped to [-m, m]: beyond, an axis of m indices reads
+    only the zeros outside it, and the clipped window still reads one."""
+    return np.minimum(np.maximum(offsets, -m), m)
+
+
+def _table(values, axis, first, last):
+    """``values`` with ``axis`` swapped to the front, zero-padded along it so
+    that rows ``i + first`` to ``i + last`` exist for every index i; returns
+    the table and the row that holds index 0."""
+    V = values.swapaxes(0, axis)
+    m = len(V)
+    pad_l, pad_r = max(0, -int(first.min())), max(0, int(last.max()))
+    table = np.zeros((pad_l + m + pad_r,) + V.shape[1:])
+    table[pad_l:pad_l + m] = V
+    return table, pad_l
+
+
+def _rows(table, start, m):
+    """``table[start + i]`` for i < m, where ``start`` may differ per column."""
+    if np.ndim(start) == 0:
+        return table[start:start + m]
+    index = np.arange(m).reshape((m,) + (1,) * np.ndim(start)) + start
+    return np.take_along_axis(table, index, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +224,14 @@ def _axb_control(F, window, local):
     d_u = int(np.floor(np.log(window.beta) / grid.u_step * (1 + _TOL) + _TOL))
     a_axis = grid.axes[-1]
     hx = float(grid.x_steps[0])
+    # the x half-width of the window grows with the scale: one per column
+    d_x = np.floor(window.radius * a_axis / hx * (1 + _TOL) + _TOL).astype(int)
     if local == "linf":
         staged = _sliding_max(absF, 1, -d_u, d_u)
-        out = np.empty_like(staged)
-        for j, a in enumerate(a_axis):
-            d_x = int(np.floor(window.radius * a / hx * (1 + _TOL) + _TOL))
-            out[:, j] = _sliding_max(staged[:, j], 0, -d_x, d_x)
-        return SampledFunction(grid, out)
+        return SampledFunction(grid, _sliding_max(staged, 0, -d_x, d_x))
     row_w = grid.u_step * a_axis ** (-float(grid.group.n))
     staged = _sliding_sum(absF * row_w, 1, -d_u, d_u)
-    out = np.empty_like(staged)
-    for j, a in enumerate(a_axis):
-        d_x = int(np.floor(window.radius * a / hx * (1 + _TOL) + _TOL))
-        out[:, j] = _sliding_sum(staged[:, j], 0, -d_x, d_x)
-    return SampledFunction(grid, out * hx)
+    return SampledFunction(grid, _sliding_sum(staged, 0, -d_x, d_x) * hx)
 
 
 def _generic_control(F, window, local):

@@ -66,8 +66,22 @@ def build_group(cfg):
     return GROUPS[group.get("kind", "euclidean")](group.get("n", 1))
 
 
+def _per_axis(value, axes, key):
+    """``value``, the config at ``key``: a number, or a list of one per axis."""
+    if isinstance(value, list) and len(value) != axes:
+        raise ConfigError(f"config.{key}: expected a number or a list of {axes}, "
+                          f"one per axis, got a list of {len(value)}")
+    return value
+
+
 def build_grid(cfg, group):
-    g = cfg.get("grid", {})
+    g = {key: _per_axis(value, group.n, f"grid.{key}")
+         for key, value in cfg.get("grid", {}).items()}
+    if isinstance(group, IntegerLattice):
+        for key in ("lo", "hi"):
+            if np.any(np.mod(g.get(key, 0), 1)):
+                raise ConfigError(f"config.grid.{key}: a lattice needs integral "
+                                  f"bounds, got {g[key]!r}")
     try:
         if isinstance(group, Euclidean):
             return UniformGrid(group, g.get("lo", -8.0), g.get("hi", 8.0),
@@ -82,13 +96,14 @@ def build_grid(cfg, group):
 
 
 def build_window(cfg, group):
-    w = cfg.get("window", {})
+    w = {key: _per_axis(value, group.n, f"window.{key}")
+         for key, value in cfg.get("window", {}).items()}
     try:
         if isinstance(group, AxbGroup):
             return AxbWindow(w.get("radius", 0.5), w.get("beta", 1.5))
         if "lo" in w or "hi" in w:
-            return BoxWindow(tuple(np.atleast_1d(w.get("lo", 0.0))),
-                             tuple(np.atleast_1d(w.get("hi", 1.0))))
+            return BoxWindow(tuple(np.broadcast_to(w.get("lo", 0.0), (group.n,))),
+                             tuple(np.broadcast_to(w.get("hi", 1.0), (group.n,))))
         return BoxWindow.centered(w.get("radius", 0.5), group.n)
     except WamalgamError as exc:
         raise ConfigError(f"config.window: {exc}") from exc
@@ -138,8 +153,9 @@ def build_function(cfg, grid, seed, key="function"):
     f = cfg.get(key, {})
     kind = f.get("kind", "indicator")
     if kind == "indicator":
-        lo = np.atleast_1d(f.get("lo", 0.0))
-        hi = np.atleast_1d(f.get("hi", 1.0))
+        axes = len(grid.shape)
+        lo = np.broadcast_to(_per_axis(f.get("lo", 0.0), axes, f"{key}.lo"), (axes,))
+        hi = np.broadcast_to(_per_axis(f.get("hi", 1.0), axes, f"{key}.hi"), (axes,))
 
         def fn(*coords):
             mask = np.ones(np.broadcast_shapes(*[np.shape(c) for c in coords]),

@@ -305,6 +305,21 @@ def _axis_locate(axis, step, q):
     return i0, frac, inside
 
 
+def _check_window(lo, hi, lo_name, hi_name):
+    if not np.all(lo < hi):
+        raise EmptyGridError(f"grid window is empty: it needs {lo_name} < {hi_name} "
+                             f"on every axis, got {lo.tolist()} and {hi.tolist()}")
+
+
+def _integral(bound, name, n):
+    """``bound`` broadcast to ``n`` integers; a fractional bound raises."""
+    values = np.broadcast_to(np.asarray(bound, dtype=float), (n,))
+    if not np.all(np.isfinite(values) & (values == np.round(values))):
+        raise InvalidElementError(f"lattice bound {name} must be integral, got "
+                                  f"{values.tolist()}")
+    return values.astype(int)
+
+
 class UniformGrid(Grid):
     """Midpoint-rule tensor grid on a Euclidean window ``[lo, hi]^n``."""
 
@@ -317,6 +332,7 @@ class UniformGrid(Grid):
         self.cells = tuple(np.broadcast_to(np.asarray(cells, dtype=int), (group.n,)))
         if any(c <= 0 for c in self.cells):
             raise EmptyGridError("grid needs at least one cell per axis")
+        _check_window(self.lo, self.hi, "lo", "hi")
         self.steps = (self.hi - self.lo) / np.array(self.cells)
         self.axes = tuple(
             self.lo[k] + (np.arange(self.cells[k]) + 0.5) * self.steps[k]
@@ -348,8 +364,8 @@ class LatticeGrid(Grid):
         if not isinstance(group, IntegerLattice):
             raise InvalidElementError("LatticeGrid requires an IntegerLattice group")
         self.group = group
-        self.lo = np.broadcast_to(np.asarray(lo, dtype=int), (group.n,)).copy()
-        self.hi = np.broadcast_to(np.asarray(hi, dtype=int), (group.n,)).copy()
+        self.lo, self.hi = (_integral(bound, name, group.n)
+                            for bound, name in ((lo, "lo"), (hi, "hi")))
         if np.any(self.hi < self.lo):
             raise EmptyGridError("lattice window is empty")
         self.axes = tuple(
@@ -412,6 +428,7 @@ class AxbGrid(Grid):
         self.a_lo, self.a_hi, self.a_cells = float(a_lo), float(a_hi), int(a_cells)
         if any(c <= 0 for c in self.x_cells) or self.a_cells <= 0:
             raise EmptyGridError("grid needs at least one cell per axis")
+        _check_window(self.x_lo, self.x_hi, "x_lo", "x_hi")
         self.x_steps = (self.x_hi - self.x_lo) / np.array(self.x_cells)
         x_axes = tuple(
             self.x_lo[k] + (np.arange(self.x_cells[k]) + 0.5) * self.x_steps[k]

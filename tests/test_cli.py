@@ -132,6 +132,16 @@ def test_refine_below_one_is_a_usage_error(tmp_path, capsys):
     (["equivalence"], {"family": {"count": 0}}, "config.family.count"),
     (["norm"], {"component": {"type": "lpq", "q": "x"}}, "config.component.q"),
     (["axb", "discrete-norm"], {"q": "x"}, "config.q"),
+    (["norm"], {"group": {"n": 2}, "function": {"kind": "indicator", "lo": [0],
+                                                "hi": [1]}}, "config.function.lo"),
+    (["norm"], {"group": {"kind": "lattice"}, "grid": {"lo": -3.7, "hi": 3.7}},
+     "config.grid.lo"),
+    (["verify", "thm_conv_b"], {"grid": {"lo": 16, "hi": -16, "cells": 64}},
+     "config.grid: grid window is empty"),
+    (["norm"], {"group": {"n": 2}, "grid": {"cells": [16, 16, 16]}},
+     "config.grid.cells"),
+    (["norm"], {"group": {"n": 2}, "window": {"radius": [1, 1, 1]}},
+     "config.window.radius"),
 ])
 def test_bad_config_names_the_key(tmp_path, capsys, argv, config, key):
     """Bad values and unknown keys exit 1 with their key path, before any
@@ -278,6 +288,27 @@ def test_non_finite_report_exits_1_without_traceback(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert "results.verdict.c" in err and "Traceback" not in err
 
+
+
+@pytest.mark.parametrize("extra", [
+    {},
+    {"function": {"kind": "indicator", "lo": 0, "hi": 1}},
+    {"function": {"kind": "indicator", "lo": [0, 0], "hi": [1, 1]}},
+    {"window": {"lo": -0.5, "hi": 0.5}},
+    {"window": {"lo": [-0.5, -0.5], "hi": [0.5, 0.5]}},
+])
+def test_numbers_hold_on_every_axis_of_the_plane(tmp_path, extra):
+    """A number as an indicator or window bound holds on every axis."""
+    from wamalgam import cli
+
+    cfg = tmp_path / "plane.json"
+    cfg.write_text(json.dumps({"group": {"n": 2},
+                               "grid": {"lo": -4, "hi": 4, "cells": 16}, **extra}))
+    assert cli.main(["norm", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    # the indicator of [0, 1]^2 holds 2x2 cell midpoints at spacing 1/2; its
+    # control function for the box of radius 1/2 is 1 on the 4x4 midpoints
+    # within 1/2 of them, of area 1/4 each
+    assert load_report(tmp_path / "norm.json")["results"]["value"] == 4.0
 
 
 def test_equivalence_on_the_plane(tmp_path):

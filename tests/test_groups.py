@@ -106,6 +106,14 @@ def test_lattice_integrality_enforced():
         L.check_element(np.array([0.5]))
 
 
+def test_lattice_grid_rejects_fractional_bounds():
+    for lo, hi in ((-3.7, 3), (-3, 3.7), ([0, 0.5], 4)):
+        with pytest.raises(InvalidElementError, match="integral"):
+            LatticeGrid(IntegerLattice(2), lo, hi)
+    grid = LatticeGrid(IntegerLattice(1), -3.0, 3.0)
+    assert grid.lo.tolist() == [-3] and grid.shape == (7,)
+
+
 def test_dimension_mismatch():
     E = Euclidean(2)
     with pytest.raises(DimensionMismatchError):
@@ -139,6 +147,11 @@ def test_axb_haar_rectangle(axb):
 def test_empty_and_nonfinite_errors(euclid, z_grid):
     with pytest.raises(EmptyGridError):
         UniformGrid(euclid, 0, 1, 0)
+    for lo, hi in ((16, -16), (1, 1), ([0, 2], [1, 1])):
+        with pytest.raises(EmptyGridError, match="lo < hi"):
+            UniformGrid(Euclidean(2), lo, hi, 8)
+        with pytest.raises(EmptyGridError, match="x_lo < x_hi"):
+            AxbGrid(AxbGroup(2), lo, hi, 8, 0.5, 2.0, 4)
     F = SampledFunction.sample(z_grid, lambda i: np.zeros(np.shape(i)))
     F.values[0] = np.nan
     with pytest.raises(NonFiniteSampleError):
