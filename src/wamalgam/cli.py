@@ -96,6 +96,9 @@ def build_grid(cfg, group):
 
 
 def build_window(cfg, group):
+    if isinstance(group, AxbGroup) and isinstance(cfg.get("window", {}).get("radius"), list):
+        raise ConfigError("config.window.radius: the ax+b window's ball has one "
+                          "radius, expected a number, got a list")
     w = {key: _per_axis(value, group.n, f"window.{key}")
          for key, value in cfg.get("window", {}).items()}
     try:
@@ -166,6 +169,10 @@ def build_function(cfg, grid, seed, key="function"):
 
         return SampledFunction.sample(grid, fn)
     if kind == "sequence":
+        if len(grid.shape) != 1:
+            raise ConfigError(f"config.{key}.kind: a sequence samples R or Z with n = 1, "
+                              f"not config.group.kind {grid.group.kind!r} with n = "
+                              f"{grid.group.n}")
         return delta_comb(f.get("entries", {0: 1.0})).sample(grid)
     [spec] = build_family_on(f.get("family"), grid.group, 1, seed, f"{key}.family")
     if not isinstance(spec, FunctionSpec):

@@ -9,32 +9,46 @@ offsets, and the quadrature is the middle of the linear convolution of
 transform, real ones the real transform.
 
 The table is multilinear interpolation of G, built by one 2-tap pass
-per axis (``Grid.interpolate_along``). On R^n and Z^n there is one table.
-On ax+b, ``y^{-1} z`` scales the x offsets by ``1/a`` of the source's
-scale row but not the scale offsets, so the scale axis is tabulated once
-per convolution, on all ``2Na - 1`` offsets. Each row j of F's support
-then takes the ``Na`` columns its sources reach and interpolates them
-along x at its own scaled offsets.
+per axis (``Grid.interpolate_along``). Arrays are laid out scale axis
+first and x axes last, so each table is contiguous along the axes being
+transformed; R^n and Z^n have a scale axis of length 1 and one row. On
+ax+b, ``y^{-1} z`` scales the x offsets by ``1/a`` of the source's scale
+row but not the scale offsets, so the scale axis is tabulated once per
+convolution, on all ``2Na - 1`` offsets. Each row j of F's support then
+reads a window of ``Na`` of those columns and interpolates them along x
+at its own scaled offsets (``_row_tables``). A row touches only part of
+its window: the span from its first to its last column that is not all
+zero, and along x only the queries inside G's window. Everything else in
+its table is exactly zero, so leaving it out changes no bit, and a row
+whose window meets no nonzero column does no work at all. On the default
+``axb_relation`` families, where F and G share a grid, rows touch about
+70% of their window's columns and 40% of its x queries.
 
 The transform along x is linear, so the rows need not be inverted one by
 one: ``F w`` is transformed once for all its columns, each row adds the
 product of its source column's spectrum and its table's spectrum into
 one sum, and a single inverse transform of that sum gives the result.
-A convolution costs one forward transform per row (its table), one of
-``F w`` and one inverse. These transforms use the smallest length
-``2^a 3^b 5^c >= 2N - 1`` per axis: that is enough for the circular
-convolution not to wrap around, and numpy's FFT runs such lengths by
-radix-2, 3 and 5 passes, e.g. 160 points for an 80-point axis, not 256.
+All of it runs in one workspace per convolution: one zero-padded table
+buffer, which each row writes into and re-zeroes only where the previous
+row wrote, one spectrum buffer that the row's transform writes with
+``out=``, and the sum. A convolution costs one forward transform of
+``F w``, one inverse, and per row that reaches G one transform of as many
+table columns as it touches (``Na`` at most), with 2-tap passes over
+those columns at the x queries inside G's window. These transforms use
+the smallest length ``2^a 3^b 5^c >= 2N - 1`` per axis: that is enough
+for the circular convolution not to wrap around, and numpy's FFT runs
+such lengths by radix-2, 3 and 5 passes, e.g. 160 points for an 80-point
+axis, not 256.
 
 On the integer lattice the offsets are integers and ``K`` holds G's
 samples. When F and G are integer-valued the result is computed by
-``_exact_convolution`` at power-of-two lengths instead, because its error
-bound is the radix-2 one. The FFT result is rounded, but only after that
-bound, computed from the inputs, certifies that every entry is within 1/2
-of the exact sum; otherwise both factors are split into base-2^k digits
-small enough for the bound, and the rounded digit convolutions are
-summed. The result is exact whenever ``sum_y |F(y) G(y^{-1} z)| < 2^53``
-at every output point z.
+``_exact_convolution`` from the same table at power-of-two lengths
+instead, because its error bound is the radix-2 one. The FFT result is
+rounded, but only after that bound, computed from the inputs, certifies
+that every entry is within 1/2 of the exact sum; otherwise both factors
+are split into base-2^k digits small enough for the bound, and the
+rounded digit convolutions are summed. The result is exact whenever
+``sum_y |F(y) G(y^{-1} z)| < 2^53`` at every output point z.
 
 Embedding checks compare the target amalgam norm of F*G against the
 product of factor norms over a test family and track the empirical
@@ -43,6 +57,7 @@ constant under grid refinement.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -72,28 +87,34 @@ def convolve(F, G):
     if not isinstance(grid, LatticeGrid):
         cutoff *= max(1.0, np.abs(vals).max())
     fw = np.where(np.abs(vals) > cutoff, vals * grid.weights, 0.0)
+    # the scale axis first, one source row per scale (one row on R^n, Z^n)
+    axb = isinstance(grid, AxbGrid)
+    fw = np.moveaxis(fw, -1, 0) if axb else fw[None]
     # source i adds fw[i] times table entries [N - 1 - i, 2N - 1 - i) (see
-    # _offset_tables). Summed over i, that is entries [N - 1, 2N - 1) of
-    # the linear convolution fw * K along the x axes, which a circular one
-    # of length >= 2N - 1 holds without wrap-around.
-    xs = tuple(range(n))
-    keep = tuple(slice(N - 1, 2 * N - 1) for N in grid.shape[:n])
+    # _row_tables). Summed over i, that is entries [N - 1, 2N - 1) of the
+    # linear convolution fw * K along the x axes, which a circular one of
+    # length >= 2N - 1 holds without wrap-around.
+    xs = tuple(range(1, n + 1))
+    keep = (...,) + tuple(slice(N - 1, 2 * N - 1) for N in grid.shape[:n])
     if isinstance(grid, LatticeGrid) and _integral(fw) and _integral(G.values):
         # power-of-two lengths: the ones _fft_error_bound covers
-        size = [1 << int(2 * N - 2).bit_length() for N in grid.shape[:n]]
-        [(row, K)] = _offset_tables(grid, fw, G)
-        out = _exact_convolution(fw[row], K, xs, size)
+        size = [1 << int(2 * N - 2).bit_length() for N in grid.shape]
+        out = np.zeros([1] + size)
+        for _, _, K in _row_tables(grid, fw, G, size):  # at most one row
+            out = _exact_convolution(fw, K, xs, size)
     else:
-        out = _summed_spectra(grid, fw, G, xs)
-    result = SampledFunction(grid, out[keep].copy())
+        out = _row_convolution(grid, fw, G, xs)
+    out = np.moveaxis(out[keep], 0, -1) if axb else out[keep][0]
+    result = SampledFunction(grid, out.copy())
     _warn_truncation(result)
     return result
 
 
-def _summed_spectra(grid, fw, G, xs):
-    """Sum over the rows of ``_offset_tables`` of the circular convolutions
-    of ``fw[row]`` with their tables along ``xs``: one forward transform
-    of ``fw``, one of each table, and one inverse of the summed spectra.
+def _row_convolution(grid, fw, G, xs):
+    """Sum over the rows of ``_row_tables`` of the circular convolutions of
+    the row's column of ``fw`` (scale axis first) with its table along
+    ``xs``: one forward transform of ``fw``, one of each table, and one
+    inverse of the summed spectra, scale axis first.
 
     The lengths are the smallest 5-smooth ones of at least ``2N - 1``.
     """
@@ -104,12 +125,70 @@ def _summed_spectra(grid, fw, G, xs):
         fft, ifft = np.fft.rfftn, np.fft.irfftn
     FW = fft(fw, size, xs)
     spec = np.zeros_like(FW)
-    for row, K in _offset_tables(grid, fw, G):
-        term = fft(K, size, xs)
-        spec += np.multiply(FW[row], term, out=term)
+    term = np.empty_like(FW)
+    for j, cols, K in _row_tables(grid, fw, G, size):
+        rows = term[:len(K)]
+        spec[cols] += np.multiply(FW[j], fft(K, axes=xs, out=rows), out=rows)
     return ifft(spec, size, xs)
 
 
+def _row_tables(grid, fw, G, size):
+    """Yield ``(j, cols, K)`` for the scale rows j of ``fw`` (scale axis
+    first) that have support and reach G: ``K`` holds G's table for the
+    output columns ``cols``, scale axis first, zero-padded to ``size``
+    along the x axes. ``K`` is a view of one buffer that the next row
+    overwrites.
+
+    Every interpolation axis is uniform, so x_l - x_i = (l - i) h: entry k
+    of an axis' offsets is (k - N + 1) h. The table is multilinear
+    interpolation of G there, one 2-tap pass per axis. The scale axis is
+    read at the same offsets by every row, so it is interpolated once, on
+    all ``2Na - 1`` of them. R^n and Z^n have one row, reading the whole
+    table. On ax+b, y^{-1} z = ((z_x - y_x) / a_j, z_a / a_j): the sources
+    of scale row j read x offsets scaled by 1/a_j, and output column m
+    reads scale offset m - j, which is table column m + Na - 1 - j. So row
+    j's window is columns [Na - 1 - j, 2Na - 1 - j), interpolated along x
+    at ``offsets / a_j``, of which only the span of nonzero columns and the
+    x queries inside G's window are written (the rest is exactly zero).
+    """
+    n = grid.group.n
+    na = len(fw)
+    offsets = _offsets(grid)
+    if isinstance(grid, AxbGrid):
+        table = G.grid.interpolate_along(np.moveaxis(G.values, -1, 0), n, offsets[n], axis=0)
+        scales = grid.axes[-1]
+    else:
+        table, scales = G.values[None], np.ones(1)
+    cols = table.reshape(len(table), -1).any(axis=1).nonzero()[0]
+    # per x axis: each row's queries, and the range of them in G's window
+    queries = [d / scales[:, None] for d in offsets[:n]]
+    inside = [G.grid.window_range(k, q) for k, q in enumerate(queries)]
+    buf = np.zeros([na] + list(size), np.result_type(fw, table))
+    written = None
+    for j in fw.reshape(na, -1).any(axis=1).nonzero()[0]:
+        start = na - 1 - j
+        first, stop = cols.searchsorted((start, start + na))
+        box = [slice(a[j], b[j]) for a, b in inside]
+        if first == stop or any(s.start == s.stop for s in box):
+            continue
+        lo, hi = cols[first], cols[stop - 1] + 1
+        if written:
+            buf[written] = 0.0
+        written = (slice(0, hi - lo), *box)
+        block = table[lo:hi]
+        for k, (q, s) in enumerate(zip(queries, box)):
+            block = G.grid.interpolate_along(block, k, q[j, s], axis=k + 1,
+                                             out=buf[written] if k == n - 1 else None)
+        yield j, slice(lo - start, hi - start), buf[:hi - lo]
+
+
+def _offsets(grid):
+    """The whole-step offsets between points of ``grid``, per interpolation
+    axis."""
+    return [np.concatenate((ax[0] - ax[:0:-1], ax - ax[0])) for ax in grid.interp_axes]
+
+
+@functools.lru_cache(maxsize=256)
 def _smooth_length(n):
     """Smallest ``2^a 3^b 5^c >= n`` (n >= 1)."""
     best = 1 << (n - 1).bit_length()
@@ -124,41 +203,6 @@ def _smooth_length(n):
             odd *= 3
         odd5 *= 5
     return best
-
-
-def _offset_tables(grid, fw, G):
-    """Yield ``(row, K)``: the sources ``fw[row]`` and G's table ``K`` on
-    the whole-step offsets between points of ``grid``, as they read it.
-
-    Every interpolation axis is uniform, so x_l - x_i = (l - i) h: entry k
-    of an axis' offsets is (k - N + 1) h. The table is multilinear
-    interpolation of G there, one 2-tap pass per axis. The axes after x
-    (ax+b's scale axis) are read at the same offsets by every source, so
-    they are interpolated once. R^n and Z^n have one row, all of ``fw``,
-    reading the whole table. On ax+b, y^{-1} z = ((z_x - y_x) / a_j,
-    z_a / a_j): the sources of scale row j read x offsets scaled by 1/a_j,
-    and output column m reads a-offset m - j, so their table is columns
-    [Na - 1 - j, 2Na - 1 - j), interpolated along x at ``offsets / a_j``.
-    Rows without support are skipped.
-    """
-    n = grid.group.n
-    offsets = [np.concatenate((ax[0] - ax[:0:-1], ax - ax[0]))
-               for ax in grid.interp_axes]
-    table = G.values
-    for k in range(n, len(offsets)):
-        table = G.grid.interpolate_along(table, k, offsets[k])
-    # (sources, x-offset scale, table columns) per row
-    rows = [((...,), 1.0, ())]
-    if isinstance(grid, AxbGrid):
-        na = grid.shape[-1]
-        rows = [((..., slice(j, j + 1)), grid.axes[-1][j],
-                 (slice(na - 1 - j, 2 * na - 1 - j),))
-                for j in np.flatnonzero(np.any(fw, axis=tuple(range(n))))]
-    for row, scale, cols in rows:
-        K = table[(...,) + cols]
-        for k in range(n):
-            K = G.grid.interpolate_along(K, k, offsets[k] / scale)
-        yield row, K
 
 
 def _fft_convolve(a, b, axes, size):

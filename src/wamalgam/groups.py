@@ -212,10 +212,12 @@ class Grid:
 
     Two interpolators share ``_axis_locate``: ``interpolate`` evaluates at
     scattered group points (a 2^d-corner sum), and ``interpolate_along``
-    is one 2-tap pass along a single axis at 1-D queries. Multilinear
-    interpolation on a tensor of queries is that pass folded over the
-    axes, which is how convolution tabulates G on the offsets: on ax+b the
-    scale axis once per convolution, the x axes once per source scale row.
+    is one 2-tap pass along a single axis at 1-D queries, which may write
+    into a caller's buffer. Multilinear interpolation on a tensor of
+    queries is that pass folded over the axes, which is how convolution
+    tabulates G on the offsets: on ax+b the scale axis once per
+    convolution, the x axes once per source scale row, at the queries that
+    ``window_range`` finds inside the window.
 
     Grids compare by value: two grids are equal when they have the same
     type and the same ``metadata()``.
@@ -278,29 +280,49 @@ class Grid:
             out = out + w * values[tuple(gather)]
         return np.where(inside, out, 0.0)
 
-    def interpolate_along(self, values, k, q):
-        """Linear interpolation of ``values`` along axis ``k`` at the 1-D
-        interpolation coordinates ``q``; the other axes are kept as they
-        are. Queries outside the window along ``k`` give zero."""
+    def interpolate_along(self, values, k, q, axis, out=None):
+        """Linear interpolation of ``values`` along its axis ``axis``, which
+        holds this grid's axis ``k``, at the 1-D interpolation coordinates
+        ``q``; the other axes are kept as they are. Queries outside the
+        window along ``k`` give zero. The result is written to ``out`` when
+        it is given."""
+        values = np.asarray(values, dtype=np.result_type(values, 1.0))
         i0, frac, inside = _axis_locate(self.interp_axes[k], self.interp_steps[k], q)
-        i0, frac = i0[inside], frac[inside]
-        frac = frac.reshape((-1,) + (1,) * (values.ndim - 1 - k))
-        lo = np.take(values, i0, axis=k)
-        hi = np.take(values, np.minimum(i0 + 1, values.shape[k] - 1), axis=k)
-        shape = values.shape[:k] + (len(q),) + values.shape[k + 1:]
-        out = np.zeros(shape, dtype=np.result_type(values, 1.0))
-        out[(slice(None),) * k + (inside,)] = (1.0 - frac) * lo + frac * hi
+        frac = frac.reshape((-1,) + (1,) * (values.ndim - 1 - axis))
+        before = (slice(None),) * axis
+        lo = values[before + (i0,)]
+        hi = values[before + (np.minimum(i0 + 1, values.shape[axis] - 1),)]
+        if out is None:
+            out = np.empty(lo.shape, dtype=values.dtype)
+        np.multiply(1.0 - frac, lo, out=out)
+        out += np.multiply(frac, hi, out=hi)
+        if not inside.all():
+            out[before + (~inside,)] = 0.0
         return out
+
+    def window_range(self, k, q):
+        """``(start, stop)`` per leading index of ``q``, whose coordinates
+        increase along its last axis: the queries from ``start`` to ``stop``
+        are the ones in the window along axis ``k``, which
+        ``interpolate_along`` does not zero."""
+        t, lo, hi = _axis_cells(self.interp_axes[k], self.interp_steps[k], q)
+        return (t < lo).sum(axis=-1), (t <= hi).sum(axis=-1)
+
+
+def _axis_cells(axis, step, q):
+    """Queries in steps from the first midpoint, and the window's bounds in
+    the same unit: it extends half a cell beyond the first/last midpoints."""
+    return (q - axis[0]) / step, -0.5 - 1e-9, len(axis) - 0.5 + 1e-9
 
 
 def _axis_locate(axis, step, q):
     """Locate queries on a uniform axis: lower index, fraction, inside mask."""
     m = len(axis)
-    t = (q - axis[0]) / step
-    # the window extends half a cell beyond the first/last midpoints
-    inside = (t >= -0.5 - 1e-9) & (t <= m - 0.5 + 1e-9)
-    tc = np.clip(t, 0.0, m - 1.0)
-    i0 = np.clip(np.floor(tc).astype(int), 0, max(m - 2, 0))
+    t, lo, hi = _axis_cells(axis, step, q)
+    inside = (t >= lo) & (t <= hi)
+    # np.clip, as minimum and maximum without its per-call overhead
+    tc = np.minimum(np.maximum(t, 0.0), m - 1.0)
+    i0 = np.maximum(np.minimum(np.floor(tc).astype(int), max(m - 2, 0)), 0)
     frac = tc - i0
     return i0, frac, inside
 

@@ -142,6 +142,12 @@ def test_refine_below_one_is_a_usage_error(tmp_path, capsys):
      "config.grid.cells"),
     (["norm"], {"group": {"n": 2}, "window": {"radius": [1, 1, 1]}},
      "config.window.radius"),
+    (["norm"], {"group": {"kind": "axb"}, "grid": {"x_cells": 16, "a_cells": 8},
+                "function": {"kind": "sequence"}}, "config.function.kind"),
+    (["norm"], {"group": {"n": 2}, "grid": {"cells": 8},
+                "function": {"kind": "sequence"}}, "config.function.kind"),
+    (["norm"], {"group": {"kind": "axb"}, "grid": {"x_cells": 16, "a_cells": 8},
+                "window": {"radius": [0.5]}}, "config.window.radius"),
 ])
 def test_bad_config_names_the_key(tmp_path, capsys, argv, config, key):
     """Bad values and unknown keys exit 1 with their key path, before any

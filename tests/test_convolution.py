@@ -157,47 +157,67 @@ def _scale_rows(*rows):
     return factor
 
 
-# (F's grid, G's grid or None for F's, a factor applied to F or None). The
-# transforms run at the smallest 2^a 3^b 5^c >= 2N - 1 points per x axis:
-# 15 for 7 cells, 160 for 80, 162 for 81 and 90 for 45.
+# (F's grid, G's grid or None for F's, a factor applied to F or None, and
+# one applied to G or None). The transforms run at the smallest
+# 2^a 3^b 5^c >= 2N - 1 points per x axis: 15 for 7 cells, 160 for 80, 162
+# for 81 and 90 for 45. On _AXB1, G's scale table has nonzero columns 7-10
+# and 19-23 for G on rows 0-2 and 12-15 (F's rows 5-11 read both bands
+# with the gap between), and 20-23 for G on rows 13-15, which F's rows 11-15
+# do not reach. G on x in [1, 5] moves each row's x queries inside its
+# window with the row's scale, so no row may keep the previous one's table.
+_AXB2 = AxbGrid(AxbGroup(2), [-3, -3], [3, 3], [10, 12], 0.5, 2.0, 8)
 _POINT_REFERENCE_CASES = {
-    "R": (_R1, None, None),
-    "R, complex F": (_R1, None, _phase),
-    "R, G on [-5, 7]": (_R1, UniformGrid(Euclidean(1), -5, 7, 40), None),
-    "R, 7 cells": (UniformGrid(Euclidean(1), -4, 4, 7), None, None),
-    "R, 80 cells": (UniformGrid(Euclidean(1), -4, 4, 80), None, None),
-    "R, 81 cells": (UniformGrid(Euclidean(1), -4, 4, 81), None, None),
-    "R2": (UniformGrid(Euclidean(2), [-3, -3], [3, 3], [20, 24]), None, None),
-    "axb n=1": (_AXB1, None, None),
-    "axb n=1, complex F": (_AXB1, None, _phase),
+    "R": (_R1, None, None, None),
+    "R, complex F": (_R1, None, _phase, None),
+    "R, G on [-5, 7]": (_R1, UniformGrid(Euclidean(1), -5, 7, 40), None, None),
+    "R, 7 cells": (UniformGrid(Euclidean(1), -4, 4, 7), None, None, None),
+    "R, 80 cells": (UniformGrid(Euclidean(1), -4, 4, 80), None, None, None),
+    "R, 81 cells": (UniformGrid(Euclidean(1), -4, 4, 81), None, None, None),
+    "R2": (UniformGrid(Euclidean(2), [-3, -3], [3, 3], [20, 24]), None, None, None),
+    "axb n=1": (_AXB1, None, None, None),
+    "axb n=1, complex F": (_AXB1, None, _phase, None),
     "axb n=1, G on another window": (
-        _AXB1, AxbGrid(AxbGroup(1), -3, 5, 20, 0.5, 8.0, 12), None),
-    "axb n=1, F on scale rows 1, 2, 6 and 13": (_AXB1, None, _scale_rows(1, 2, 6, 13)),
-    "axb n=1, 80x48": (AxbGrid(AxbGroup(1), -4, 4, 80, 0.25, 4.0, 48), None, None),
-    "axb n=1, 45x27": (AxbGrid(AxbGroup(1), -4, 4, 45, 0.25, 4.0, 27), None, None),
-    "axb n=2": (AxbGrid(AxbGroup(2), [-3, -3], [3, 3], [10, 12], 0.5, 2.0, 8),
-                None, None),
+        _AXB1, AxbGrid(AxbGroup(1), -3, 5, 20, 0.5, 8.0, 12), None, None),
+    "axb n=1, F on scale rows 1, 2, 6 and 13": (
+        _AXB1, None, _scale_rows(1, 2, 6, 13), None),
+    "axb n=1, 80x48": (AxbGrid(AxbGroup(1), -4, 4, 80, 0.25, 4.0, 48), None, None, None),
+    "axb n=1, 45x27": (AxbGrid(AxbGroup(1), -4, 4, 45, 0.25, 4.0, 27), None, None, None),
+    "axb n=2": (_AXB2, None, None, None),
+    "axb n=1, G on x in [1, 5]": (
+        _AXB1, AxbGrid(AxbGroup(1), 1, 5, 16, 0.25, 4.0, 16), None, None),
+    "axb n=1, G on two scale bands": (
+        _AXB1, None, None, _scale_rows(0, 1, 2, 12, 13, 14, 15)),
+    "axb n=1, G out of some rows' reach": (_AXB1, None, None, _scale_rows(13, 14, 15)),
+    "axb n=1, F on the first and last scale rows": (_AXB1, None, _scale_rows(0, 15), None),
+    "axb n=1, complex G on two scale bands": (
+        _AXB1, None, None, lambda grid: _scale_rows(0, 1, 13, 14)(grid) * _phase(grid)),
+    "axb n=2, G out of some rows' reach": (_AXB2, None, None, _scale_rows(6, 7)),
+    "axb n=2, F and G on two scale bands": (
+        _AXB2, None, _scale_rows(0, 7), _scale_rows(0, 1, 6, 7)),
 }
 
 
 @pytest.mark.parametrize("case", list(_POINT_REFERENCE_CASES))
 def test_convolve_matches_point_reference(case):
     """Every output point of convolve equals the single-point quadrature."""
-    grid_f, grid_g, factor = _POINT_REFERENCE_CASES[case]
+    grid_f, grid_g, factor_f, factor_g = _POINT_REFERENCE_CASES[case]
     grid_g = grid_g or grid_f
     axb = isinstance(grid_f, AxbGrid)
     F = SampledFunction.sample(grid_f, _bump(0.5, axb))
-    if factor:
-        F = F * factor(grid_f)
+    if factor_f:
+        F = F * factor_f(grid_f)
     G = SampledFunction.sample(grid_g, _bump(-0.3, axb))
+    if factor_g:
+        G = G * factor_g(grid_g)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        out = convolve(F, G).values.ravel()
+        out = convolve(F, G).values
     ref = np.array([convolve_point(F, G, z) for z in grid_f.points()])
     peak = np.abs(ref).max()
     assert peak > 0
-    assert np.iscomplexobj(out) == np.iscomplexobj(F.values)
-    assert np.abs(out - ref).max() <= 1e-12 * peak
+    assert out.flags.c_contiguous
+    assert np.iscomplexobj(out) == (np.iscomplexobj(F.values) or np.iscomplexobj(G.values))
+    assert np.abs(out.ravel() - ref).max() <= 1e-12 * peak
 
 
 @pytest.mark.parametrize("complex_g", [False, True])
@@ -231,6 +251,35 @@ def test_one_inverse_transform_per_convolution(monkeypatch):
         warnings.simplefilter("ignore", TruncationWarning)
         convolve(F, F)
     assert len(calls) == 1
+
+
+def test_rows_out_of_reach_do_no_transform(monkeypatch):
+    """A convolution transforms at most one table per scale row of F's
+    support whose window meets a nonzero column of G's table on the scale
+    offsets, plus F w once. G on the top scale rows is out of reach of F's
+    top rows, which do no transform."""
+    calls = []
+    rfftn = np.fft.rfftn
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return rfftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", counted)
+    F = SampledFunction.sample(_AXB1, _bump(0.5, True))
+    G = SampledFunction.sample(_AXB1, _bump(-0.3, True)) * _scale_rows(13, 14, 15)(_AXB1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        convolve(F, G)
+    # G's table columns on the scale offsets, by scattered interpolation
+    na = _AXB1.shape[-1]
+    offsets = (np.arange(2 * na - 1) - (na - 1)) * _AXB1.interp_steps[-1]
+    pts = np.stack(np.meshgrid(_AXB1.axes[0], np.exp(offsets), indexing="ij"), axis=-1)
+    nonzero = np.flatnonzero(np.any(G.eval_at(pts), axis=0))
+    support = np.flatnonzero(np.any(F.values, axis=0))
+    reach = [j for j in support
+             if np.any((nonzero >= na - 1 - j) & (nonzero < 2 * na - 1 - j))]
+    assert 1 <= len(calls) - 1 <= len(reach) < len(support)
 
 
 def test_smooth_length_is_the_smallest_5_smooth_bound():

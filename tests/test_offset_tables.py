@@ -1,8 +1,10 @@
 """Convolution's offset tables against scattered interpolation.
 
 ``convolve`` tabulates G on the whole-step offsets between grid points by
-one 2-tap pass per axis; these tests rebuild each row's table from the
-group points it stands for, with the 2^d-corner ``Grid.interpolate``.
+one 2-tap pass per axis, scale axis first; these tests rebuild each row's
+table from the group points it stands for, with the 2^d-corner
+``Grid.interpolate``. A row tabulates only part of its window: the
+columns and x queries it leaves out must be exactly zero there.
 """
 
 import numpy as np
@@ -17,35 +19,67 @@ from wamalgam import (
     SampledFunction,
     UniformGrid,
 )
-from wamalgam.convolution import _offset_tables
+from wamalgam.convolution import _row_tables
 
 
-def _reference(grid, G, row):
-    """G at the meshed query points of one row's table, in group coordinates."""
+def _reference(grid, G, j):
+    """G at the meshed query points of scale row j's table window, in group
+    coordinates, scale axis first (a column axis of length 1 off ax+b)."""
     n = grid.group.n
     offsets = [(np.arange(2 * N - 1) - (N - 1)) * h
                for N, h in zip(grid.shape, grid.interp_steps)]
-    if isinstance(grid, AxbGrid):
-        j = row[-1].start
-        na = grid.shape[-1]
-        a_j = grid.axes[-1][j]
-        queries = [d / a_j for d in offsets[:n]]
-        queries.append(np.exp(offsets[n][na - 1 - j:2 * na - 1 - j]))
-    else:
-        assert row == (...,)
-        queries = offsets
-    pts = np.stack(np.meshgrid(*queries, indexing="ij"), axis=-1)
-    return G.grid.interpolate(G.values, pts)
+    if not isinstance(grid, AxbGrid):
+        assert j == 0
+        return G.grid.interpolate(G.values, _mesh(offsets))[None]
+    na = grid.shape[-1]
+    a_j = grid.axes[-1][j]
+    queries = [d / a_j for d in offsets[:n]]
+    queries.append(np.exp(offsets[n][na - 1 - j:2 * na - 1 - j]))
+    return np.moveaxis(G.grid.interpolate(G.values, _mesh(queries)), -1, 0)
+
+
+def _mesh(queries):
+    return np.stack(np.meshgrid(*queries, indexing="ij"), axis=-1)
+
+
+def _sources(grid):
+    """A source on every point of ``grid``, scale axis first."""
+    fw = np.ones(grid.shape)
+    return np.moveaxis(fw, -1, 0) if isinstance(grid, AxbGrid) else fw[None]
 
 
 def _tables(F_grid, G_grid, seed, complex_g=False):
+    """G and the rows of ``_row_tables`` with a source on every point, as
+    ``{j: (cols, K)}``, each table copied out of the shared buffer, which
+    holds exactly the ``2N - 1`` offsets per x axis."""
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(G_grid.shape)
     if complex_g:
         values = values + 1j * rng.standard_normal(G_grid.shape)
     G = SampledFunction(G_grid, values)
-    fw = np.ones(F_grid.shape)
-    return G, list(_offset_tables(F_grid, fw, G))
+    n = F_grid.group.n
+    size = [2 * N - 1 for N in F_grid.shape[:n]]
+    return G, {j: (cols, K.copy())
+               for j, cols, K in _row_tables(F_grid, _sources(F_grid), G, size)}
+
+
+def _check_rows(F_grid, G, tables):
+    """Every row's table equals the reference on its columns to 1e-13 of
+    its peak, and the reference is exactly zero on the columns it skips."""
+    na = F_grid.shape[-1] if isinstance(F_grid, AxbGrid) else 1
+    for j in range(na):
+        want = _reference(F_grid, G, j)
+        if j not in tables:
+            assert not np.any(want), j
+            continue
+        cols, K = tables[j]
+        skipped = np.ones(len(want), dtype=bool)
+        skipped[cols] = False
+        assert not np.any(want[skipped]), j
+        want = want[cols]
+        assert K.shape == want.shape
+        assert np.iscomplexobj(K) == np.iscomplexobj(G.values)
+        assert np.abs(K - want).max() <= 1e-13 * np.abs(want).max()
 
 
 E1, E2 = Euclidean(1), Euclidean(2)
@@ -84,17 +118,15 @@ def test_table_matches_scattered_interpolation(case):
     G, tables = _tables(F_grid, G_grid, seed=len(case))
     expected_rows = F_grid.shape[-1] if isinstance(F_grid, AxbGrid) else 1
     assert len(tables) == expected_rows
-    for row, K in tables:
-        want = _reference(F_grid, G, row)
-        assert K.shape == want.shape
-        assert np.abs(K - want).max() <= 1e-13 * np.abs(want).max()
+    _check_rows(F_grid, G, tables)
 
 
 def test_table_reaches_past_the_window_and_its_edge():
     """The edge cases above are live: some queries sit on G's half-cell
     edge (nonzero there) and some beyond it (exactly zero)."""
     F_grid, G_grid = FLOAT_CASES["R, G window edge on offsets"]
-    G, [(_, K)] = _tables(F_grid, G_grid, seed=3)
+    G, tables = _tables(F_grid, G_grid, seed=3)
+    [K] = tables[0][1]
     offsets = (np.arange(31) - 15) * 0.5
     assert K[offsets == 3.0] == G.values[-1] and K[offsets == -3.0] == G.values[0]
     assert np.all(K[np.abs(offsets) > 3.0] == 0.0)
@@ -103,18 +135,15 @@ def test_table_reaches_past_the_window_and_its_edge():
 def test_complex_table_matches_scattered_interpolation():
     F_grid, G_grid = FLOAT_CASES["axb n=1, G on another grid"]
     G, tables = _tables(F_grid, G_grid, seed=5, complex_g=True)
-    for row, K in tables:
-        want = _reference(F_grid, G, row)
-        assert np.iscomplexobj(K)
-        assert np.abs(K - want).max() <= 1e-13 * np.abs(want).max()
+    _check_rows(F_grid, G, tables)
 
 
 def test_rows_without_support_are_skipped():
     F_grid, G_grid = FLOAT_CASES["axb n=1"]
+    fw = np.zeros(F_grid.shape[::-1])
+    fw[2, 3] = fw[5, 7] = 1.0
     G = SampledFunction(G_grid, np.ones(G_grid.shape))
-    fw = np.zeros(F_grid.shape)
-    fw[3, 2] = fw[7, 5] = 1.0
-    rows = [row[-1].start for row, _ in _offset_tables(F_grid, fw, G)]
+    rows = [j for j, _, _ in _row_tables(F_grid, fw, G, [31])]
     assert rows == [2, 5]
 
 
@@ -127,6 +156,7 @@ def test_lattice_table_is_exact(n):
     G_grid = LatticeGrid(group, [-4] + [-3] * (n - 1), [3] + [4] * (n - 1))
     rng = np.random.default_rng(11)
     G = SampledFunction(G_grid, rng.integers(-2**40, 2**40, G_grid.shape).astype(float))
-    [(row, K)] = list(_offset_tables(F_grid, np.ones(F_grid.shape), G))
-    assert np.array_equal(K, _reference(F_grid, G, row))
+    [(j, cols, K)] = list(_row_tables(F_grid, _sources(F_grid), G, [23] * n))
+    assert j == 0 and cols == slice(0, 1)
+    assert np.array_equal(K, _reference(F_grid, G, j))
     assert np.count_nonzero(K) == G_grid.size
