@@ -40,15 +40,20 @@ for the circular convolution not to wrap around, and numpy's FFT runs
 such lengths by radix-2, 3 and 5 passes, e.g. 160 points for an 80-point
 axis, not 256.
 
-On the integer lattice the offsets are integers and ``K`` holds G's
-samples. When F and G are integer-valued the result is computed by
-``_exact_convolution`` from the same table at power-of-two lengths
-instead, because its error bound is the radix-2 one. The FFT result is
-rounded, but only after that bound, computed from the inputs, certifies
-that every entry is within 1/2 of the exact sum; otherwise both factors
-are split into base-2^k digits small enough for the bound, and the
-rounded digit convolutions are summed. The result is exact whenever
-``sum_y |F(y) G(y^{-1} z)| < 2^53`` at every output point z.
+On the integer lattice the offsets are integers and ``K`` would hold
+just G's samples. When F and G are integer-valued no table is built:
+``_lattice_convolution`` convolves the support box of ``F w`` directly
+with the support box of the part of G that can reach F's window, and
+writes the entries that land in F's window. The lengths are powers of
+two, because ``_exact_convolution``'s error bound is the radix-2 one: per
+axis the smallest at which no entry that lands in F's window wraps
+around, so at most the one of ``2N - 1`` and 4096, not 8192, for supports
+of 1999 points on a window of 4001. The FFT result is rounded, but only
+after that bound, computed from the inputs, certifies that every entry
+is within 1/2 of the exact sum; otherwise both factors are split into
+base-2^k digits small enough for the bound, and the rounded digit
+convolutions are summed. The result is exact whenever ``sum_y |F(y)
+G(y^{-1} z)| < 2^53`` at every output point z.
 
 Embedding checks compare the target amalgam norm of F*G against the
 product of factor norms over a test family and track the empirical
@@ -87,25 +92,21 @@ def convolve(F, G):
     if not isinstance(grid, LatticeGrid):
         cutoff *= max(1.0, np.abs(vals).max())
     fw = np.where(np.abs(vals) > cutoff, vals * grid.weights, 0.0)
-    # the scale axis first, one source row per scale (one row on R^n, Z^n)
-    axb = isinstance(grid, AxbGrid)
-    fw = np.moveaxis(fw, -1, 0) if axb else fw[None]
-    # source i adds fw[i] times table entries [N - 1 - i, 2N - 1 - i) (see
-    # _row_tables). Summed over i, that is entries [N - 1, 2N - 1) of the
-    # linear convolution fw * K along the x axes, which a circular one of
-    # length >= 2N - 1 holds without wrap-around.
-    xs = tuple(range(1, n + 1))
-    keep = (...,) + tuple(slice(N - 1, 2 * N - 1) for N in grid.shape[:n])
     if isinstance(grid, LatticeGrid) and _integral(fw) and _integral(G.values):
-        # power-of-two lengths: the ones _fft_error_bound covers
-        size = [1 << int(2 * N - 2).bit_length() for N in grid.shape]
-        out = np.zeros([1] + size)
-        for _, _, K in _row_tables(grid, fw, G, size):  # at most one row
-            out = _exact_convolution(fw, K, xs, size)
+        out = _lattice_convolution(fw, G)
     else:
-        out = _row_convolution(grid, fw, G, xs)
-    out = np.moveaxis(out[keep], 0, -1) if axb else out[keep][0]
-    result = SampledFunction(grid, out.copy())
+        # the scale axis first, one source row per scale (one row on R^n, Z^n)
+        axb = isinstance(grid, AxbGrid)
+        fw = np.moveaxis(fw, -1, 0) if axb else fw[None]
+        # source i adds fw[i] times table entries [N - 1 - i, 2N - 1 - i) (see
+        # _row_tables). Summed over i, that is entries [N - 1, 2N - 1) of the
+        # linear convolution fw * K along the x axes, which a circular one of
+        # length >= 2N - 1 holds without wrap-around.
+        xs = tuple(range(1, n + 1))
+        keep = (...,) + tuple(slice(N - 1, 2 * N - 1) for N in grid.shape[:n])
+        out = _row_convolution(grid, fw, G, xs)[keep]
+        out = (np.moveaxis(out, 0, -1) if axb else out[0]).copy()
+    result = SampledFunction(grid, out)
     _warn_truncation(result)
     return result
 
@@ -188,6 +189,55 @@ def _offsets(grid):
     return [np.concatenate((ax[0] - ax[:0:-1], ax - ax[0])) for ax in grid.interp_axes]
 
 
+def _lattice_convolution(fw, G):
+    """Exact convolution on Z^n of integer-valued ``fw`` with G's integer
+    samples, on fw's window.
+
+    Only the support box of ``fw`` and the support box of the part of G
+    that reaches fw's window from it are convolved. Entry m of their linear
+    convolution is the sum at fw index ``f0 + g0 + G.lo + m``, with f0 and
+    g0 the boxes' lower corners as indices of their own windows. Per axis
+    the length is the smallest power of two at which no entry that lands in
+    fw's window wraps around; it is at most the one of ``2N - 1``.
+    """
+    out = np.zeros(fw.shape)
+    fbox = _support_box(fw)
+    if fbox is None:
+        return out
+    # G index g reaches fw's window when 0 <= f + G.lo + g < N for some f in the box
+    g_lo = G.grid.lo.tolist()
+    reach = tuple(slice(max(0, 1 - f.stop - lo), max(0, N - f.start - lo))
+                  for f, lo, N in zip(fbox, g_lo, fw.shape))
+    near = G.values[reach]
+    gbox = _support_box(near)
+    if gbox is None:
+        return out
+    size, take, put = [], [], []
+    for f, r, g, lo, N in zip(fbox, reach, gbox, g_lo, fw.shape):
+        na, nb = f.stop - f.start, g.stop - g.start
+        shift = f.start + r.start + g.start + lo
+        first, stop = max(0, -shift), min(na + nb - 1, N - shift)
+        # the boxes fit, and entries [first, stop) do not wrap around
+        size.append(1 << (max(na, nb, stop, na + nb - 1 - first) - 1).bit_length())
+        take.append(slice(first, stop))
+        put.append(slice(shift + first, shift + stop))
+    conv = _exact_convolution(fw[fbox], near[gbox], tuple(range(fw.ndim)), size)
+    out[tuple(put)] = conv[tuple(take)]
+    return out
+
+
+def _support_box(a):
+    """Per axis, the slice from the first to the last index at which ``a``
+    is nonzero; None when ``a`` is all zero."""
+    box = []
+    for k in range(a.ndim):
+        nonzero = np.flatnonzero(a.any(axis=tuple(j for j in range(a.ndim) if j != k)))
+        if not nonzero.size:
+            return None
+        box.append(slice(int(nonzero[0]), int(nonzero[-1]) + 1))
+    return tuple(box)
+
+
 @functools.lru_cache(maxsize=256)
 def _smooth_length(n):
     """Smallest ``2^a 3^b 5^c >= n`` (n >= 1)."""
@@ -213,7 +263,11 @@ def _fft_convolve(a, b, axes, size):
 
 def _integral(a):
     """True when every entry is a finite real integer."""
-    return not np.iscomplexobj(a) and bool(np.all(np.mod(a, 1.0) == 0))
+    if np.iscomplexobj(a):
+        return False
+    a = np.asarray(a, dtype=float)  # bool arrays have no subtraction
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is nonzero
+        return not (a - np.trunc(a)).any()
 
 
 def _fft_error_bound(a, b, size):

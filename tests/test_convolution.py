@@ -34,8 +34,15 @@ from wamalgam import (
     translate,
     verify_embedding,
 )
-from wamalgam.convolution import _exact_convolution, _fft_error_bound, _smooth_length
+from wamalgam.convolution import (
+    _exact_convolution,
+    _fft_error_bound,
+    _integral,
+    _smooth_length,
+    _truncation_ratio,
+)
 from wamalgam.errors import InvalidExponentError, TruncationWarning
+from wamalgam.groups import Grid
 from wamalgam.families import axb_bump_sum, gaussian_bump_sum, lattice_sequence
 from wamalgam.relations import exhaustive_lp_algebra
 
@@ -329,6 +336,147 @@ def test_z2_convolution_exact_beyond_one_certified_fft():
     ref = np.array([convolve_point(F, G, z) for z in grid_f.points()])
     assert not np.any(ref.imag)
     assert np.array_equal(out, ref.real)
+
+
+@pytest.mark.parametrize("a, integral", [
+    (np.array([1.0, np.nan]), False),
+    (np.array([np.inf, 2.0]), False),
+    (np.array([-np.inf]), False),
+    (np.array([1.0 + 0j, 2.0]), False),
+    (np.array([3.0, 0.5]), False),
+    (np.array([2.0 ** 60, -2.0 ** 60]), True),
+    (np.array([-0.0, 7.0]), True),
+    (np.zeros((3, 4)), True),
+])
+def test_integral_meaning(a, integral):
+    """Only finite real integers are integral, and no RuntimeWarning
+    escapes for NaN or inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _integral(a) is integral
+
+
+def test_integral_matches_mod_on_random_arrays():
+    rng = generator(97)
+    for _ in range(200):
+        a = rng.integers(-2**40, 2**40, rng.integers(1, 50)).astype(float)
+        fractions = rng.random(a.size) < rng.choice([0.0, 0.02, 0.5])
+        a[fractions] += rng.random(np.count_nonzero(fractions))
+        assert _integral(a) == bool(np.all(np.mod(a, 1.0) == 0))
+
+
+def _pairwise_lattice_sum(F, G):
+    """F*G on F's window by an int64 sum over pairs of nonzero samples."""
+    out = np.zeros(F.grid.shape, dtype=np.int64)
+    f_idx = np.argwhere(F.values != 0)
+    g_idx = np.argwhere(G.values != 0)
+    for i in f_idx:
+        for j in g_idx:
+            k = i + j + G.grid.lo
+            if np.all((k >= 0) & (k < F.grid.shape)):
+                out[tuple(k)] += int(F.values[tuple(i)]) * int(G.values[tuple(j)])
+    return out
+
+
+def _lattice_case(case, n):
+    """(F, G) on Z^n for one support-box case."""
+    rng = generator(98 + n)
+    group = IntegerLattice(n)
+    grid_f = LatticeGrid(group, [-9] * n, [8] * n)
+    grid_g = LatticeGrid(group, [-4] * n, [13 - n] * n)
+    f = rng.integers(-2**20, 2**20 + 1, grid_f.shape) * (rng.random(grid_f.shape) < 0.5)
+    g = rng.integers(-2**20, 2**20 + 1, grid_g.shape) * (rng.random(grid_g.shape) < 0.5)
+    inner = (slice(6, 12),) * n
+    if case == "windows":  # inner supports, no mass near F's edge
+        f = np.where(_box_mask(grid_f.shape, inner), f, 0)
+        g = np.where(_box_mask(grid_g.shape, (slice(2, 6),) * n), g, 0)
+    elif case == "edges":  # both supports touch both ends of their windows
+        for x in (f, g):
+            x[(0,) * n], x[(-1,) * n] = 3, -5
+    elif case == "zero F":
+        f = np.zeros_like(f)
+    elif case == "zero G":
+        g = np.zeros_like(g)
+    elif case == "out of reach":  # offsets >= 20 along axis 0 leave [-9, 8]
+        grid_g = LatticeGrid(group, [20] + [-4] * (n - 1), [24] + [4] * (n - 1))
+        g = rng.integers(1, 2**20, grid_g.shape)
+    elif case == "spill":
+        f = np.where(_box_mask(grid_f.shape, inner), f, 0)
+    return (SampledFunction(grid_f, f.astype(float)),
+            SampledFunction(grid_g, g.astype(float)))
+
+
+def _box_mask(shape, box):
+    mask = np.zeros(shape, dtype=bool)
+    mask[box] = True
+    return mask
+
+
+def _record_calls(monkeypatch):
+    """Record the lengths of every rfftn and every interpolate_along call."""
+    lengths, interpolations = [], []
+    rfftn, interpolate_along = np.fft.rfftn, Grid.interpolate_along
+
+    def counted_rfftn(a, s=None, axes=None, *args, **kwargs):
+        lengths.append(tuple(s if s is not None else np.shape(a)))
+        return rfftn(a, s, axes, *args, **kwargs)
+
+    def counted_interpolate_along(self, *args, **kwargs):
+        interpolations.append(self)
+        return interpolate_along(self, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", counted_rfftn)
+    monkeypatch.setattr(Grid, "interpolate_along", counted_interpolate_along)
+    return lengths, interpolations
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("case", ["windows", "edges", "zero F", "zero G",
+                                  "out of reach", "spill"])
+def test_lattice_support_boxes_match_pairwise_sum(monkeypatch, case, n):
+    """Integral factors on Z^n are convolved on their support boxes: the
+    result is the exact pairwise sum, no offset table is interpolated, no
+    transform is longer than the power of two >= 2N - 1 of F's window, and
+    a factor that is zero or out of reach runs no transform at all."""
+    F, G = _lattice_case(case, n)
+    want = _pairwise_lattice_sum(F, G)
+    lengths, interpolations = _record_calls(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        out = convolve(F, G).values
+    assert np.array_equal(out, want)
+    assert not interpolations
+    today = [1 << (2 * N - 2).bit_length() for N in F.grid.shape]
+    assert all(np.all(np.array(L) <= today) for L in lengths)
+    if case in ("zero F", "zero G", "out of reach"):
+        assert not lengths and not np.any(out)
+    if case == "spill":
+        ratio = _truncation_ratio(SampledFunction(F.grid, want.astype(float)))
+        assert ratio > 1e-8
+        [warning] = caught
+        assert f"edge/peak = {ratio:.2e}" in str(warning.message)
+    if case == "windows":
+        assert not caught
+
+
+def test_lattice_transform_length_follows_the_supports(monkeypatch):
+    """On [-2000, 2000] with supports in [-999, 999] every transform has
+    length 4096, not the 8192 that the window's 2N - 1 = 8001 needs."""
+    grid = LatticeGrid(IntegerLattice(1), -2000, 2000)
+    rng = generator(99)
+    inner = np.abs(grid.axes[0]) <= 999
+    pairs = []
+    for density in (0.01, 0.3, 1.0):
+        f, g = (np.where(inner & (rng.random(grid.shape) < density),
+                         rng.integers(-1000, 1001, grid.shape), 0).astype(float)
+                for _ in range(2))
+        f[[1001, 2999]] = g[[1001, 2999]] = 1.0  # the supports span [-999, 999]
+        pairs.append((SampledFunction(grid, f), SampledFunction(grid, g)))
+    lengths, interpolations = _record_calls(monkeypatch)
+    for F, G in pairs:
+        convolve(F, G)
+    assert lengths and set(lengths) == {(4096,)}
+    assert not interpolations
 
 
 def test_truncation_warning_fires(euclid):
