@@ -464,7 +464,10 @@ class OperatorNormBound:
     ``lower`` is a max ratio over a finite test family (always a valid
     lower bound); ``upper`` is the sequence-space route times the recorded
     discrete-equivalence bracket, an upper certificate only up to that
-    empirical bracket.
+    empirical bracket. ``cells_scanned`` counts the cells the sequence
+    route scanned, those that neither the window nor its translate clips;
+    at 0 it found no ratio, so ``sequence_ratio`` is 0 and ``upper`` is
+    inf.
     """
 
     lower: float
@@ -473,6 +476,7 @@ class OperatorNormBound:
     bracket: float
     direction: str
     g: tuple
+    cells_scanned: int
 
     def as_record(self):
         return {
@@ -482,6 +486,7 @@ class OperatorNormBound:
             "bracket": self.bracket,
             "direction": self.direction,
             "g": list(self.g),
+            "cells_scanned": self.cells_scanned,
         }
 
 
@@ -523,6 +528,9 @@ def estimate_translation_operator_norm(space, g, direction, *, grid,
     direction = _normalize_direction(direction)
     if not test_family and well_spread is None:
         raise EmptyGridError("estimator needs a test family or a well-spread set")
+    if not isinstance(coeff_count, (int, np.integer)) or coeff_count < 0:
+        raise InvalidElementError(
+            f"coeff_count must be a nonnegative integer, got {coeff_count!r}")
     group = grid.group
     g = group.check_element(np.asarray(g, dtype=float))
 
@@ -539,6 +547,7 @@ def estimate_translation_operator_norm(space, g, direction, *, grid,
         lower = max(lower, shifted / base)
 
     ratio = 0.0
+    scanned = 0
     if well_spread is not None:
         rng = np.random.default_rng(0) if rng is None else rng
         modular_factor = 1.0
@@ -565,6 +574,7 @@ def estimate_translation_operator_norm(space, g, direction, *, grid,
         # whole-space norms do not have; scan interior coefficients only
         ok = _unclipped_cells(base_X, base_U, grid) & _unclipped_cells(
             moved_X, moved_U, grid)
+        scanned = int(np.count_nonzero(ok))
         vectors = [np.abs(rng.standard_normal(len(well_spread))) * ok
                    for _ in range(coeff_count)]
         # one-hot vectors extremize per-cell ratios for solid norms
@@ -585,4 +595,5 @@ def estimate_translation_operator_norm(space, g, direction, *, grid,
     return OperatorNormBound(lower=lower, upper=float(upper),
                              sequence_ratio=float(ratio),
                              bracket=float(bracket_constant),
-                             direction=direction, g=tuple(g.tolist()))
+                             direction=direction, g=tuple(g.tolist()),
+                             cells_scanned=scanned)

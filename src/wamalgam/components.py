@@ -220,11 +220,15 @@ def _guarded(value, guard):
     return float(value)
 
 
-def _weighted_lp_norm(component, F, guard):
-    if component.group is not None and F.grid.group != component.group:
+def _check_group(component, grid):
+    if component.group is not None and grid.group != component.group:
         raise GroupMismatchError(
-            f"function on {F.grid.group} fed to component over {component.group}"
+            f"function on {grid.group} fed to component over {component.group}"
         )
+
+
+def _weighted_lp_norm(component, F, guard):
+    _check_group(component, F.grid)
     absF = np.abs(F.values)
     if component.weight is not None:
         absF = absF * component.weight.on_grid(F.grid)
@@ -482,6 +486,17 @@ def _octave_growth(weight, centers, radii, cells_per_radius,
 # Discrete sequence spaces Y_d
 
 
+def _coefficient_array(coefficients, X):
+    """``coefficients`` as an array, which must be 1-D with one entry per point."""
+    coefficients = np.asarray(coefficients)
+    if coefficients.shape != (len(X.points),):
+        raise IndexMismatchError(
+            f"coefficients of shape {coefficients.shape} for {len(X.points)} "
+            f"points: need one coefficient per point, as a 1-D array"
+        )
+    return coefficients
+
+
 @dataclass
 class DiscreteSequence:
     """Coefficients over a well-spread set, normed through the component.
@@ -496,30 +511,49 @@ class DiscreteSequence:
     window: object
 
     def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients)
-        if self.coefficients.shape[0] != len(self.well_spread.points):
-            raise IndexMismatchError(
-                f"{self.coefficients.shape[0]} coefficients for "
-                f"{len(self.well_spread.points)} points"
-            )
+        self.coefficients = _coefficient_array(self.coefficients, self.well_spread)
 
 
 def assemble_step_function(X, window, coefficients, grid):
     """Step function ``sum_i |c_i| chi_{x_i . window}`` sampled on the grid."""
-    coefficients = np.asarray(coefficients)
-    if coefficients.shape[0] != len(X.points):
-        raise IndexMismatchError("coefficient count does not match the point set")
+    coefficients = _coefficient_array(coefficients, X)
     out = X.cell_masks(window, grid).scatter(np.abs(coefficients))
     return SampledFunction(grid, out.reshape(grid.shape))
 
 
 def sequence_norm(seq, grid=None, overflow_guard=DEFAULT_OVERFLOW_GUARD):
-    """Y_d quasi-norm of a coefficient sequence."""
+    """Y_d quasi-norm of a coefficient sequence.
+
+    The step function ``s = sum_i |c_i| chi_{x_i . window}`` is constant on
+    the atoms of the cover (``CellOperator.atoms``). For ``WeightedLp`` the
+    norm is taken on the atoms, as ``(sum_a s_a^p m_a)^(1/p)`` with
+    ``m_a = sum_{x in a} w(x)^p mu(x)``, and as ``max_a s_a max_{x in a} w(x)``
+    at p = inf. The atoms keep ``m_a`` per p and weight array, so a call
+    costs O(atoms + atoms per row), not O(grid), and agrees with the norm
+    of the step function on the grid up to rounding (exactly at p = inf).
+    ``MixedLpq`` takes its norm of the step function on the grid.
+    """
     if grid is None:
         grid = seq.well_spread.grid
     if grid is None:
         raise IndexMismatchError(
             "sequence norm needs a grid: pass one or attach it to the point set"
         )
-    step = assemble_step_function(seq.well_spread, seq.window, seq.coefficients, grid)
-    return quasi_norm(seq.component, step, overflow_guard)
+    component = seq.component
+    if isinstance(component, MixedLpq):
+        step = assemble_step_function(seq.well_spread, seq.window,
+                                      seq.coefficients, grid)
+        return quasi_norm(component, step, overflow_guard)
+    _check_group(component, grid)
+    atoms = seq.well_spread.cell_masks(seq.window, grid).atoms
+    values = atoms.sums(np.abs(seq.coefficients))
+    if np.isnan(values).any():
+        raise NonFiniteSampleError("samples contain NaN")
+    weight = component.weight.on_grid(grid) if component.weight is not None else None
+    p = component.p
+    mass = atoms.measure(p, weight, grid.weights)
+    if p == math.inf:
+        return _guarded(np.max(values * mass, initial=0.0), overflow_guard)
+    with np.errstate(over="ignore"):
+        total = np.sum(values**p * mass)
+        return _guarded(total ** (1.0 / p), overflow_guard)

@@ -14,9 +14,12 @@ axes, which ``window.axis_masks`` reports: boxes and their right
 translates on R^n and Z^n, and the affine windows at n = 1. There the
 comparisons of ``contains`` run on the 1-D axis arrays and the row is the
 flat index set of their product, bit-identical to ``contains`` on all grid
-points; ax+b windows with n >= 2 test every grid point. Step functions are
-one ``np.bincount`` of the rows, local norms a ``reduceat`` over one gather,
-and a BUPU keeps its members in the same form (with values).
+points; ax+b windows with n >= 2 test every grid point. Local norms are a
+``reduceat`` over one gather, and a BUPU keeps its members in the same form
+(with values). Step functions ``sum_i c_i chi_{x_i . window}`` are constant
+on the atoms of the cover, the sets of grid points covered by the same
+rows; the operator builds its ``AtomPartition`` once, on first use, and a
+step function is one ``np.bincount`` over the atoms the rows cover.
 ``verify_bupu`` stays an independent per-point check.
 """
 
@@ -40,7 +43,10 @@ class CellOperator:
 
     Row i is ``indices[indptr[i]:indptr[i+1]]``, sorted flat grid indices;
     ``values`` holds the row entries' values (a BUPU's members) or is None
-    for a 0/1 membership operator. Iterating yields the rows.
+    for a 0/1 membership operator. Iterating yields the rows. ``atoms``,
+    built on first use, groups the grid points by the rows covering them;
+    step functions of the rows (``scatter``, ``sequence_norm``) are
+    computed per atom, and the atoms keep their per-p measures.
     """
 
     indptr: np.ndarray
@@ -71,6 +77,14 @@ class CellOperator:
     def counts(self):
         return np.diff(self.indptr)
 
+    @cached_property
+    def atoms(self):
+        """The atoms of the cover: grid points grouped by their covering rows.
+
+        Built once per operator, on first use, by ``_atom_partition``.
+        """
+        return _atom_partition(self)
+
     def reduce(self, ufunc, entries):
         """Per-row ``ufunc.reduceat`` of per-entry values; empty rows give 0."""
         out = np.zeros(len(self), dtype=entries.dtype)
@@ -80,17 +94,90 @@ class CellOperator:
         return out
 
     def scatter(self, coefficients):
-        """Flat ``sum_i c_i chi_{row i}`` over the grid, skipping rows with c_i = 0.
+        """Flat ``sum_i c_i chi_{row i}`` over the grid: per-atom sums, gathered."""
+        atoms = self.atoms
+        return atoms.sums(coefficients)[atoms.labels]
 
-        ``np.bincount`` adds in entry order, so every grid point sums its
-        rows in row order.
+
+@dataclass(eq=False)
+class AtomPartition:
+    """Grid points grouped by the set of rows of a ``CellOperator`` covering them.
+
+    ``labels[x]`` is the atom of grid point x; the points no row covers form
+    one atom of their own. Atom ``a`` lies inside row i or misses it, and
+    the atoms row i covers are ``indices[indptr[i]:indptr[i+1]]`` (CSR). A
+    step function ``sum_i c_i chi_{row i}`` is constant on every atom.
+    """
+
+    labels: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    count: int
+    _measures: dict = field(default_factory=dict, repr=False)
+
+    def sums(self, coefficients):
+        """Per-atom ``sum_i c_i`` over the rows covering the atom.
+
+        ``np.bincount`` adds in entry order, so each atom sums its rows in
+        row order, as every grid point of it did in a per-point sum.
         """
-        rows = np.flatnonzero(coefficients)
-        entries = (self.indices if len(rows) == len(self) else
-                   np.concatenate([self[i] for i in rows] or [self.indices[:0]]))
-        return np.bincount(entries,
-                           weights=np.repeat(coefficients[rows], self.counts[rows]),
-                           minlength=self.size)
+        return np.bincount(self.indices,
+                           weights=np.repeat(coefficients, np.diff(self.indptr)),
+                           minlength=self.count)
+
+    def measure(self, p, weight, quadrature):
+        """Per-atom ``sum_{x in a} w(x)^p mu(x)``, or ``max_{x in a} w(x)`` at p = inf.
+
+        ``weight`` (None for w = 1) and ``quadrature`` (mu) are arrays on
+        the operator's grid. One result is kept per p while ``weight`` is
+        the same array: pass the read-only array ``WeightFunction.on_grid``
+        returns, which it keeps for the last grid.
+        """
+        cached = self._measures.get(p)
+        if cached is not None and cached[0] is weight:
+            return cached[1]
+        if p == np.inf and weight is None:
+            out = np.ones(self.count)
+        elif p == np.inf:
+            out = np.zeros(self.count)
+            np.maximum.at(out, self.labels, weight.ravel())
+        else:
+            mass = quadrature.ravel()
+            if weight is not None:
+                mass = weight.ravel() ** p * mass
+            out = np.bincount(self.labels, weights=mass, minlength=self.count)
+        self._measures[p] = (weight, out)
+        return out
+
+
+def _atom_partition(op):
+    """The ``AtomPartition`` of ``op``, by refining one row at a time.
+
+    Points share a label exactly when the rows seen so far cover both or
+    neither: row i gives its points with old label l the fresh label of
+    the pair (l, i). The labels in use are then renumbered 0..count-1 and
+    stored in the smallest unsigned type. Each row covers an atom whole, so
+    the entries at one point per atom give the atoms of every row. The
+    temporaries stay O(grid + fresh labels), with no array over all entries
+    but one boolean mask.
+    """
+    labels = np.zeros(op.size, dtype=np.intp)
+    fresh = 1
+    for row in op:
+        old, inverse = np.unique(labels[row], return_inverse=True)
+        labels[row] = fresh + inverse
+        fresh += len(old)
+    used = np.zeros(fresh, dtype=bool)
+    used[labels] = True
+    count = int(np.count_nonzero(used))
+    labels = (np.cumsum(used) - 1).astype(np.min_scalar_type(count - 1))[labels]
+    is_point = np.zeros(op.size, dtype=bool)
+    point = np.empty(count, dtype=np.intp)
+    point[labels] = np.arange(op.size)
+    is_point[point] = True
+    hits = np.flatnonzero(is_point[op.indices])
+    return AtomPartition(labels, np.searchsorted(hits, op.indptr),
+                         labels[op.indices[hits]], count)
 
 
 def _cell_operator(points, window, grid):

@@ -13,6 +13,7 @@ from wamalgam import (
     BoxWindow,
     DiscreteMeasure,
     DiscreteSequence,
+    Euclidean,
     MixedLpq,
     SampledFunction,
     UniformGrid,
@@ -483,6 +484,33 @@ def test_estimator_requires_inputs(line_grid):
     with pytest.raises(EmptyGridError):
         estimate_translation_operator_norm(space, [1.0], "right",
                                            grid=line_grid)
+
+
+def test_estimator_rejects_a_negative_coefficient_count(line_grid):
+    from wamalgam.errors import InvalidElementError
+
+    space = AmalgamSpace("linf", WeightedLp(1.0), BoxWindow.centered(0.5, 1))
+    X = euclidean_lattice(line_grid, 1.0)
+    for count in (-1, 2.5):
+        with pytest.raises(InvalidElementError):
+            estimate_translation_operator_norm(space, [1.0], "right", grid=line_grid,
+                                               well_spread=X, coeff_count=count)
+
+
+def test_estimator_records_the_cells_it_scanned():
+    grid = UniformGrid(Euclidean(2), -4.0, 4.0, 32)
+    X = euclidean_lattice(grid, 1.0)
+    space = AmalgamSpace("linf", WeightedLp(1.0, shifted_power_weight(1.0)),
+                         BoxWindow.centered(1.0, 2))
+    # every translated cell leaves the grid, so no cell is left to scan
+    lost = estimate_translation_operator_norm(space, [100.0, 0.0], "right", grid=grid,
+                                              well_spread=X, coeff_count=2)
+    assert lost.as_record()["cells_scanned"] == lost.cells_scanned == 0
+    assert lost.sequence_ratio == 0.0 and lost.upper == math.inf
+    still = estimate_translation_operator_norm(space, [0.0, 0.0], "right", grid=grid,
+                                               well_spread=X, coeff_count=2)
+    assert still.as_record()["cells_scanned"] == still.cells_scanned > 0
+    assert still.sequence_ratio == 1.0
 
 
 def test_window_validation():

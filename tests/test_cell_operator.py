@@ -1,9 +1,9 @@
 """The sparse membership operator against per-point references.
 
 Every row of ``WellSpreadSet.cell_masks`` must equal the flat indices of
-``window.contains`` over all grid points, and the layer built on it (step
-functions, BUPUs, local and discrete norms, the estimator) must agree with
-per-point loops.
+``window.contains`` over all grid points, and the layer built on it (the
+atom partition, step functions, BUPUs, local and discrete norms, the
+estimator) must agree with per-point loops.
 """
 
 import numpy as np
@@ -16,9 +16,11 @@ from wamalgam import (
     AxbWindow,
     BoxWindow,
     DiscreteMeasure,
+    DiscreteSequence,
     Euclidean,
     IntegerLattice,
     LatticeGrid,
+    MixedLpq,
     SampledFunction,
     UniformGrid,
     WeightedLp,
@@ -30,12 +32,14 @@ from wamalgam import (
     euclidean_lattice,
     quasi_norm,
     right_translate,
+    sequence_norm,
     shifted_power_weight,
 )
+from wamalgam import components
 from wamalgam.amalgam import local_norms_bupu
-from wamalgam.components import assemble_step_function
+from wamalgam.components import OVERFLOW, assemble_step_function
 from wamalgam.discretization import _raw_hat_values
-from wamalgam.errors import DimensionMismatchError
+from wamalgam.errors import DimensionMismatchError, NonFiniteSampleError
 from wamalgam.windows import AxbCoverWindow
 
 
@@ -130,6 +134,90 @@ def test_step_function_bit_identical_to_row_loop(name, rng):
     got = assemble_step_function(X, window, coefficients, grid)
     ref = reference_step(reference_rows(X, window, grid), coefficients, grid)
     assert np.array_equal(got.values, ref.values)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_atoms_group_points_by_covering_rows(name, rng):
+    X, window, grid = _case(name, rng)
+    op = X.cell_masks(window, grid)
+    atoms = op.atoms
+    cover = np.zeros((grid.size, len(X)), dtype=bool)
+    for i, row in enumerate(reference_rows(X, window, grid)):
+        cover[row, i] = True
+    _, ref = np.unique(cover, axis=0, return_inverse=True)
+    # same atom exactly when same covering rows: the labels are a bijection
+    pairs = np.unique(np.column_stack([atoms.labels, ref.ravel()]), axis=0)
+    assert len(pairs) == atoms.count == ref.max() + 1
+    assert np.array_equal(np.unique(atoms.labels), np.arange(atoms.count))
+    sizes = np.bincount(atoms.labels, minlength=atoms.count)
+    for i, row in enumerate(op):
+        listed = atoms.indices[atoms.indptr[i]:atoms.indptr[i + 1]]
+        assert np.array_equal(np.sort(listed), np.unique(atoms.labels[row]))
+        assert sizes[listed].sum() == row.size  # each listed atom lies inside the row
+
+
+def _vectors(n, rng):
+    sparse = np.zeros(n)
+    sparse[rng.choice(n, max(1, n // 5), replace=False)] = rng.uniform(0.1, 3.0, max(1, n // 5))
+    return [np.eye(n)[n // 2], np.eye(n)[-1], sparse,
+            rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n), np.zeros(n)]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_sequence_norm_on_atoms_matches_the_grid(name, rng):
+    X, window, grid = _case(name, rng)
+    rows = reference_rows(X, window, grid)
+    for lam in _vectors(len(X), rng):
+        step = reference_step(rows, lam, grid)
+        assert np.array_equal(assemble_step_function(X, window, lam, grid).values,
+                              step.values)
+        for weight in (None, shifted_power_weight(1.0)):
+            for p in (0.5, 1.0, 2.0, np.inf):
+                Y = WeightedLp(p, weight)
+                got = sequence_norm(DiscreteSequence(lam, X, Y, window), grid)
+                ref = quasi_norm(Y, step)
+                if p == np.inf:
+                    assert got == ref
+                else:
+                    assert abs(got - ref) <= 1e-12 * ref
+        if isinstance(grid, AxbGrid):
+            for Y in (MixedLpq(1.0, 1.0, None, n=grid.group.n),
+                      MixedLpq(0.5, 2.0, shifted_power_weight(1.0), n=grid.group.n)):
+                got = sequence_norm(DiscreteSequence(lam, X, Y, window), grid)
+                assert np.array_equal(got, quasi_norm(Y, step))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_sequence_norm_on_atoms_keeps_nan_and_overflow(name, rng):
+    X, window, grid = _case(name, rng)
+    i = int(np.flatnonzero(X.cell_masks(window, grid).counts)[0])
+    for p in (1.0, np.inf):
+        Y = WeightedLp(p, shifted_power_weight(1.0))
+        lam = np.ones(len(X))
+        lam[i] = np.nan
+        with pytest.raises(NonFiniteSampleError):
+            sequence_norm(DiscreteSequence(lam, X, Y, window), grid)
+        lam[i] = np.inf
+        assert sequence_norm(DiscreteSequence(lam, X, Y, window), grid) is OVERFLOW
+
+
+def test_sequence_norm_stays_off_the_grid(monkeypatch, rng):
+    """After the first call has built the atoms and their measure, a
+    weighted L^p sequence norm neither assembles the step function nor
+    takes a grid quasi-norm."""
+    X, window, grid = _case("R2", rng)
+    Y = WeightedLp(2.0, shifted_power_weight(1.0))
+    lam = rng.uniform(size=len(X))
+    seq = DiscreteSequence(lam, X, Y, window)
+    expected = sequence_norm(seq, grid)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sequence_norm fell back to the grid")
+
+    monkeypatch.setattr(components, "assemble_step_function", forbidden)
+    monkeypatch.setattr(components, "quasi_norm", forbidden)
+    assert sequence_norm(seq, grid) == expected
+    assert sequence_norm(DiscreteSequence(2 * lam, X, Y, window), grid) > expected
 
 
 @pytest.mark.parametrize("window", [BoxWindow.centered(1.0, 2),

@@ -316,8 +316,9 @@ def test_sequence_norm_overlapping_cells(euclid):
 
 def test_sequence_norm_index_mismatch(z_grid):
     X = integer_lattice_set(z_grid)
-    with pytest.raises(IndexMismatchError):
-        DiscreteSequence(np.ones(3), X, WeightedLp(1.0), BoxWindow.origin(1))
+    for coefficients in (np.ones(3), np.float64(1.0), np.ones((len(X), 2))):
+        with pytest.raises(IndexMismatchError):
+            DiscreteSequence(coefficients, X, WeightedLp(1.0), BoxWindow.origin(1))
 
 
 def test_sequence_window_independence_bound(euclid, rng):
