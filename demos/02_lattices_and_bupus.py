@@ -5,6 +5,9 @@ on the line and for the geometric lattice of the affine group, then builds
 renormalized hat partitions subordinate to both.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from wamalgam import (
@@ -50,5 +53,6 @@ print("              separation for U(1/2,2^½)=",
 abupu = build_bupu(lattice, AxbWindow(1.0, 2.0))
 print("              affine hat BUPU check    =", verify_bupu(abupu))
 
-path = bupu_to_csv(abupu, "/tmp/axb_bupu.csv")
-print("              exported                 ->", path)
+with tempfile.TemporaryDirectory() as tmp:
+    with open(bupu_to_csv(abupu, os.path.join(tmp, "axb_bupu.csv"))) as fh:
+        print("              exported CSV rows        =", sum(1 for _ in fh) - 1)

@@ -5,8 +5,9 @@ The control function of F for a window Q and local component B tabulates
 feeds it to a global component. Local components are L-infinity, L^1
 (against Haar measure) and M (total variation; measures enter as finitely
 many atoms plus an optional density). Fast paths exploit that box windows
-on uniform grids and affine windows on (x, log a) grids act by sliding
-index stencils; everything else falls back to per-point membership masks.
+on uniform grids and affine windows on (x, log a) grids of dimension one
+act by sliding index stencils; every other window reduces |F| over the
+rows of its ``_cell_operator`` at all grid points.
 A sliding max over a window of L indices runs by doubling: log2(L) passes
 of ``max(V[:-s], V[s:])`` for s = 1, 2, 4, ..., then two reads of the last
 level, so N samples cost O(N log L) time and O(N) memory. On ax+b, where
@@ -29,6 +30,7 @@ from .components import (
     quasi_norm,
     sequence_norm,
 )
+from .discretization import _cell_operator
 from .errors import (
     CoverageWarning,
     DimensionMismatchError,
@@ -234,24 +236,26 @@ def _axb_control(F, window, local):
     return SampledFunction(grid, _sliding_sum(staged, 0, -d_x, d_x) * hx)
 
 
+# grid points whose cells _generic_control gathers at once
+_CONTROL_BLOCK = 256
+
+
 def _generic_control(F, window, local):
-    """Per-point membership fallback; quadratic in grid size."""
+    """Row reductions of |F| over the cells of every grid point.
+
+    The cells are built ``_CONTROL_BLOCK`` grid points at a time, so the
+    gathered entries stay below that many times the grid size.
+    """
     grid = F.grid
-    pts = grid.points()
-    if len(pts) > 20000:
+    if grid.size > 20000:
         raise EmptyGridError(
             "generic control path refuses grids beyond 20k points; "
             "use a box/affine window on a matching grid"
         )
-    absF = np.abs(F.values).ravel()
-    w = grid.weights.ravel()
-    out = np.empty(len(pts))
-    for i, x in enumerate(pts):
-        mask = window.contains(grid.group, x, pts)
-        if local == "linf":
-            out[i] = absF[mask].max(initial=0.0)
-        else:
-            out[i] = float(np.sum(absF[mask] * w[mask]))
+    pts = grid.points()
+    out = np.concatenate([
+        _reduce_rows(F, grid, _cell_operator(pts[i:i + _CONTROL_BLOCK], window, grid), local)
+        for i in range(0, len(pts), _CONTROL_BLOCK)])
     return SampledFunction(grid, out.reshape(grid.shape))
 
 
@@ -273,19 +277,8 @@ def _measure_control(mu, window):
 
 def _atom_region(grid, window, z):
     """Indicator over grid points x of ``z in x . window``."""
-    if isinstance(window, BoxWindow):
-        lo = np.asarray(window.lo)
-        hi = np.asarray(window.hi)
-        pts = grid.points()
-        rel = z - pts
-        scale = np.maximum(np.abs(lo), np.abs(hi)) + 1.0
-        mask = np.all((rel >= lo - _TOL * scale) & (rel <= hi + _TOL * scale), axis=-1)
-        return mask.reshape(grid.shape).astype(float)
-    if isinstance(window, AxbWindow):
-        pts = grid.points()
-        mask = window.contains(grid.group, pts, z)
-        return mask.reshape(grid.shape).astype(float)
-    raise InvalidElementError(f"unsupported window type {type(window).__name__}")
+    mask = window.contains(grid.group, grid.points(), z)
+    return mask.reshape(grid.shape).astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ as overlapping and the constants stay conservative.
 The layer works through one sparse operator per (X, window, grid): row i of
 a ``CellOperator`` holds the sorted flat grid indices of the cell
 ``x_i . window``, stored CSR-style (``indptr``, ``indices``). Rows are built
-by index arithmetic wherever the window factorizes over the grid's tensor
-axes, which ``window.axis_masks`` reports: boxes and their right
-translates on R^n and Z^n, and the affine windows at n = 1. There the
-comparisons of ``contains`` run on the 1-D axis arrays and the row is the
-flat index set of their product, bit-identical to ``contains`` on all grid
-points; ax+b windows with n >= 2 test every grid point. Local norms are a
+by index arithmetic over the factors ``window.axis_masks`` reports: one
+per axis for boxes and their right translates on R^n and Z^n, and for the
+affine windows at every n the raveled x sub-grid and the scale axis. The
+comparisons of ``contains`` run on the factors, and the row is the flat
+index set of the product of their supports, bit-identical to ``contains``
+on all grid points. Hat BUPU members are built the same way, as products
+of per-factor hats. Local norms are a
 ``reduceat`` over one gather, and a BUPU keeps its members in the same form
 (with values). Step functions ``sum_i c_i chi_{x_i . window}`` are constant
 on the atoms of the cover, the sets of grid points covered by the same
@@ -31,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DensityError, EmptyGridError, InvalidElementError
-from .groups import AxbGrid, SampledFunction
+from .groups import AxbGrid, SampledFunction, tensor_points
 from .windows import AxbWindow, BoxWindow
 
 _TOL = 1e-9
@@ -181,27 +182,31 @@ def _atom_partition(op):
 
 
 def _cell_operator(points, window, grid):
-    """The rows ``x_i . window``: by index arithmetic, or by ``contains``.
+    """The rows ``x_i . window``, each the product of its factors' supports.
 
-    ``contains`` on every grid point builds the rows of a window that does
-    not factor over the grid's axes. A factorized row is the product of
-    its per-axis index sets, so its length is known before it is built
-    and it is written in place.
+    ``window.axis_masks`` gives the factors of row i; its length is known
+    before it is built, and it is written in place.
     """
-    group = grid.group
-    masks = [window.axis_masks(group, x, grid.axes) for x in points]
-    if any(m is None for m in masks):
-        pts = grid.points()
-        return CellOperator.from_rows(
-            [np.flatnonzero(window.contains(group, x, pts)) for x in points], grid.size)
-    support = [[np.flatnonzero(m) for m in axis_masks] for axis_masks in masks]
+    support = []
+    for x in points:
+        masks = window.axis_masks(grid.group, x, grid.axes)
+        lengths = [len(m) for m in masks]
+        support.append([np.flatnonzero(m) for m in masks])
     indptr = np.zeros(len(points) + 1, dtype=np.intp)
     np.cumsum([np.prod([len(s) for s in sub]) for sub in support], out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.intp)
     for i, sub in enumerate(support):
-        indices[indptr[i]:indptr[i + 1]] = np.ravel_multi_index(
-            np.ix_(*sub), grid.shape).ravel()
+        indices[indptr[i]:indptr[i + 1]] = _product_index(sub, lengths)
     return CellOperator(indptr, indices, grid.size)
+
+
+def _product_index(support, lengths):
+    """Flat grid indices of the product of per-factor index sets ``support``.
+
+    A factor is one grid axis or an affine window's raveled x sub-grid, of
+    ``lengths[k]`` points; C order over the factors is C order on the grid.
+    """
+    return np.ravel_multi_index(np.ix_(*support), lengths).ravel()
 
 
 def _grid_point(grid, flat):
@@ -322,9 +327,7 @@ def euclidean_lattice(grid, spacing, origin=0.0):
         kmin = int(np.ceil((lo[k] - origin[k]) / spacing[k] - _TOL))
         kmax = int(np.floor((hi[k] - origin[k]) / spacing[k] + _TOL))
         axes.append(origin[k] + spacing[k] * np.arange(kmin, kmax + 1))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    return WellSpreadSet(pts, grid=grid)
+    return WellSpreadSet(tensor_points(axes), grid=grid)
 
 
 def build_axb_lattice(a0, b0, k_range=None, j_range=(0, 0), grid=None, n=1,
@@ -353,8 +356,7 @@ def build_axb_lattice(a0, b0, k_range=None, j_range=(0, 0), grid=None, n=1,
         else:
             krange_j = k_range
         ks = [np.arange(krange_j[0], krange_j[1] + 1) for _ in range(n)]
-        mesh = np.meshgrid(*ks, indexing="ij")
-        kvecs = np.stack([m.ravel() for m in mesh], axis=-1)
+        kvecs = tensor_points(ks)
         block = np.empty((len(kvecs), n + 1))
         block[:, :-1] = a0 * scale * kvecs
         block[:, -1] = scale
@@ -423,65 +425,49 @@ def _hat(t):
     return np.maximum(0.0, 1.0 - np.abs(t))
 
 
-def _box_hat_factors(point, window, coords):
-    """Per-axis factors of the tensor hat supported in ``point . window``.
+def _hat_row(point, window, grid):
+    """Support and values of the hat supported in ``point . window``.
 
-    ``coords[k]`` holds coordinates along axis k; degenerate axes collapse
-    to indicators.
+    The hat is a product of factors, taken on their supports: per-axis hats
+    for a box, where a degenerate axis collapses to an indicator, and for
+    ``AxbWindow`` ``hat(|x - x0| / (r a0))`` on the raveled x sub-grid times
+    ``hat(log(a / a0) / log beta)`` on the scale axis.
     """
-    lo = np.asarray(window.lo)
-    hi = np.asarray(window.hi)
-    center = point + (lo + hi) / 2.0
-    half = (hi - lo) / 2.0
-    return [_hat((c - center[k]) / half[k]) if half[k] > 0
-            else (np.abs(c - center[k]) <= _TOL).astype(float)
-            for k, c in enumerate(coords)]
-
-
-def _raw_hat_values(group, point, window, grid_pts):
-    """Tensor hat supported exactly in ``point . window``, at every point."""
+    axes = grid.axes
     if isinstance(window, BoxWindow):
-        factors = _box_hat_factors(point, window, grid_pts.T)
-        vals = factors[0]
-        for f in factors[1:]:
-            vals = vals * f
-        return vals
-    if isinstance(window, AxbWindow):
+        lo = np.asarray(window.lo)
+        hi = np.asarray(window.hi)
+        center = point + (lo + hi) / 2.0
+        half = (hi - lo) / 2.0
+        factors = [_hat((c - center[k]) / half[k]) if half[k] > 0
+                   else (np.abs(c - center[k]) <= _TOL).astype(float)
+                   for k, c in enumerate(axes)]
+    elif isinstance(window, AxbWindow):
         x0, a0 = point[:-1], point[-1]
-        half_x = window.radius * a0
-        half_u = np.log(window.beta)
-        dx = np.linalg.norm(grid_pts[:, :-1] - x0, axis=-1)
-        du = np.log(grid_pts[:, -1]) - np.log(a0)
-        return _hat(dx / half_x) * _hat(du / half_u)
-    raise InvalidElementError(f"unsupported window type {type(window).__name__}")
-
-
-def _box_hat_row(point, window, grid):
-    """Support and values of a box hat: the product of its per-axis hats."""
-    factors = _box_hat_factors(point, window, grid.axes)
+        dx = np.linalg.norm(tensor_points(axes[:-1]) - x0, axis=-1)
+        du = np.log(axes[-1]) - np.log(a0)
+        factors = [_hat(dx / (window.radius * a0)), _hat(du / np.log(window.beta))]
+    else:
+        raise InvalidElementError(f"unsupported window type {type(window).__name__}")
     support = [np.flatnonzero(f > 0) for f in factors]
     vals = factors[0][support[0]]
     for f, s in zip(factors[1:], support[1:]):
         vals = np.multiply.outer(vals, f[s])
-    idx, vals = _positive(vals.ravel())
-    return np.ravel_multi_index(np.ix_(*support), grid.shape).ravel()[idx], vals
-
-
-def _positive(vals):
-    """Flat indices and values of the positive entries."""
     idx = np.flatnonzero(vals > 0)
-    return idx, vals[idx]
+    return (_product_index(support, [len(f) for f in factors])[idx],
+            vals.ravel()[idx])
 
 
 def build_bupu(X, window, grid=None, kind="hat"):
     """Partition of unity subordinate to ``x_i . window``.
 
-    ``kind="hat"`` builds tensor-product piecewise-linear hats renormalized
-    by their pointwise sum; ``kind="voronoi"`` assigns each grid point to
-    its nearest lattice point, giving a {0,1}-valued partition. Raises
-    DensityError (naming an uncovered grid point) when X is not dense
-    enough for the window. Box hats cost the sum of the axis lengths plus
-    their support per member; other windows evaluate every grid point.
+    ``kind="hat"`` builds piecewise-linear hats renormalized by their
+    pointwise sum: tensor products of 1-D hats for boxes, and for
+    ``AxbWindow`` an x-ball hat times a log-scale hat. ``kind="voronoi"``
+    assigns each grid point to its nearest lattice point, giving a
+    {0,1}-valued partition. Raises DensityError (naming an uncovered grid
+    point) when X is not dense enough for the window. A hat costs its
+    factors' lengths plus its support per member.
     """
     grid = grid if grid is not None else X.grid
     if grid is None:
@@ -497,12 +483,7 @@ def build_bupu(X, window, grid=None, kind="hat"):
         _check_supports(bupu, window, pts)
         return bupu
 
-    if isinstance(window, BoxWindow):
-        rows = [_box_hat_row(x, window, grid) for x in X.points]
-    else:
-        pts = grid.points()
-        rows = [_positive(_raw_hat_values(grid.group, x, window, pts))
-                for x in X.points]
+    rows = [_hat_row(x, window, grid) for x in X.points]
     op = CellOperator.from_rows([idx for idx, _ in rows], grid.size,
                                 [vals for _, vals in rows])
     del rows

@@ -200,6 +200,13 @@ def element(group, *coords):
 # Grids
 
 
+def tensor_points(axes):
+    """All points of the tensor product of 1-D ``axes`` as an (N, len(axes))
+    array, in C order over the axes."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 class Grid:
     """Tensor-product grid adapted to a group, with Haar quadrature weights.
 
@@ -232,8 +239,7 @@ class Grid:
 
     def points(self):
         """All grid points as an (N, dim) array, C-ordered like ``values.ravel()``."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return tensor_points(self.axes)
 
     def mesh(self):
         """Broadcastable coordinate arrays, one per axis."""

@@ -21,7 +21,7 @@ from .components import WeightedLp, constant_weight, shifted_power_weight
 from .convolution import reflected_space_norm, space_norm, verify_embedding
 from .errors import InvalidExponentError
 from .families import build_family
-from .groups import AxbGrid, AxbGroup, Euclidean, UniformGrid
+from .groups import AxbGrid, AxbGroup, Euclidean, UniformGrid, tensor_points
 from .windows import BoxWindow
 
 
@@ -31,8 +31,7 @@ def exhaustive_lp_algebra(p, weighted, support_len=4, offset=-1,
     ``w = 1 + |k|`` when ``weighted``, else ``w = 1``."""
     if not p > 0:
         raise InvalidExponentError(f"p must be positive, got {p}")
-    grids = np.meshgrid(*([np.array(values)] * support_len), indexing="ij")
-    seqs = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
+    seqs = tensor_points([np.array(values)] * support_len).astype(float)
     conv = np.zeros((len(seqs), len(seqs), 2 * support_len - 1))
     for i in range(support_len):
         conv[:, :, i:i + support_len] += seqs[:, None, i, None] * seqs[None, :, :]

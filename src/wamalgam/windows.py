@@ -8,9 +8,10 @@ again a scale interval and the spatial ball dilates with the base scale).
 Boundaries count as inside throughout; midpoint grids never place a point
 on a generic boundary, so indicator assemblies stay exact.
 
-``axis_masks`` gives the per-axis factors of ``contains`` over a tensor
-grid, or None where membership does not factor over the grid's axes (the
-affine windows with n >= 2, right translates on ax+b).
+``axis_masks`` gives the factors of ``contains`` over a tensor grid: one
+mask per axis for boxes, and for the affine windows a ball mask over the
+raveled x sub-grid and a scale mask. Right translates on ax+b mix x and a,
+so they do not factor and raise; ``AxbCoverWindow`` covers them instead.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidElementError
-from .groups import Euclidean, IntegerLattice
+from .groups import Euclidean, IntegerLattice, tensor_points
 
 _TOL = 1e-9
 
@@ -99,17 +100,16 @@ class _AffineWindow:
         return self._in_ball(dist, ba) & self._in_scales(qa, ba)
 
     def axis_masks(self, group, base, axes):
-        """Per-axis factors of ``contains`` on an (x, a) grid; None for n >= 2.
+        """Factors of ``contains`` on an (x, a) grid: the ball mask over the
+        raveled x sub-grid and the scale mask.
 
-        The distance is the same ``np.linalg.norm`` over a length-1 last
-        axis that ``contains`` takes, so the masks are bit-identical to it.
+        The distance is the same ``np.linalg.norm`` over the x coordinates
+        that ``contains`` takes, so the masks are bit-identical to it.
         """
-        if len(axes) != 2:
-            return None
         base = np.asarray(base, dtype=float)
         bx, ba = base[..., :-1], base[..., -1]
-        dist = np.linalg.norm(axes[0][:, None] - bx, axis=-1)
-        return [self._in_ball(dist, ba), self._in_scales(axes[1], ba)]
+        dist = np.linalg.norm(tensor_points(axes[:-1]) - bx, axis=-1)
+        return [self._in_ball(dist, ba), self._in_scales(axes[-1], ba)]
 
 
 @dataclass(frozen=True)
@@ -190,12 +190,16 @@ class RightTranslatedWindow:
         return self.base_window.contains(group, base, moved)
 
     def axis_masks(self, group, base, axes):
-        """Per-axis factors of ``contains``; None unless the group adds.
+        """Per-axis factors of ``contains``, where the group adds.
 
-        On R^n and Z^n, ``q g^{-1}`` moves each axis by its own offset.
+        On R^n and Z^n, ``q g^{-1}`` moves each axis by its own offset. On
+        ax+b it mixes x and a, so the translate has no factors.
         """
         if not isinstance(group, (Euclidean, IntegerLattice)):
-            return None
+            raise InvalidElementError(
+                f"window {self.descriptor()} does not factor over the grid of "
+                f"{type(group).__name__}; cover it by "
+                "AxbCoverWindow.for_right_translate")
         ginv = group.inverse(np.asarray(self.g, dtype=float))
         if len(axes) != len(ginv):
             raise DimensionMismatchError("window dimension does not match points")
@@ -272,8 +276,7 @@ def cover_by_translates(big, small, group):
         starts = lo_b[k] + np.arange(counts[k]) * width_s[k]
         starts = np.minimum(starts, hi_b[k] - width_s[k])
         axes.append(starts - lo_s[k])
-    mesh = np.meshgrid(*axes, indexing="ij")
-    offsets = np.stack([m.ravel() for m in mesh], axis=-1)
+    offsets = tensor_points(axes)
     if isinstance(group, IntegerLattice):
         offsets = np.round(offsets)
     return offsets

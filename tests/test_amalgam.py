@@ -9,6 +9,7 @@ import pytest
 from wamalgam import (
     AmalgamSpace,
     AxbGrid,
+    AxbGroup,
     AxbWindow,
     BoxWindow,
     DiscreteMeasure,
@@ -88,9 +89,12 @@ def test_control_l1_bruteforce_oracle(euclid, rng):
         assert K.values[i] == pytest.approx(oracle, rel=1e-12, abs=1e-15)
 
 
-def test_control_axb_against_generic_mask(axb):
-    """Fast separable path agrees with per-point membership on a small grid."""
-    grid = AxbGrid(axb, -2, 2, 24, 0.25, 4.0, 16)
+@pytest.mark.parametrize("n", [1, 2])
+def test_control_axb_against_generic_mask(n):
+    """The separable path (n = 1) and the cell rows (n = 2) agree with
+    per-point membership on a small grid."""
+    axb = AxbGroup(n)
+    grid = AxbGrid(axb, -2, 2, 24 // n, 0.25, 4.0, 16 // n)
     rng = generator(3)
     F = SampledFunction(grid, np.abs(rng.standard_normal(grid.shape)))
     window = AxbWindow(0.5, 1.5)
@@ -339,6 +343,15 @@ def test_measure_control_counts_atoms(line_grid):
     assert K.values[np.argmin(np.abs(xs - 0.2))] == pytest.approx(2.0)
     assert K.values[np.argmin(np.abs(xs - 0.8))] == pytest.approx(1.0)
     assert K.values[np.argmin(np.abs(xs - 3.0))] == 0.0
+    # on ax+b, z lies in x . U(0.5, 1.5) when |z_x - x| <= 0.5 a and a/1.5 <= z_a <= 1.5 a
+    G = AxbGroup(1)
+    grid = AxbGrid(G, -2.0, 2.0, 8, 0.5, 2.0, 4)  # x = -1.75 + 0.5 k, a = 2^(-0.75 + 0.5 j)
+    mu = DiscreteMeasure(G, [(np.array([0.3, 1.0]), 2.0)], grid=grid)
+    K = control_function(mu, AxbWindow(0.5, 1.5), "m")
+    inside = np.zeros(grid.shape)
+    inside[4, 1] = 2.0  # a = 2^-0.25: the ball [-0.12, 0.72] holds x = 0.25
+    inside[3:6, 2] = 2.0  # a = 2^0.25: [-0.29, 0.89] holds x = -0.25, 0.25, 0.75
+    assert np.array_equal(K.values, inside)
 
 
 def test_measure_amalgam_right_action_bound(line_grid):

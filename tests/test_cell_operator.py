@@ -38,14 +38,29 @@ from wamalgam import (
 from wamalgam import components
 from wamalgam.amalgam import local_norms_bupu
 from wamalgam.components import OVERFLOW, assemble_step_function
-from wamalgam.discretization import _raw_hat_values
-from wamalgam.errors import DimensionMismatchError, NonFiniteSampleError
+from wamalgam.errors import (
+    DimensionMismatchError,
+    InvalidElementError,
+    NonFiniteSampleError,
+)
 from wamalgam.windows import AxbCoverWindow
 
 
 def reference_rows(X, window, grid):
     pts = grid.points()
     return [np.flatnonzero(window.contains(grid.group, x, pts)) for x in X.points]
+
+
+def reference_hat(point, window, pts):
+    """The hat supported in ``point . window``, evaluated at every point."""
+    if isinstance(window, BoxWindow):
+        lo, hi = np.asarray(window.lo), np.asarray(window.hi)
+        t = (pts - (point + (lo + hi) / 2.0)) / ((hi - lo) / 2.0)
+        return np.prod(np.maximum(0.0, 1.0 - np.abs(t)), axis=-1)
+    dx = np.linalg.norm(pts[:, :-1] - point[:-1], axis=-1)
+    du = np.log(pts[:, -1]) - np.log(point[-1])
+    return (np.maximum(0.0, 1.0 - np.abs(dx / (window.radius * point[-1])))
+            * np.maximum(0.0, 1.0 - np.abs(du / np.log(window.beta))))
 
 
 def reference_step(rows, coefficients, grid):
@@ -101,10 +116,14 @@ def _case(name, rng):
         return X, window, grid
     grid = AxbGrid(AxbGroup(2), -3.0, 3.0, 12, 0.5, 2.0, 6)
     X = build_axb_lattice(1.0, 2.0, k_range=(-2, 2), j_range=(0, 1), grid=grid, n=2)
-    return X, AxbWindow(1.0, 2.0), grid
+    window = AxbWindow(1.0, 2.0)
+    if name == "axb-cover-n2":
+        window = AxbCoverWindow.for_right_translate(window, [0.5, -0.4, 1.3])
+    return X, window, grid
 
 
-CASES = ["R", "R2", "R2-right", "Z", "Z2-right", "axb", "axb-cover", "axb-n2"]
+CASES = ["R", "R2", "R2-right", "Z", "Z2-right", "axb", "axb-cover", "axb-n2",
+         "axb-cover-n2"]
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -116,8 +135,16 @@ def test_rows_equal_contains(name, rng):
     for row, expected in zip(op, ref):
         assert np.array_equal(row, expected)
     assert sum(r.size for r in ref) > 0
-    factorizes = window.axis_masks(grid.group, X.points[0], grid.axes) is not None
-    assert factorizes == (name != "axb-n2")
+    # every window factorizes: its factors tile the grid
+    factors = window.axis_masks(grid.group, X.points[0], grid.axes)
+    assert np.prod([len(f) for f in factors]) == grid.size
+
+
+def test_right_translate_on_axb_names_the_cover_window():
+    X, window, grid = _case("axb-n2", None)
+    moved = right_translate(window, (0.5, -0.4, 1.3))
+    with pytest.raises(InvalidElementError, match="right-translate.*AxbCoverWindow"):
+        X.cell_masks(moved, grid)
 
 
 def test_lattice_rows_include_both_faces():
@@ -220,14 +247,22 @@ def test_sequence_norm_stays_off_the_grid(monkeypatch, rng):
     assert sequence_norm(DiscreteSequence(2 * lam, X, Y, window), grid) > expected
 
 
-@pytest.mark.parametrize("window", [BoxWindow.centered(1.0, 2),
-                                    BoxWindow((-1.0, -0.75), (1.25, 1.0))])
-def test_box_hat_members_equal_per_point_hats(window):
-    grid = UniformGrid(Euclidean(2), -4.0, 4.0, 32)
-    X = euclidean_lattice(grid, 1.0)
+@pytest.mark.parametrize("window, n", [
+    pytest.param(BoxWindow.centered(1.0, 2), 2, id="window0"),
+    pytest.param(BoxWindow((-1.0, -0.75), (1.25, 1.0)), 2, id="window1"),
+    pytest.param(AxbWindow(1.0, 2.0), 1, id="axb-n1"),
+    pytest.param(AxbWindow(1.0, 2.0), 2, id="axb-n2"),
+])
+def test_box_hat_members_equal_per_point_hats(window, n):
+    if isinstance(window, BoxWindow):
+        grid = UniformGrid(Euclidean(n), -4.0, 4.0, 32)
+        X = euclidean_lattice(grid, 1.0)
+    else:
+        grid = AxbGrid(AxbGroup(n), -3.0, 3.0, 48 // n ** 2, 0.25, 4.0, 24 // n)
+        X = build_axb_lattice(0.5, 2.0, j_range=(-1, 1), x_extent=3.0, grid=grid, n=n)
     bupu = build_bupu(X, window, grid=grid)
     pts = grid.points()
-    raw = [_raw_hat_values(grid.group, x, window, pts) for x in X.points]
+    raw = [reference_hat(x, window, pts) for x in X.points]
     total = np.zeros(grid.size)
     for vals in raw:
         idx = np.flatnonzero(vals > 0)
@@ -236,11 +271,6 @@ def test_box_hat_members_equal_per_point_hats(window):
         idx = np.flatnonzero(vals > 0)
         assert np.array_equal(bupu.member_indices[i], idx)
         assert np.array_equal(bupu.member_values[i], vals[idx] / total[idx])
-    # the per-point hat is the product of the 1-D hats
-    lo, hi = np.asarray(window.lo), np.asarray(window.hi)
-    x = X.points[10]
-    t = (pts - (x + (lo + hi) / 2)) / ((hi - lo) / 2)
-    assert np.array_equal(raw[10], np.prod(np.maximum(0.0, 1.0 - np.abs(t)), axis=-1))
 
 
 def _relative(a, b):
