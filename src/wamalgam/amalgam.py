@@ -4,10 +4,12 @@ The control function of F for a window Q and local component B tabulates
 ``x -> ||F restricted to x.Q||_B`` over the grid; the amalgam quasi-norm
 feeds it to a global component. Local components are L-infinity, L^1
 (against Haar measure) and M (total variation; measures enter as finitely
-many atoms plus an optional density). Fast paths exploit that box windows
-on uniform grids and affine windows on (x, log a) grids of dimension one
-act by sliding index stencils; every other window reduces |F| over the
-rows of its ``_cell_operator`` at all grid points.
+many atoms plus an optional density). A sampled function's control
+function folds |F| over the window's ``stencil``: a part's slides run in
+turn as sliding maxima (linf) or sums (l1, M, after weighting |F| by the
+grid's scale factor), and a stage's parts combine one at a time, so memory
+stays a few copies of the grid. A stencil whose parts times the grid points
+exceed ``_STENCIL_BUDGET`` is refused before any slide.
 A sliding max over a window of L indices runs by doubling: log2(L) passes
 of ``max(V[:-s], V[s:])`` for s = 1, 2, 4, ..., then two reads of the last
 level, so N samples cost O(N log L) time and O(N) memory. On ax+b, where
@@ -30,7 +32,6 @@ from .components import (
     quasi_norm,
     sequence_norm,
 )
-from .discretization import _cell_operator
 from .errors import (
     CoverageWarning,
     DimensionMismatchError,
@@ -38,16 +39,11 @@ from .errors import (
     InvalidElementError,
     NonFiniteSampleError,
 )
-from .groups import AxbGrid, LatticeGrid, SampledFunction, UniformGrid, haar_integral
-from .windows import (
-    AxbCoverWindow,
-    AxbWindow,
-    BoxWindow,
-    box_index_offsets,
-    right_translate,
-)
+from .groups import SampledFunction, haar_integral
+from .windows import AxbCoverWindow, AxbWindow, right_translate
 
-_TOL = 1e-9
+# grid points times stencil parts that one control function may slide over
+_STENCIL_BUDGET = 10**8
 
 LOCAL_COMPONENTS = ("linf", "l1", "m")
 
@@ -115,15 +111,15 @@ class AmalgamSpace:
 def _sliding_max(values, axis, lo, hi):
     """max over index offsets [lo, hi] along axis, zero-padded outside.
 
-    ``lo`` and ``hi`` are integers, or integer arrays shaped like
-    ``values.swapaxes(0, axis)[0]``: one window per column. The doubling
-    pass with shift s leaves in each table row the max of the 2s rows from
-    it on (of those that exist), so a window of length L is the max of two
-    reads of the level with s <= L < 2s. Each column keeps its own level,
-    and one gather reads them all.
+    ``lo`` and ``hi`` are integers, or integer arrays that broadcast
+    against ``values.swapaxes(0, axis)[0]``: one window per column. The
+    doubling pass with shift s leaves in each table row the max of the 2s
+    rows from it on (of those that exist), so a window of length L is the
+    max of two reads of the level with s <= L < 2s. Each column keeps its
+    own level, and one gather reads them all.
     """
     m = values.shape[axis]
-    lo, hi = _clipped(lo, m), _clipped(hi, m)
+    lo, hi = _clipped(lo, values, axis), _clipped(hi, values, axis)
     span = 1 << (np.frexp(hi - lo + 1)[1] - 1)  # largest power of 2 <= length
     # one zero row after the data stands for the outside in windows that
     # the table's end cuts short
@@ -150,7 +146,7 @@ def _sliding_sum(values, axis, lo, hi):
     ``_sliding_max``; each sum is a difference of two running sums.
     """
     m = values.shape[axis]
-    lo, hi = _clipped(lo, m), _clipped(hi, m)
+    lo, hi = _clipped(lo, values, axis), _clipped(hi, values, axis)
     table, row0 = _table(values, axis, lo - 1, hi)
     np.cumsum(table, axis=0, out=table)
     out = np.empty(values.shape)
@@ -159,10 +155,15 @@ def _sliding_sum(values, axis, lo, hi):
     return out
 
 
-def _clipped(offsets, m):
+def _clipped(offsets, values, axis):
     """Index offsets clipped to [-m, m]: beyond, an axis of m indices reads
-    only the zeros outside it, and the clipped window still reads one."""
-    return np.minimum(np.maximum(offsets, -m), m)
+    only the zeros outside it, and the clipped window still reads one.
+    Offsets that vary are broadcast to one per column."""
+    m = values.shape[axis]
+    offsets = np.minimum(np.maximum(offsets, -m), m)
+    if np.ndim(offsets):
+        offsets = np.broadcast_to(offsets, values.swapaxes(0, axis).shape[1:])
+    return offsets
 
 
 def _table(values, axis, first, last):
@@ -201,62 +202,27 @@ def control_function(F, window, local="linf"):
             raise InvalidElementError("measures carry the M local component")
         return _measure_control(F, window)
     grid = F.grid
-    absF = np.abs(F.values)
-    if isinstance(grid, (UniformGrid, LatticeGrid)) and isinstance(window, BoxWindow):
-        los, his = box_index_offsets(window, grid)
-        if local == "linf":
-            out = absF
-            for ax, (lo, hi) in enumerate(zip(los, his)):
-                out = _sliding_max(out, ax, lo, hi)
-            return SampledFunction(grid, out)
-        # l1 and m coincide on functions: integrate |F| over the translate
-        out = absF * grid.weights
-        for ax, (lo, hi) in enumerate(zip(los, his)):
-            out = _sliding_sum(out, ax, lo, hi)
-        return SampledFunction(grid, out)
-    if isinstance(grid, AxbGrid) and isinstance(window, AxbWindow) and grid.group.n == 1:
-        return _axb_control(F, window, local)
-    return _generic_control(F, window, local)
-
-
-def _axb_control(F, window, local):
-    """Separable two-stage control on (x, log a) grids, dimension one."""
-    grid = F.grid
-    absF = np.abs(F.values)  # shape (nx, na)
-    d_u = int(np.floor(np.log(window.beta) / grid.u_step * (1 + _TOL) + _TOL))
-    a_axis = grid.axes[-1]
-    hx = float(grid.x_steps[0])
-    # the x half-width of the window grows with the scale: one per column
-    d_x = np.floor(window.radius * a_axis / hx * (1 + _TOL) + _TOL).astype(int)
-    if local == "linf":
-        staged = _sliding_max(absF, 1, -d_u, d_u)
-        return SampledFunction(grid, _sliding_max(staged, 0, -d_x, d_x))
-    row_w = grid.u_step * a_axis ** (-float(grid.group.n))
-    staged = _sliding_sum(absF * row_w, 1, -d_u, d_u)
-    return SampledFunction(grid, _sliding_sum(staged, 0, -d_x, d_x) * hx)
-
-
-# grid points whose cells _generic_control gathers at once
-_CONTROL_BLOCK = 256
-
-
-def _generic_control(F, window, local):
-    """Row reductions of |F| over the cells of every grid point.
-
-    The cells are built ``_CONTROL_BLOCK`` grid points at a time, so the
-    gathered entries stay below that many times the grid size.
-    """
-    grid = F.grid
-    if grid.size > 20000:
+    stencil = window.stencil(grid)
+    parts = sum(map(len, stencil))
+    if parts * F.values.size > _STENCIL_BUDGET:
         raise EmptyGridError(
-            "generic control path refuses grids beyond 20k points; "
-            "use a box/affine window on a matching grid"
-        )
-    pts = grid.points()
-    out = np.concatenate([
-        _reduce_rows(F, grid, _cell_operator(pts[i:i + _CONTROL_BLOCK], window, grid), local)
-        for i in range(0, len(pts), _CONTROL_BLOCK)])
-    return SampledFunction(grid, out.reshape(grid.shape))
+            f"control function: {F.values.size:,} grid points times {parts:,} stencil "
+            f"parts exceed the budget of {_STENCIL_BUDGET:,}; an ax+b ball has "
+            "more parts at larger grid.x_cells")
+    x_volume, scale_weights = grid.weight_factors
+    # l1 and m coincide on functions: integrate |F| over the translate
+    linf = local == "linf"
+    slide, combine = (_sliding_max, np.maximum) if linf else (_sliding_sum, np.add)
+    out = np.abs(F.values) if linf else np.abs(F.values) * scale_weights
+    for stage in stencil:
+        folded = None
+        for part in stage:
+            piece = out
+            for axis, lo, hi in part:
+                piece = slide(piece, axis, lo, hi)
+            folded = piece if folded is None else combine(folded, piece, out=folded)
+        out = folded
+    return SampledFunction(grid, out if linf else out * x_volume)
 
 
 def _measure_control(mu, window):
@@ -270,15 +236,11 @@ def _measure_control(mu, window):
             raise EmptyGridError("atom-only measures need an attached grid")
         grid = mu.grid
         out = np.zeros(grid.shape)
+    pts = grid.points()
     for z, mass in mu.atoms:
-        out += abs(mass) * _atom_region(grid, window, z)
+        # the grid points x with z in x . window
+        out += abs(mass) * window.contains(grid.group, pts, z).reshape(grid.shape)
     return SampledFunction(grid, out)
-
-
-def _atom_region(grid, window, z):
-    """Indicator over grid points x of ``z in x . window``."""
-    mask = window.contains(grid.group, grid.points(), z)
-    return mask.reshape(grid.shape).astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -51,11 +51,6 @@ class BallWeightTable:
     def scales(self):
         return self.lattice.points[:, -1]
 
-    @property
-    def levels(self):
-        """Sorted distinct scale values (the j-levels)."""
-        return np.unique(self.scales)
-
 
 def compute_ball_weights(weight, lattice, radius_scale=1.0, cells_per_radius=64):
     """Tabulate ``int_{ball(x_i, radius_scale * a_i)} v`` over the lattice."""
@@ -103,8 +98,12 @@ def right_translation_bound(y, b, p, q, alpha, n=1):
     if b <= 0:
         raise InvalidExponentError("scale coordinate must be positive")
     y_norm = np.linalg.norm(np.atleast_1d(np.asarray(y, dtype=float)))
+    return float(_translation_bound(y_norm, b, p, q, alpha, n))
+
+
+def _translation_bound(y_norm, b, p, q, alpha, n):
     inv_q = 0.0 if q == math.inf else 1.0 / q
-    return float(b ** (n * (1.0 + inv_q)) * (1.0 + y_norm / b) ** (alpha / p))
+    return b ** (n * (1.0 + inv_q)) * (1.0 + y_norm / b) ** (alpha / p)
 
 
 def translation_bound_weight(p, q, alpha, n=1):
@@ -112,11 +111,8 @@ def translation_bound_weight(p, q, alpha, n=1):
 
     def evaluate(pts):
         pts = np.asarray(pts, dtype=float)
-        y = pts[..., :-1]
-        b = pts[..., -1]
-        y_norm = np.linalg.norm(y, axis=-1)
-        inv_q = 0.0 if q == math.inf else 1.0 / q
-        return b ** (n * (1.0 + inv_q)) * (1.0 + y_norm / b) ** (alpha / p)
+        return _translation_bound(np.linalg.norm(pts[..., :-1], axis=-1),
+                                  pts[..., -1], p, q, alpha, n)
 
     return WeightFunction("right-translation-bound", evaluate, domain="group",
                           params={"p": p, "q": q, "alpha": alpha, "n": n})

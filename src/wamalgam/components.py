@@ -247,19 +247,16 @@ def _mixed_norm(component, F, guard):
     if grid.group.n != component.n:
         raise GroupMismatchError("mixed-norm dimension does not match the grid")
     absF = np.abs(F.values)
-    n = component.n
-    x_volume = float(np.prod(grid.x_steps))
+    x_volume, scale_weights = grid.weight_factors
     if component.weight is not None:
         vvals = component.weight(grid.points()[:, :-1]).reshape(grid.shape)
     else:
         vvals = 1.0
-    x_axes = tuple(range(n))
+    x_axes = tuple(range(component.n))
     with np.errstate(over="ignore"):
         inner = np.sum(absF**component.p * vvals, axis=x_axes) * x_volume
-        a_axis = grid.axes[-1]
         if component.q == math.inf:
             return _guarded(np.max(inner, initial=0.0) ** (1.0 / component.p), guard)
-        scale_weights = grid.u_step * a_axis ** (-float(n))
         total = np.sum(inner ** (component.q / component.p) * scale_weights)
         return _guarded(total ** (1.0 / component.q), guard)
 

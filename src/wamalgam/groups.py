@@ -226,6 +226,9 @@ class Grid:
     convolution, the x axes once per source scale row, at the queries that
     ``window_range`` finds inside the window.
 
+    ``weight_factors`` splits ``weights`` into ``(x_volume, scale_weights)``,
+    the factor along the last axis: ``u_step * a^{-n}`` on ax+b, else 1.
+
     Grids compare by value: two grids are equal when they have the same
     type and the same ``metadata()``.
     """
@@ -235,6 +238,7 @@ class Grid:
     interp_axes: tuple
     interp_steps: tuple
     weights: np.ndarray
+    weight_factors: tuple
     shape: tuple
 
     def points(self):
@@ -371,6 +375,7 @@ class UniformGrid(Grid):
         self.shape = tuple(self.cells)
         cell_volume = float(np.prod(self.steps))
         self.weights = np.full(self.shape, cell_volume)
+        self.weight_factors = (cell_volume, 1.0)
 
     def refine(self, factor=2):
         return UniformGrid(self.group, self.lo, self.hi,
@@ -405,6 +410,7 @@ class LatticeGrid(Grid):
         self.steps = np.ones(group.n)
         self.interp_steps = tuple(self.steps)
         self.weights = np.ones(self.shape)
+        self.weight_factors = (1.0, 1.0)
 
     def refine(self, factor=2):
         # the lattice has no finer scale; refinement enlarges the window
@@ -470,10 +476,10 @@ class AxbGrid(Grid):
         self.interp_axes = x_axes + (self.u_axis,)
         self.interp_steps = tuple(self.x_steps) + (self.u_step,)
         self.shape = tuple(self.x_cells) + (self.a_cells,)
-        cell_volume = float(np.prod(self.x_steps)) * self.u_step
-        self.weights = np.broadcast_to(
-            cell_volume * a_axis ** (-float(n)), self.shape
-        ).copy()
+        x_volume = float(np.prod(self.x_steps))
+        self.weights = np.broadcast_to(x_volume * self.u_step * a_axis ** (-float(n)),
+                                       self.shape).copy()
+        self.weight_factors = (x_volume, self.u_step * a_axis ** (-float(n)))
 
     def axis_queries(self, pts):
         qs = [pts[..., k] for k in range(self.group.n)]

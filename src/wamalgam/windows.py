@@ -12,16 +12,22 @@ on a generic boundary, so indicator assemblies stay exact.
 mask per axis for boxes, and for the affine windows a ball mask over the
 raveled x sub-grid and a scale mask. Right translates on ax+b mix x and a,
 so they do not factor and raise; ``AxbCoverWindow`` covers them instead.
+
+``stencil`` writes ``contains`` as grid index offsets: stages of disjoint
+parts, each a list of slides ``(axis, lo, hi)`` over the offsets lo..hi
+(integers, or one per scale column). A box is one part of a slide per axis;
+an affine window is the scale slide, then one part per row of its x ball.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidElementError
-from .groups import Euclidean, IntegerLattice, tensor_points
+from .groups import AxbGroup, Euclidean, IntegerLattice, tensor_points
 
 _TOL = 1e-9
 
@@ -81,6 +87,22 @@ class BoxWindow:
         return [((ax - b) >= l) & ((ax - b) <= h)
                 for ax, b, l, h in zip(axes, base, lo, hi)]
 
+    def stencil(self, grid):
+        """One part: along axis k, the offsets d with ``lo_k <= d step_k <= hi_k``."""
+        if not isinstance(grid.group, (Euclidean, IntegerLattice)):
+            raise InvalidElementError(f"a box acts on R^n or Z^n, not {grid.group}")
+        if len(grid.steps) != len(self.lo):
+            raise DimensionMismatchError("window dimension does not match points")
+        slides = []
+        for k, (lo, hi, step) in enumerate(zip(self.lo, self.hi, grid.steps)):
+            d_lo, d_hi = math.ceil(lo / step - _TOL), math.floor(hi / step + _TOL)
+            if d_hi < d_lo:
+                raise InvalidElementError(
+                    f"window axis {k} spans no grid offsets at spacing {step}; "
+                    "refine the grid or widen the window")
+            slides.append((k, d_lo, d_hi))
+        return [[slides]]
+
     def key(self):
         return ("box", self.lo, self.hi)
 
@@ -110,6 +132,32 @@ class _AffineWindow:
         bx, ba = base[..., :-1], base[..., -1]
         dist = np.linalg.norm(tensor_points(axes[:-1]) - bx, axis=-1)
         return [self._in_ball(dist, ba), self._in_scales(axes[-1], ba)]
+
+    def stencil(self, grid):
+        """The scale slide, then the x ball as rows along the last x axis, one
+        part per offset of the other x axes on the grid; at a base scale whose
+        ball misses the part, its row reads the zeros m past the axis."""
+        if not isinstance(grid.group, AxbGroup):
+            raise InvalidElementError(f"affine windows act on ax+b, not {grid.group}")
+        n, m = grid.group.n, grid.a_cells
+        d = np.arange(1 - m, m)
+        d = d[self._in_scales(np.exp(d * grid.u_step), 1.0)]
+        scale = (n, d.min(), d.max()) if len(d) else (n, m, m)
+        a, steps = grid.axes[-1], grid.x_steps
+        # offsets along each x axis alone that meet the ball at the largest scale
+        reach = [np.count_nonzero(self._in_ball(np.arange(cells) * h, a[-1])) - 1
+                 for cells, h in zip(grid.x_cells, steps)]
+        shape = [2 * r + 1 for r in reach[:-1]] + [reach[-1] + 1]
+        offsets = np.indices(shape).reshape(n, -1).T - (reach[:-1] + [0])
+        dist = np.linalg.norm(offsets * steps, axis=-1).reshape(-1, shape[-1])
+        # the half-width of each part's row at each base scale, -1 if empty
+        half = np.count_nonzero(self._in_ball(dist[..., None], a), axis=1) - 1
+        past = grid.x_cells[-1]
+        rows = [[(k, c, c) for k, c in enumerate(o)]
+                + [(n - 1, np.where(w < 0, past, -w), np.where(w < 0, past, w))]
+                for o, w in zip(offsets[::shape[-1], :-1].tolist(), half)
+                if w.max() >= 0]
+        return [[[scale]], rows]
 
 
 @dataclass(frozen=True)
@@ -195,16 +243,25 @@ class RightTranslatedWindow:
         On R^n and Z^n, ``q g^{-1}`` moves each axis by its own offset. On
         ax+b it mixes x and a, so the translate has no factors.
         """
+        shift = self._shift(group, len(axes))
+        return self.base_window.axis_masks(
+            group, base, [ax + s for ax, s in zip(axes, shift)])
+
+    def stencil(self, grid):
+        """The stencil of the moved box, where the group adds."""
+        shift, box = self._shift(grid.group, grid.group.n), self.base_window
+        return BoxWindow(tuple(box.lo - shift), tuple(box.hi - shift)).stencil(grid)
+
+    def _shift(self, group, dim):
         if not isinstance(group, (Euclidean, IntegerLattice)):
             raise InvalidElementError(
                 f"window {self.descriptor()} does not factor over the grid of "
                 f"{type(group).__name__}; cover it by "
                 "AxbCoverWindow.for_right_translate")
         ginv = group.inverse(np.asarray(self.g, dtype=float))
-        if len(axes) != len(ginv):
+        if dim != len(ginv):
             raise DimensionMismatchError("window dimension does not match points")
-        return self.base_window.axis_masks(
-            group, base, [ax + s for ax, s in zip(axes, ginv)])
+        return ginv
 
     def key(self):
         return ("rtrans", self.base_window.key(), self.g)
@@ -233,27 +290,6 @@ def window_haar_measure(window, grid, base=None):
         base = grid.group.identity
     mask = window_mask(window, grid, base)
     return float(np.sum(grid.weights * mask))
-
-
-def box_index_offsets(window, grid):
-    """Index-offset ranges of a box window on a uniform/lattice grid.
-
-    Returns per-axis (lo_offset, hi_offset) such that grid index j belongs
-    to the translate based at grid index i exactly when
-    ``lo_k <= j_k - i_k <= hi_k`` for every axis k.
-    """
-    los, his = [], []
-    for k, step in enumerate(np.atleast_1d(grid.steps)):
-        lo_off = int(np.ceil(window.lo[k] / step - _TOL))
-        hi_off = int(np.floor(window.hi[k] / step + _TOL))
-        if hi_off < lo_off:
-            raise InvalidElementError(
-                f"window axis {k} spans no grid offsets at spacing {step}; "
-                "refine the grid or widen the window"
-            )
-        los.append(lo_off)
-        his.append(hi_off)
-    return los, his
 
 
 def cover_by_translates(big, small, group):

@@ -33,12 +33,14 @@ from wamalgam import (
     involution,
     is_overflow,
     quasi_norm,
+    right_translate,
     sequence_norm,
     shifted_power_weight,
     translate,
     window_haar_measure,
 )
 from wamalgam.families import gaussian_bump_sum, piecewise_constant
+from wamalgam.windows import AxbCoverWindow
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +93,8 @@ def test_control_l1_bruteforce_oracle(euclid, rng):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_control_axb_against_generic_mask(n):
-    """The separable path (n = 1) and the cell rows (n = 2) agree with
-    per-point membership on a small grid."""
+    """The affine window's stencil agrees with per-point membership on a
+    small grid, at n = 1 and n = 2."""
     axb = AxbGroup(n)
     grid = AxbGrid(axb, -2, 2, 24 // n, 0.25, 4.0, 16 // n)
     rng = generator(3)
@@ -111,6 +113,56 @@ def test_control_axb_against_generic_mask(n):
             else:
                 oracle[i] = float(np.sum(flat[mask] * wflat[mask]))
         assert np.allclose(K.values.ravel(), oracle, rtol=1e-10, atol=1e-14)
+
+
+def _contains_oracle(F, window, local, indices):
+    """The control function at the grid points ``indices``: |F| reduced over
+    the grid points that ``window.contains`` puts in each translate."""
+    grid = F.grid
+    pts = grid.points()
+    flat, wflat = np.abs(F.values).ravel(), grid.weights.ravel()
+    out = np.empty(len(indices))
+    for k, i in enumerate(indices):
+        mask = window.contains(grid.group, pts[i], pts)
+        out[k] = (flat[mask].max(initial=0.0) if local == "linf"
+                  else np.sum(flat[mask] * wflat[mask]))
+    return out
+
+
+def _check_against_contains(F, window, indices):
+    for local in ("linf", "l1"):
+        K = control_function(F, window, local).values.ravel()[indices]
+        oracle = _contains_oracle(F, window, local, indices)
+        if local == "linf":
+            assert np.array_equal(K, oracle)
+        else:
+            assert np.allclose(K, oracle, rtol=1e-10, atol=1e-14)
+
+
+def test_control_axb2_beyond_twenty_thousand_points():
+    """At n = 2 on 40 x 40 x 16 = 25,600 points the ball's rows give the
+    maxima of per-point membership exactly and its integrals to rounding."""
+    grid = AxbGrid(AxbGroup(2), -2, 2, 40, 0.25, 4.0, 16)
+    rng = generator(5)
+    F = SampledFunction(grid, rng.standard_normal(grid.shape))
+    indices = rng.choice(grid.size, 240, replace=False)
+    _check_against_contains(F, AxbWindow(0.5, 1.5), indices)
+
+
+@pytest.mark.parametrize("case", ["axb-cover-n1", "axb-cover-n2", "box-right-r2"])
+def test_control_of_covers_and_moved_boxes_against_contains(case):
+    """Cover windows, whose scale slide misses the base scale, and a right
+    translate of a box, which is the moved box, at every grid point."""
+    if case == "box-right-r2":
+        grid = UniformGrid(Euclidean(2), -2, 2, 24)
+        window = right_translate(BoxWindow.centered(0.4, 2), [0.3, -0.7])
+    else:
+        n = int(case[-1])
+        grid = AxbGrid(AxbGroup(n), -2, 2, 24 // n, 0.25, 4.0, 16 // n)
+        window = AxbCoverWindow.for_right_translate(AxbWindow(0.5, 1.5),
+                                                    [0.4] * n + [2.0])
+    F = SampledFunction(grid, generator(11).standard_normal(grid.shape))
+    _check_against_contains(F, window, np.arange(grid.size))
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,26 @@ def test_norm_singleton_window_on_z(tmp_path):
     assert rep["results"]["value"] == pytest.approx(2.0)
 
 
+def test_norm_axb_n2_runs_on_its_default_grid(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": {"kind": "axb", "n": 2}}))
+    r = run_cli(["norm", "--config", str(cfg), "--out", str(tmp_path)], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert load_report(tmp_path / "norm.json")["results"]["value"] > 0
+
+
+def test_norm_axb_n3_default_grid_exceeds_the_stencil_budget(tmp_path):
+    """80^3 x 48 grid points times the ball's 2,053 rows and one scale part:
+    refused before any slide, naming both counts and the key that sets them."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": {"kind": "axb", "n": 3}}))
+    r = run_cli(["norm", "--config", str(cfg), "--out", str(tmp_path)], tmp_path)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    for needle in ("24,576,000 grid points", "2,054 stencil parts", "grid.x_cells"):
+        assert needle in r.stderr
+
+
 def test_config_error_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"weight": {"family": "nonsense"}}))

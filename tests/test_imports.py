@@ -1,0 +1,35 @@
+"""Every name a module of the package imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import wamalgam
+
+MODULES = sorted(p for p in Path(wamalgam.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _unused_imports(source):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_uses_its_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_the_check_finds_an_unused_import():
+    source = "import math\nfrom numpy import array, zeros as z\nprint(array, math.pi)\n"
+    assert _unused_imports(source) == [(2, "z")]

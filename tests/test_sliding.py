@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from wamalgam import AxbGrid, AxbGroup, AxbWindow, SampledFunction, control_function
-from wamalgam.amalgam import _TOL, _sliding_max, _sliding_sum
+from wamalgam.amalgam import _sliding_max, _sliding_sum
+from wamalgam.windows import _TOL
 
 
 def _brute(values, axis, lo, hi, reduce):
