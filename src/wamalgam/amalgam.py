@@ -202,13 +202,7 @@ def control_function(F, window, local="linf"):
             raise InvalidElementError("measures carry the M local component")
         return _measure_control(F, window)
     grid = F.grid
-    stencil = window.stencil(grid)
-    parts = sum(map(len, stencil))
-    if parts * F.values.size > _STENCIL_BUDGET:
-        raise EmptyGridError(
-            f"control function: {F.values.size:,} grid points times {parts:,} stencil "
-            f"parts exceed the budget of {_STENCIL_BUDGET:,}; an ax+b ball has "
-            "more parts at larger grid.x_cells")
+    stencil = budgeted_stencil(window, grid)
     x_volume, scale_weights = grid.weight_factors
     # l1 and m coincide on functions: integrate |F| over the translate
     linf = local == "linf"
@@ -223,6 +217,20 @@ def control_function(F, window, local="linf"):
             folded = piece if folded is None else combine(folded, piece, out=folded)
         out = folded
     return SampledFunction(grid, out if linf else out * x_volume)
+
+
+def budgeted_stencil(window, grid):
+    """``window.stencil(grid)``, refused when its parts times the grid
+    points exceed ``_STENCIL_BUDGET``. The grid alone sets both counts, so
+    a caller can check before it samples anything."""
+    stencil = window.stencil(grid)
+    parts = sum(map(len, stencil))
+    if parts * grid.size > _STENCIL_BUDGET:
+        raise EmptyGridError(
+            f"control function: {grid.size:,} grid points times {parts:,} stencil "
+            f"parts exceed the budget of {_STENCIL_BUDGET:,}; an ax+b ball has "
+            "more parts at larger grid.x_cells")
+    return stencil
 
 
 def _measure_control(mu, window):

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .amalgam import amalgam_norm, discrete_amalgam_norm
+from .amalgam import amalgam_norm, budgeted_stencil, discrete_amalgam_norm
 from .axb import compute_ball_weights, lpq_discrete_norm, right_translation_bound
 from .components import (
     MixedLpq,
@@ -263,6 +263,7 @@ def cmd_norm(cfg, args):
     window = build_window(cfg, group)
     component = build_component(cfg, group)
     local = cfg.get("local", "linf")
+    budgeted_stencil(window, grid)  # before sampling, which the budget may refuse
     F = build_function(cfg, grid, args.seed)
     value = amalgam_norm(F, window, local, component)
     results = {
@@ -337,16 +338,24 @@ def cmd_convolve(cfg, args):
 
 def cmd_verify(cfg, args):
     relation = RELATIONS[args.relation]
-    grid = None
-    if "grid" in cfg and relation.group is not None:
-        grid = build_grid(cfg, relation.group)
+    grid = relation.grid
+    for key in ("group", "grid"):
+        if key in cfg and grid is None:
+            raise ConfigError(f"config.{key}: verify {relation.name} samples no grid")
+    for key, value in cfg.get("group", {}).items():
+        own = getattr(grid.group, key)
+        if value != own:
+            raise ConfigError(f"config.group.{key}: verify {relation.name} runs on "
+                              f"{key} {own!r}, got {value!r}")
+    if "grid" in cfg:
+        grid = build_grid(cfg, grid.group)
     results = relation.run(RelationSettings(
         seed=args.seed, levels=args.refine, p=cfg.get("p"), q=cfg.get("q", 1.0),
         weighted=cfg.get("weighted", False),
         weight=build_weight(cfg.get("weight"), "weight"), grid=grid,
         count=cfg.get("family", {}).get("count")))
     status = "pass" if results["passed"] else "fail"
-    return (None, results, f"verify {relation.name}: {status} "
+    return (grid, results, f"verify {relation.name}: {status} "
             f"(C_emp = {results['c_emp']:.6g})", results["passed"])
 
 

@@ -3,57 +3,39 @@
 Convolution is the Haar quadrature ``(F*G)(z) = sum_y F(y) G(y^{-1} z)
 w(y)`` over the support of F. Every grid is uniform in its interpolation
 coordinates, so ``y^{-1} z`` only takes values at whole-step offsets
-between grid points: G is interpolated into a table ``K`` on those
-offsets, and the quadrature is the middle of the linear convolution of
-``F w`` with ``K`` along the x axes. Complex factors use the complex
-transform, real ones the real transform.
+between grid points. Every group runs one route, on ``F w`` laid out
+scale axis first and x axes last (one row on R^n and Z^n):
 
-The table is multilinear interpolation of G, built by one 2-tap pass
-per axis (``Grid.interpolate_along``). Arrays are laid out scale axis
-first and x axes last, so each table is contiguous along the axes being
-transformed; R^n and Z^n have a scale axis of length 1 and one row. On
-ax+b, ``y^{-1} z`` scales the x offsets by ``1/a`` of the source's scale
-row but not the scale offsets, so the scale axis is tabulated once per
-convolution, on all ``2Na - 1`` offsets. Each row j of F's support then
-reads a window of ``Na`` of those columns and interpolates them along x
-at its own scaled offsets (``_row_tables``). A row touches only part of
-its window: the span from its first to its last column that is not all
-zero, and along x only the queries inside G's window. Everything else in
-its table is exactly zero, so leaving it out changes no bit, and a row
-whose window meets no nonzero column does no work at all. On the default
-``axb_relation`` families, where F and G share a grid, rows touch about
-70% of their window's columns and 40% of its x queries.
-
-The transform along x is linear, so the rows need not be inverted one by
-one: ``F w`` is transformed once for all its columns, each row adds the
-product of its source column's spectrum and its table's spectrum into
-one sum, and a single inverse transform of that sum gives the result.
-All of it runs in one workspace per convolution: one zero-padded table
-buffer, which each row writes into and re-zeroes only where the previous
-row wrote, one spectrum buffer that the row's transform writes with
-``out=``, and the sum. A convolution costs one forward transform of
-``F w``, one inverse, and per row that reaches G one transform of as many
-table columns as it touches (``Na`` at most), with 2-tap passes over
-those columns at the x queries inside G's window. These transforms use
-the smallest length ``2^a 3^b 5^c >= 2N - 1`` per axis: that is enough
-for the circular convolution not to wrap around, and numpy's FFT runs
-such lengths by radix-2, 3 and 5 passes, e.g. 160 points for an 80-point
-axis, not 256.
-
-On the integer lattice the offsets are integers and ``K`` would hold
-just G's samples. When F and G are integer-valued no table is built:
-``_lattice_convolution`` convolves the support box of ``F w`` directly
-with the support box of the part of G that can reach F's window, and
-writes the entries that land in F's window. The lengths are powers of
-two, because ``_exact_convolution``'s error bound is the radix-2 one: per
-axis the smallest at which no entry that lands in F's window wraps
-around, so at most the one of ``2N - 1`` and 4096, not 8192, for supports
-of 1999 points on a window of 4001. The FFT result is rounded, but only
-after that bound, computed from the inputs, certifies that every entry
-is within 1/2 of the exact sum; otherwise both factors are split into
-base-2^k digits small enough for the bound, and the rounded digit
-convolutions are summed. The result is exact whenever ``sum_y |F(y)
-G(y^{-1} z)| < 2^53`` at every output point z.
+1. Support box of ``F w``, cut at the support cutoff.
+2. Reaching offsets: per x axis, offset d reaches F's window from box
+   indices [f.start, f.stop) when 0 <= i + d < N for some i there, so d
+   runs from ``1 - f.stop`` to ``N - 1 - f.start``, not over all ``2N - 1``.
+3. Table (``_Table``): on Z^n, G's samples at those offsets, cut to their
+   support box; elsewhere multilinear interpolation of G, one 2-tap pass
+   per axis (``Grid.interpolate_along``). On ax+b, ``y^{-1} z`` scales the
+   x offsets by ``1/a`` of the source's scale row but not the scale
+   offsets, so the scale axis is tabulated once, on the scale offsets that
+   reach from the box, and scale row j reads a window of ``Na`` of those
+   columns, interpolated along x at its offsets ``/ a_j``. A row writes
+   only the span of its window's nonzero columns and, along x, its queries
+   inside G's window: the rest of its table is exactly zero, and a row
+   that meets no nonzero column does no work. The table's x extent is the
+   union of its rows' queries inside G's window.
+4. Placement (``_placement``): per axis, the smallest transform length at
+   which the box and the table fit and no entry of their convolution that
+   lands in F's window wraps around, at most the one of ``2N - 1`` (4096,
+   not 8192, for supports of 1999 points on a window of 4001); ``take``
+   and ``put`` slices move those entries into F's window.
+5. Kernel: integer-valued F w and table on Z^n run ``_exact_convolution``
+   at power-of-two lengths, which its radix-2 error bound covers, exact
+   whenever ``sum_y |F(y) G(y^{-1} z)| < 2^53`` at every output point z.
+   Everything else runs the row loop (``_row_convolution``) at
+   ``2^a 3^b 5^c`` lengths: ``F w`` is transformed once, each row adds the
+   product of its source's spectrum and its table's spectrum into one sum,
+   and one inverse transform of the sum gives the result. The rows share
+   one zero-padded table buffer, which each re-zeroes only where the
+   previous row wrote, and one spectrum buffer. Complex factors use the
+   complex transform, real ones the real.
 
 Embedding checks compare the target amalgam norm of F*G against the
 product of factor norms over a test family and track the empirical
@@ -64,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import warnings
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -86,155 +69,168 @@ def convolve(F, G):
     if F.grid.group != G.grid.group:
         raise GroupMismatchError("convolution factors live on different groups")
     grid = F.grid
-    n = grid.group.n
     vals = F.values
     cutoff = _SUPPORT_CUTOFF
     if not isinstance(grid, LatticeGrid):
         cutoff *= max(1.0, np.abs(vals).max())
     fw = np.where(np.abs(vals) > cutoff, vals * grid.weights, 0.0)
-    if isinstance(grid, LatticeGrid) and _integral(fw) and _integral(G.values):
-        out = _lattice_convolution(fw, G)
+    out = np.zeros(grid.shape, np.result_type(fw, G.values))
+    box = _support_box(fw)
+    # the scale axis first, one source row per scale (one row on R^n, Z^n)
+    if isinstance(grid, AxbGrid):
+        fw, out_rows = np.moveaxis(fw, -1, 0), np.moveaxis(out, -1, 0)
+        box = box and box[-1:] + box[:-1]
     else:
-        # the scale axis first, one source row per scale (one row on R^n, Z^n)
-        axb = isinstance(grid, AxbGrid)
-        fw = np.moveaxis(fw, -1, 0) if axb else fw[None]
-        # source i adds fw[i] times table entries [N - 1 - i, 2N - 1 - i) (see
-        # _row_tables). Summed over i, that is entries [N - 1, 2N - 1) of the
-        # linear convolution fw * K along the x axes, which a circular one of
-        # length >= 2N - 1 holds without wrap-around.
-        xs = tuple(range(1, n + 1))
-        keep = (...,) + tuple(slice(N - 1, 2 * N - 1) for N in grid.shape[:n])
-        out = _row_convolution(grid, fw, G, xs)[keep]
-        out = (np.moveaxis(out, 0, -1) if axb else out[0]).copy()
+        fw, out_rows, box = fw[None], out[None], box and (slice(0, 1),) + box
+    table = box and _Table(grid, fw, box, G)
+    if table and table.rows:
+        exact = isinstance(grid, LatticeGrid) and _integral(fw[box]) and _integral(table.values)
+        size, take, put = _placement(box[1:], table.start, table.shape, out_rows.shape[1:], exact)
+        xs = tuple(range(1, fw.ndim))
+        if exact:
+            conv = _exact_convolution(fw[box], table.values, xs, size)
+        else:
+            conv = _row_convolution(fw[box], box[0].start, table, size, xs, len(out_rows))
+        out_rows[(slice(None),) + put] = conv[(slice(None),) + take]
     result = SampledFunction(grid, out)
     _warn_truncation(result)
     return result
 
 
-def _row_convolution(grid, fw, G, xs):
-    """Sum over the rows of ``_row_tables`` of the circular convolutions of
-    the row's column of ``fw`` (scale axis first) with its table along
-    ``xs``: one forward transform of ``fw``, one of each table, and one
-    inverse of the summed spectra, scale axis first.
+class _Table:
+    """G on the whole-step offsets through which ``fw[box]`` (F w, scale
+    axis first) reaches F's window: per x axis, ``start`` is the offset (in
+    steps) of its first entry and ``shape`` its length. ``rows`` lists the
+    scale rows that reach G, and ``tables(size)`` yields each one's table.
+    On Z^n, ``values`` is the whole table, G's samples cut to their support
+    box, with a scale axis of length 1."""
 
-    The lengths are the smallest 5-smooth ones of at least ``2N - 1``.
-    """
-    size = [_smooth_length(int(2 * N - 1)) for N in grid.shape[:len(xs)]]
-    if np.iscomplexobj(fw) or np.iscomplexobj(G.values):
-        fft, ifft = np.fft.fftn, np.fft.ifftn
-    else:
-        fft, ifft = np.fft.rfftn, np.fft.irfftn
-    FW = fft(fw, size, xs)
-    spec = np.zeros_like(FW)
-    term = np.empty_like(FW)
-    for j, cols, K in _row_tables(grid, fw, G, size):
-        rows = term[:len(K)]
-        spec[cols] += np.multiply(FW[j], fft(K, axes=xs, out=rows), out=rows)
-    return ifft(spec, size, xs)
+    def __init__(self, grid, fw, box, G):
+        n, js = grid.group.n, box[0]
+        # offset d reaches F's window from box index i when 0 <= i + d < N
+        reach = [(1 - f.stop, int(N) - f.start) for f, N in zip(box[1:], grid.shape)]
+        self._G, self._j0, self._queries, plan = G, js.start, None, []
+        if isinstance(grid, LatticeGrid):
+            # offset d is G's index d - G.lo
+            g_lo = G.grid.lo.tolist()
+            first = [max(a, g) for (a, _), g in zip(reach, g_lo)]
+            near = G.values[tuple(slice(f - g, max(0, b - g))
+                                  for f, g, (_, b) in zip(first, g_lo, reach))]
+            gbox = _support_box(near)
+            if gbox:
+                self.values = self._table = near[gbox][None]
+                self.start = [f + s.start for f, s in zip(first, gbox)]
+                self.shape, self._origin = list(self.values.shape[1:]), [0] * n
+                plan = [(0, 0, 1, 0, [(0, m) for m in self.shape])]
+        else:
+            # row j's queries along x are the offsets scaled by 1 / a_j
+            offsets = [_steps(ax, a, b) for ax, (a, b) in zip(grid.interp_axes, reach)]
+            if isinstance(grid, AxbGrid):
+                # output column m of row j reads scale offset m - j, which is
+                # table column m + js.stop - 1 - j
+                na = grid.shape[-1]
+                u = _steps(grid.interp_axes[n], 1 - js.stop, na - js.start)
+                self._table = G.grid.interpolate_along(np.moveaxis(G.values, -1, 0), n, u,
+                                                       axis=0)
+                scales = grid.axes[-1][js]
+            else:
+                na, self._table, scales = 1, G.values[None], np.ones(1)
+            self._queries = [d / scales[:, None] for d in offsets]
+            inside = [[e.tolist() for e in G.grid.window_range(k, q)]
+                      for k, q in enumerate(self._queries)]
+            cols = self._table.reshape(len(self._table), -1).any(axis=1).nonzero()[0].tolist()
+            for r in fw[box].reshape(len(scales), -1).any(axis=1).nonzero()[0].tolist():
+                c0 = js.stop - 1 - js.start - r
+                first, stop = bisect_left(cols, c0), bisect_left(cols, c0 + na)
+                # the row's queries inside G's window, as reaching-offset indices
+                x = [(a[r], b[r]) for a, b in inside]
+                if first < stop and all(a < b for a, b in x):
+                    plan.append((r, cols[first], cols[stop - 1] + 1, c0, x))
+            if plan:
+                self._origin = [min(x[k][0] for *_, x in plan) for k in range(n)]
+                self.shape = [max(x[k][1] for *_, x in plan) - o
+                              for k, o in enumerate(self._origin)]
+                self.start = [a + o for (a, _), o in zip(reach, self._origin)]
+        self._plan, self.rows = plan, [js.start + r for r, *_ in plan]
+        self.width = max((hi - lo for _, lo, hi, *_ in plan), default=0)
+        self.dtype = np.result_type(fw, G.values)
+
+    def tables(self, size):
+        """Yield ``(j, cols, K)`` per reaching row j: ``K`` is its table for
+        the output columns ``cols``, scale axis first, zero-padded to ``size``
+        along x, in one buffer that the next row overwrites."""
+        buf = np.zeros([self.width] + list(size), self.dtype)
+        written = None
+        for r, lo, hi, c0, x in self._plan:
+            if written:
+                buf[written] = 0.0
+            written = (slice(0, hi - lo),) + tuple(
+                slice(a - o, b - o) for (a, b), o in zip(x, self._origin))
+            block = self._table[lo:hi]
+            if self._queries is None:  # Z^n: G's samples, no interpolation
+                buf[written] = block
+            for k, (q, (a, b)) in enumerate(zip(self._queries or (), x)):
+                block = self._G.grid.interpolate_along(
+                    block, k, q[r, a:b], axis=k + 1,
+                    out=buf[written] if k == len(x) - 1 else None)
+            yield self._j0 + r, slice(lo - c0, hi - c0), buf[:hi - lo]
 
 
-def _row_tables(grid, fw, G, size):
-    """Yield ``(j, cols, K)`` for the scale rows j of ``fw`` (scale axis
-    first) that have support and reach G: ``K`` holds G's table for the
-    output columns ``cols``, scale axis first, zero-padded to ``size``
-    along the x axes. ``K`` is a view of one buffer that the next row
-    overwrites.
-
-    Every interpolation axis is uniform, so x_l - x_i = (l - i) h: entry k
-    of an axis' offsets is (k - N + 1) h. The table is multilinear
-    interpolation of G there, one 2-tap pass per axis. The scale axis is
-    read at the same offsets by every row, so it is interpolated once, on
-    all ``2Na - 1`` of them. R^n and Z^n have one row, reading the whole
-    table. On ax+b, y^{-1} z = ((z_x - y_x) / a_j, z_a / a_j): the sources
-    of scale row j read x offsets scaled by 1/a_j, and output column m
-    reads scale offset m - j, which is table column m + Na - 1 - j. So row
-    j's window is columns [Na - 1 - j, 2Na - 1 - j), interpolated along x
-    at ``offsets / a_j``, of which only the span of nonzero columns and the
-    x queries inside G's window are written (the rest is exactly zero).
-    """
-    n = grid.group.n
-    na = len(fw)
-    offsets = _offsets(grid)
-    if isinstance(grid, AxbGrid):
-        table = G.grid.interpolate_along(np.moveaxis(G.values, -1, 0), n, offsets[n], axis=0)
-        scales = grid.axes[-1]
-    else:
-        table, scales = G.values[None], np.ones(1)
-    cols = table.reshape(len(table), -1).any(axis=1).nonzero()[0]
-    # per x axis: each row's queries, and the range of them in G's window
-    queries = [d / scales[:, None] for d in offsets[:n]]
-    inside = [G.grid.window_range(k, q) for k, q in enumerate(queries)]
-    buf = np.zeros([na] + list(size), np.result_type(fw, table))
-    written = None
-    for j in fw.reshape(na, -1).any(axis=1).nonzero()[0]:
-        start = na - 1 - j
-        first, stop = cols.searchsorted((start, start + na))
-        box = [slice(a[j], b[j]) for a, b in inside]
-        if first == stop or any(s.start == s.stop for s in box):
-            continue
-        lo, hi = cols[first], cols[stop - 1] + 1
-        if written:
-            buf[written] = 0.0
-        written = (slice(0, hi - lo), *box)
-        block = table[lo:hi]
-        for k, (q, s) in enumerate(zip(queries, box)):
-            block = G.grid.interpolate_along(block, k, q[j, s], axis=k + 1,
-                                             out=buf[written] if k == n - 1 else None)
-        yield j, slice(lo - start, hi - start), buf[:hi - lo]
+def _steps(axis, lo, hi):
+    """``axis[d] - axis[0]`` of a uniform axis for d from lo to hi - 1, and
+    ``axis[0] - axis[-d]`` for d < 0 (|d| < len(axis))."""
+    m = len(axis) - 1
+    return np.concatenate((axis[0] - axis[:0:-1], axis - axis[0]))[m + lo:m + hi]
 
 
-def _offsets(grid):
-    """The whole-step offsets between points of ``grid``, per interpolation
-    axis."""
-    return [np.concatenate((ax[0] - ax[:0:-1], ax - ax[0])) for ax in grid.interp_axes]
-
-
-def _lattice_convolution(fw, G):
-    """Exact convolution on Z^n of integer-valued ``fw`` with G's integer
-    samples, on fw's window.
-
-    Only the support box of ``fw`` and the support box of the part of G
-    that reaches fw's window from it are convolved. Entry m of their linear
-    convolution is the sum at fw index ``f0 + g0 + G.lo + m``, with f0 and
-    g0 the boxes' lower corners as indices of their own windows. Per axis
-    the length is the smallest power of two at which no entry that lands in
-    fw's window wraps around; it is at most the one of ``2N - 1``.
-    """
-    out = np.zeros(fw.shape)
-    fbox = _support_box(fw)
-    if fbox is None:
-        return out
-    # G index g reaches fw's window when 0 <= f + G.lo + g < N for some f in the box
-    g_lo = G.grid.lo.tolist()
-    reach = tuple(slice(max(0, 1 - f.stop - lo), max(0, N - f.start - lo))
-                  for f, lo, N in zip(fbox, g_lo, fw.shape))
-    near = G.values[reach]
-    gbox = _support_box(near)
-    if gbox is None:
-        return out
+def _placement(fbox, start, shape, window, certified):
+    """Per x axis, the transform length and the ``take`` and ``put`` slices
+    for the convolution of F w on ``fbox`` with a table of ``shape`` entries
+    from offset ``start``, whose entry m lands at F index ``f.start + start
+    + m``: the smallest length, a power of two when ``certified`` and
+    5-smooth otherwise, at which both fit and nothing in F's window wraps."""
     size, take, put = [], [], []
-    for f, r, g, lo, N in zip(fbox, reach, gbox, g_lo, fw.shape):
-        na, nb = f.stop - f.start, g.stop - g.start
-        shift = f.start + r.start + g.start + lo
+    for f, s, nb, N in zip(fbox, start, shape, window):
+        na, shift = f.stop - f.start, f.start + s
         first, stop = max(0, -shift), min(na + nb - 1, N - shift)
         # the boxes fit, and entries [first, stop) do not wrap around
-        size.append(1 << (max(na, nb, stop, na + nb - 1 - first) - 1).bit_length())
+        need = max(na, nb, stop, na + nb - 1 - first)
+        size.append(1 << (need - 1).bit_length() if certified else _smooth_length(need))
         take.append(slice(first, stop))
         put.append(slice(shift + first, shift + stop))
-    conv = _exact_convolution(fw[fbox], near[gbox], tuple(range(fw.ndim)), size)
-    out[tuple(put)] = conv[tuple(take)]
-    return out
+    return size, tuple(take), tuple(put)
+
+
+def _row_convolution(fw, j0, table, size, xs, na):
+    """Sum over ``table``'s rows of the circular convolutions, at lengths
+    ``size`` along ``xs``, of the row's column of ``fw`` (F w on its support
+    box, scale axis first, from row j0) with its table: one forward
+    transform of ``fw``, one of each table, and one inverse of the spectra
+    summed into ``na`` output columns."""
+    fft, ifft = ((np.fft.fftn, np.fft.ifftn) if table.dtype.kind == "c"
+                 else (np.fft.rfftn, np.fft.irfftn))
+    FW = fft(fw, size, xs)
+    spec = np.zeros((na,) + FW.shape[1:], FW.dtype)
+    term = np.empty((table.width,) + FW.shape[1:], FW.dtype)
+    for j, cols, K in table.tables(size):
+        rows = term[:len(K)]
+        spec[cols] += np.multiply(FW[j - j0], fft(K, axes=xs, out=rows), out=rows)
+    return ifft(spec, size, xs)
 
 
 def _support_box(a):
     """Per axis, the slice from the first to the last index at which ``a``
     is nonzero; None when ``a`` is all zero."""
-    box = []
+    if not a.size:
+        return None
+    box, nonzero = [], a != 0
     for k in range(a.ndim):
-        nonzero = np.flatnonzero(a.any(axis=tuple(j for j in range(a.ndim) if j != k)))
-        if not nonzero.size:
+        others = tuple(j for j in range(a.ndim) if j != k)
+        line = nonzero.any(axis=others) if others else nonzero
+        first = int(line.argmax())
+        if not line[first]:
             return None
-        box.append(slice(int(nonzero[0]), int(nonzero[-1]) + 1))
+        box.append(slice(first, len(line) - int(line[::-1].argmax())))
     return tuple(box)
 
 

@@ -9,6 +9,7 @@ vectorized over leading axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as _iter_product
 
@@ -251,7 +252,7 @@ class Grid:
 
     @property
     def size(self):
-        return int(np.prod(self.shape))
+        return int(math.prod(self.shape))
 
     def __eq__(self, other):
         return other is self or (type(other) is type(self)

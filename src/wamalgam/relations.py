@@ -3,8 +3,8 @@
 Rauhut, *Wiener amalgam spaces with respect to quasi-Banach spaces*
 (arXiv math/0507465): the l^p_w(Z) algebra ``cor_conv_Lp``, the relations
 on R ``thm_conv_a``, ``thm_conv_b`` and ``thm_convYvee``, and the ax+b
-example ``axb_relation``. Each row has a ``name``, the ``group`` of its
-grid (None when it needs none) and ``run(settings)``, which returns the
+example ``axb_relation``. Each row has a ``name``, its default ``grid``
+(None when it samples none) and ``run(settings)``, which returns the
 report record, with ``passed`` and ``c_emp``.
 """
 
@@ -75,7 +75,7 @@ def _default(value, fallback):
 class LpAlgebra:
     """``cor_conv_Lp`` at p (default 1/2), weighted by ``1 + |k|`` or not."""
 
-    name, group = "cor_conv_Lp", None
+    name, grid = "cor_conv_Lp", None
 
     def run(self, s):
         rec = exhaustive_lp_algebra(_default(s.p, 0.5), s.weighted)
@@ -102,7 +102,7 @@ class LineRelation:
     left_norm: str
     right_norm: str
     label: str
-    group = Euclidean(1)
+    grid = UniformGrid(Euclidean(1), -16.0, 16.0, 256)
 
     def run(self, s):
         p, v = _default(s.p, 1.0), _default(s.weight, shifted_power_weight(1.0))
@@ -116,7 +116,7 @@ class LineRelation:
         count = _default(s.count, 8)
         report = verify_embedding(
             self.name, self.left(count, s.seed), self.right(count, s.seed + 1),
-            grid=UniformGrid(self.group, -16.0, 16.0, 256) if s.grid is None else s.grid,
+            grid=_default(s.grid, self.grid),
             target_norm=norms["Y"], left_norm=norms[self.left_norm],
             right_norm=norms[self.right_norm], levels=s.levels, family=self.label)
         return report.as_record()
@@ -126,12 +126,11 @@ class AxbRelation:
     """``axb_relation`` over seeded axb-bumps pairs: defaults p = q = 1,
     v = 1 and 6 pairs on the 80 x 48 grid of [-6, 6] x [1/8, 8]."""
 
-    name, group = "axb_relation", AxbGroup(1)
+    name = "axb_relation"
+    grid = AxbGrid(AxbGroup(1), -6.0, 6.0, 80, 0.125, 8.0, 48)
 
     def run(self, s):
-        count, grid = _default(s.count, 6), s.grid
-        if grid is None:
-            grid = AxbGrid(self.group, -6.0, 6.0, 80, 0.125, 8.0, 48)
+        count, grid = _default(s.count, 6), _default(s.grid, self.grid)
         report = verify_axb_convolution(
             _default(s.weight, constant_weight(1.0)), _default(s.p, 1.0), s.q,
             build_family("axb-bumps", count, s.seed),

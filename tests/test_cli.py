@@ -108,6 +108,53 @@ def test_norm_axb_n3_default_grid_exceeds_the_stencil_budget(tmp_path):
         assert needle in r.stderr
 
 
+def test_norm_budget_is_checked_before_sampling(tmp_path, capsys, monkeypatch):
+    """The grid and window alone set the stencil's size, so an over-budget
+    stencil is refused before the function is sampled."""
+    from wamalgam import cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_function was reached")
+
+    monkeypatch.setattr(cli, "build_function", unreachable)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": {"kind": "axb", "n": 3}}))
+    assert cli.main(["norm", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    for needle in ("24,576,000 grid points", "2,054 stencil parts", "grid.x_cells"):
+        assert needle in err
+
+
+@pytest.mark.parametrize("relation, metadata", [
+    ("thm_conv_b", {"kind": "euclidean", "lo": [-16.0], "hi": [16.0], "cells": [256]}),
+    ("axb_relation", {"kind": "axb", "x_lo": [-6.0], "x_hi": [6.0], "x_cells": [80],
+                      "a_lo": 0.125, "a_hi": 8.0, "a_cells": 48}),
+])
+def test_verify_report_records_its_default_grid(tmp_path, relation, metadata):
+    from wamalgam import cli
+
+    assert cli.main(["verify", relation, "--refine", "1", "--seed", "7",
+                     "--out", str(tmp_path)]) in (0, 2)
+    assert load_report(tmp_path / f"verify-{relation}.json")["grid"] == metadata
+
+
+def test_verify_accepts_the_rows_own_group(tmp_path):
+    """A group equal to the row's own is no error, and a configured grid is
+    the one the report records."""
+    from wamalgam import cli
+
+    grid = {"x_lo": -4.0, "x_hi": 4.0, "x_cells": 16, "a_lo": 0.25, "a_hi": 4.0,
+            "a_cells": 8}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": {"kind": "axb", "n": 1}, "grid": grid,
+                               "family": {"count": 2}}))
+    assert cli.main(["verify", "axb_relation", "--refine", "1", "--config", str(cfg),
+                     "--out", str(tmp_path)]) in (0, 2)
+    rep = load_report(tmp_path / "verify-axb_relation.json")
+    assert rep["grid"] == {key: [v] if key.startswith("x_") else v
+                           for key, v in grid.items()} | {"kind": "axb"}
+
+
 def test_config_error_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"weight": {"family": "nonsense"}}))
@@ -168,6 +215,11 @@ def test_refine_below_one_is_a_usage_error(tmp_path, capsys):
                 "function": {"kind": "sequence"}}, "config.function.kind"),
     (["norm"], {"group": {"kind": "axb"}, "grid": {"x_cells": 16, "a_cells": 8},
                 "window": {"radius": [0.5]}}, "config.window.radius"),
+    (["verify", "axb_relation"], {"group": {"kind": "lattice"}}, "config.group.kind"),
+    (["verify", "axb_relation"], {"group": {"kind": "axb", "n": 2}}, "config.group.n"),
+    (["verify", "thm_conv_b"], {"group": {"kind": "axb"}}, "config.group.kind"),
+    (["verify", "cor_conv_Lp"], {"grid": {"cells": 64}}, "config.grid"),
+    (["verify", "cor_conv_Lp"], {"group": {"kind": "lattice"}}, "config.group"),
 ])
 def test_bad_config_names_the_key(tmp_path, capsys, argv, config, key):
     """Bad values and unknown keys exit 1 with their key path, before any

@@ -165,14 +165,19 @@ def _scale_rows(*rows):
 
 
 # (F's grid, G's grid or None for F's, a factor applied to F or None, and
-# one applied to G or None). The transforms run at the smallest
-# 2^a 3^b 5^c >= 2N - 1 points per x axis: 15 for 7 cells, 160 for 80, 162
-# for 81 and 90 for 45. On _AXB1, G's scale table has nonzero columns 7-10
+# one applied to G or None). The transforms run at 2^a 3^b 5^c lengths per
+# x axis that follow the supports, at most the one of 2N - 1: 15 for 7
+# cells, 160 for 80, 162 for 81 and 90 for 45. F's bump fills _AXB1, so
+# G's scale table is on all 2Na - 1 scale offsets and has nonzero columns 7-10
 # and 19-23 for G on rows 0-2 and 12-15 (F's rows 5-11 read both bands
 # with the gap between), and 20-23 for G on rows 13-15, which F's rows 11-15
 # do not reach. G on x in [1, 5] moves each row's x queries inside its
 # window with the row's scale, so no row may keep the previous one's table.
 _AXB2 = AxbGrid(AxbGroup(2), [-3, -3], [3, 3], [10, 12], 0.5, 2.0, 8)
+# Z^n with fractional samples of the bumps, F on [-6, 5]^n and G there or
+# on [-4, 7]^n
+_Z = {n: LatticeGrid(IntegerLattice(n), -6, 5) for n in (1, 2)}
+_ZG = {n: LatticeGrid(IntegerLattice(n), -4, 7) for n in (1, 2)}
 _POINT_REFERENCE_CASES = {
     "R": (_R1, None, None, None),
     "R, complex F": (_R1, None, _phase, None),
@@ -201,6 +206,14 @@ _POINT_REFERENCE_CASES = {
     "axb n=2, G out of some rows' reach": (_AXB2, None, None, _scale_rows(6, 7)),
     "axb n=2, F and G on two scale bands": (
         _AXB2, None, _scale_rows(0, 7), _scale_rows(0, 1, 6, 7)),
+    "Z, fractional": (_Z[1], None, None, None),
+    "Z, G on [-4, 7]": (_Z[1], _ZG[1], None, None),
+    "Z, complex F, G on [-4, 7]": (_Z[1], _ZG[1], _phase, None),
+    "Z, complex G on [-4, 7]": (_Z[1], _ZG[1], None, _phase),
+    "Z2, fractional": (_Z[2], None, None, None),
+    "Z2, G on [-4, 7]^2": (_Z[2], _ZG[2], None, None),
+    "Z2, complex F, G on [-4, 7]^2": (_Z[2], _ZG[2], _phase, None),
+    "Z2, complex G on [-4, 7]^2": (_Z[2], _ZG[2], None, _phase),
 }
 
 
@@ -477,6 +490,20 @@ def test_lattice_transform_length_follows_the_supports(monkeypatch):
         convolve(F, G)
     assert lengths and set(lengths) == {(4096,)}
     assert not interpolations
+
+
+def test_row_transform_length_follows_the_supports(monkeypatch):
+    """On R the table stops at the offsets through which F's support box
+    reaches the window: bumps on part of 256 cells transform at 320 points,
+    not the 512 that 2N - 1 = 511 needs, and match the point reference."""
+    grid = UniformGrid(Euclidean(1), -16, 16, 256)
+    F = SampledFunction.sample(grid, _bump(0.5, False))
+    G = SampledFunction.sample(grid, _bump(-0.3, False))
+    lengths, _ = _record_calls(monkeypatch)
+    out = convolve(F, G).values
+    assert lengths and {L[-1] for L in lengths} == {320}
+    ref = np.array([convolve_point(F, G, z) for z in grid.points()]).real
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_truncation_warning_fires(euclid):
