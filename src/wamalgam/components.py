@@ -178,7 +178,10 @@ class WeightedLp:
 
 @dataclass
 class MixedLpq:
-    """Mixed-norm L^{p,q}(v) over ax+b: inner L^p(v dx) in x, outer L^q in scale."""
+    """Mixed-norm L^{p,q}(v) over ax+b: inner L^p(v dx) in x, outer L^q in scale.
+
+    v lives on R^n, so its ``domain`` must be "base".
+    """
 
     p: float
     q: float
@@ -190,6 +193,10 @@ class MixedLpq:
             raise InvalidExponentError("p must lie in (0, inf) for mixed norms")
         if not (self.q > 0):
             raise InvalidExponentError("q must be positive")
+        if self.weight is not None and self.weight.domain != "base":
+            raise WeightDomainError(
+                f"mixed-norm weight {self.weight.name} must live on R^n (domain "
+                f"'base'), not on domain {self.weight.domain!r}")
 
     @property
     def p_exponent(self):
@@ -248,10 +255,7 @@ def _mixed_norm(component, F, guard):
         raise GroupMismatchError("mixed-norm dimension does not match the grid")
     absF = np.abs(F.values)
     x_volume, scale_weights = grid.weight_factors
-    if component.weight is not None:
-        vvals = component.weight(grid.points()[:, :-1]).reshape(grid.shape)
-    else:
-        vvals = 1.0
+    vvals = component.weight.on_grid(grid) if component.weight is not None else 1.0
     x_axes = tuple(range(component.n))
     with np.errstate(over="ignore"):
         inner = np.sum(absF**component.p * vvals, axis=x_axes) * x_volume

@@ -8,32 +8,38 @@ as overlapping and the constants stay conservative.
 
 The layer works through one sparse operator per (X, window, grid): row i of
 a ``CellOperator`` holds the sorted flat grid indices of the cell
-``x_i . window``, stored CSR-style (``indptr``, ``indices``). Rows are built
-by index arithmetic over the factors ``window.axis_masks`` reports: one
-per axis for boxes and their right translates on R^n and Z^n, and for the
-affine windows at every n the raveled x sub-grid and the scale axis. The
-comparisons of ``contains`` run on the factors, and the row is the flat
-index set of the product of their supports, bit-identical to ``contains``
-on all grid points. Hat BUPU members are built the same way, as products
-of per-factor hats. Local norms are a
-``reduceat`` over one gather, and a BUPU keeps its members in the same form
-(with values). Step functions ``sum_i c_i chi_{x_i . window}`` are constant
-on the atoms of the cover, the sets of grid points covered by the same
-rows; the operator builds its ``AtomPartition`` once, on first use, and a
-step function is one ``np.bincount`` over the atoms the rows cover.
-``verify_bupu`` stays an independent per-point check.
+``x_i . window``, stored CSR-style (``indptr``, ``indices``). Windows are
+read only through their methods, so no line here branches on a window's
+or a grid's type. One builder, ``_product_rows``, writes the rows in place
+from per-factor arrays: ``window.axis_masks`` (boolean, the factors of
+``contains``) for cells, and ``window.axis_hats`` (float, the factors of
+the hat) for BUPU members, which also keep the product of the factors'
+values. A factor is one grid axis, or for the affine windows the raveled x
+sub-grid and the scale axis, so a cell row is bit-identical to
+``contains`` on all grid points. A moved box is a box
+(``windows.right_translate``). Separation counts come from
+``window.overlaps``, and Voronoi owners from the grid's ``axis_queries``.
+
+A ``Bupu`` holds its members once, as one ``CellOperator`` with values
+(``bupu.operator``); ``member_indices`` and ``member_values`` are read-only
+views of its rows. Local norms are a ``reduceat`` over one gather. Step
+functions ``sum_i c_i chi_{x_i . window}`` are constant on the atoms of the
+cover, the sets of grid points covered by the same rows; the operator
+builds its ``AtomPartition`` once, on first use, and a step function is one
+``np.bincount`` over the atoms the rows cover. ``verify_bupu`` stays an
+independent per-point check.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DensityError, EmptyGridError, InvalidElementError
-from .groups import AxbGrid, SampledFunction, tensor_points
-from .windows import AxbWindow, BoxWindow
+from .groups import SampledFunction, tensor_points
 
 _TOL = 1e-9
 
@@ -54,16 +60,6 @@ class CellOperator:
     indices: np.ndarray
     size: int
     values: np.ndarray | None = None
-
-    @classmethod
-    def from_rows(cls, rows, size, values=None):
-        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
-        np.cumsum([len(r) for r in rows], out=indptr[1:])
-        indices = (np.concatenate(rows).astype(np.intp, copy=False) if rows
-                   else np.empty(0, dtype=np.intp))
-        if values is not None:
-            values = np.concatenate(values) if values else np.empty(0)
-        return cls(indptr, indices, int(size), values)
 
     def __len__(self):
         return len(self.indptr) - 1
@@ -181,32 +177,39 @@ def _atom_partition(op):
                          labels[op.indices[hits]], count)
 
 
-def _cell_operator(points, window, grid):
-    """The rows ``x_i . window``, each the product of its factors' supports.
+def _product_rows(points, factors, grid):
+    """The ``CellOperator`` whose row i is the product of the supports of the
+    per-factor arrays ``factors(grid.group, x_i, grid.axes)``.
 
-    ``window.axis_masks`` gives the factors of row i; its length is known
-    before it is built, and it is written in place.
+    A factor is one grid axis or an affine window's raveled x sub-grid; C
+    order over the factors is C order on the grid. Float factors (hats)
+    also give the row's values, the products of the factors' values on the
+    supports. Those are positive: a hat value is at least 2^-53, and a row
+    multiplies a few of them. Every row's length is known before it is
+    built, and the rows are written in place.
     """
-    support = []
+    rows, valued = [], False
     for x in points:
-        masks = window.axis_masks(grid.group, x, grid.axes)
-        lengths = [len(m) for m in masks]
-        support.append([np.flatnonzero(m) for m in masks])
+        arrays = factors(grid.group, x, grid.axes)
+        lengths = [len(f) for f in arrays]
+        valued = arrays[0].dtype != bool
+        support = [np.flatnonzero(f > 0) for f in arrays]
+        rows.append((support, [f[s] for f, s in zip(arrays, support)]
+                     if valued else None))
     indptr = np.zeros(len(points) + 1, dtype=np.intp)
-    np.cumsum([np.prod([len(s) for s in sub]) for sub in support], out=indptr[1:])
+    np.cumsum([np.prod([len(s) for s in support]) for support, _ in rows],
+              out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.intp)
-    for i, sub in enumerate(support):
-        indices[indptr[i]:indptr[i + 1]] = _product_index(sub, lengths)
-    return CellOperator(indptr, indices, grid.size)
-
-
-def _product_index(support, lengths):
-    """Flat grid indices of the product of per-factor index sets ``support``.
-
-    A factor is one grid axis or an affine window's raveled x sub-grid, of
-    ``lengths[k]`` points; C order over the factors is C order on the grid.
-    """
-    return np.ravel_multi_index(np.ix_(*support), lengths).ravel()
+    values = np.empty(indptr[-1]) if valued else None
+    for i, (support, on_support) in enumerate(rows):
+        row = slice(indptr[i], indptr[i + 1])
+        indices[row] = np.ravel_multi_index(np.ix_(*support), lengths).ravel()
+        if valued:
+            product = on_support[0]
+            for f in on_support[1:]:
+                product = np.multiply.outer(product, f)
+            values[row] = product.ravel()
+    return CellOperator(indptr, indices, grid.size, values)
 
 
 def _grid_point(grid, flat):
@@ -236,11 +239,15 @@ class WellSpreadSet:
         """The ``CellOperator`` of the translates ``x_i . window`` (cached)."""
         key = (window.key(), grid)
         if key not in self._mask_cache:
-            self._mask_cache[key] = _cell_operator(self.points, window, grid)
+            self._mask_cache[key] = _product_rows(self.points, window.axis_masks,
+                                                  grid)
         return self._mask_cache[key]
 
     def translated(self, g, side="left"):
         """The point family ``g . x_i`` (or ``x_i . g``)."""
+        if side not in ("left", "right"):
+            raise InvalidElementError(
+                f"unknown side {side!r}; choose 'left' or 'right'")
         group = self.grid.group
         g = np.asarray(g, dtype=float)
         if side == "left":
@@ -259,35 +266,9 @@ def check_relatively_separated(X, window):
     """
     if len(X) == 0:
         raise EmptyGridError("separation check needs a nonempty point set")
-    pts = X.points
-    group = X.grid.group if X.grid is not None else None
-    if isinstance(window, BoxWindow):
-        lo = np.asarray(window.lo)
-        hi = np.asarray(window.hi)
-        # x + [lo,hi] meets y + [lo,hi]  iff  |x - y| <= hi - lo componentwise
-        width = hi - lo
-        diff = np.abs(pts[:, None, :] - pts[None, :, :])
-        meets = np.all(diff <= width + _TOL * (1 + np.abs(width)), axis=-1)
-    elif isinstance(window, AxbWindow):
-        meets = _axb_window_overlaps(pts, window)
-    else:
-        raise InvalidElementError(f"unsupported window type {type(window).__name__}")
-    count = int(meets.sum(axis=0).max())
+    count = int(window.overlaps(X.points).sum(axis=0).max())
     X.separation_constants[window.key()] = count
     return count
-
-
-def _axb_window_overlaps(pts, window):
-    """Pairwise overlap of affine translates ball(x, a r) x (a/b, a b)."""
-    x = pts[:, :-1]
-    a = pts[:, -1]
-    r = window.radius
-    beta = window.beta
-    dist = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
-    balls = dist <= r * (a[:, None] + a[None, :]) * (1 + _TOL)
-    dlog = np.abs(np.log(a[:, None]) - np.log(a[None, :]))
-    scales = dlog <= 2 * np.log(beta) * (1 + _TOL)
-    return balls & scales
 
 
 def check_density(X, window, probe_grid=None):
@@ -373,28 +354,47 @@ def build_axb_lattice(a0, b0, k_range=None, j_range=(0, 0), grid=None, n=1,
 # Bounded uniform partitions of unity
 
 
+class _RowViews(Sequence):
+    """Read-only views ``data[indptr[i]:indptr[i+1]]`` of one CSR array's rows."""
+
+    def __init__(self, indptr, data):
+        self._indptr, self._data = indptr, data
+
+    def __len__(self):
+        return len(self._indptr) - 1
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        row = self._data[self._indptr[i]:self._indptr[i + 1]]
+        row.flags.writeable = False
+        return row
+
+
 @dataclass
 class Bupu:
     """Partition of unity subordinate to ``x_i . size_window``.
 
-    Members are stored sparsely as flat grid indices plus values; they are
-    nonnegative, bounded by one, and sum to one at every grid point.
-    ``operator`` holds all members as one ``CellOperator`` with values.
+    ``operator`` holds the members, one ``CellOperator`` row each: flat grid
+    indices and values, nonnegative, bounded by one, and summing to one at
+    every grid point. ``member_indices`` and ``member_values`` are read-only
+    per-member views of it.
     """
 
     base_set: WellSpreadSet
     size_window: object
     grid: object
-    member_indices: list
-    member_values: list
+    operator: CellOperator
 
     def __len__(self):
-        return len(self.member_indices)
+        return len(self.operator)
 
-    @cached_property
-    def operator(self):
-        return CellOperator.from_rows(self.member_indices, self.grid.size,
-                                      self.member_values)
+    @property
+    def member_indices(self):
+        return _RowViews(self.operator.indptr, self.operator.indices)
+
+    @property
+    def member_values(self):
+        return _RowViews(self.operator.indptr, self.operator.values)
 
     def member(self, i):
         """Member i as a dense SampledFunction."""
@@ -412,63 +412,20 @@ class Bupu:
         return self.member(i).eval_at(pts)
 
 
-def _bupu_from_operator(X, window, grid, op):
-    """A Bupu whose member lists are views of the rows of ``op``."""
-    rows = range(len(op))
-    bupu = Bupu(X, window, grid, [op[i] for i in rows],
-                [op.values[op.indptr[i]:op.indptr[i + 1]] for i in rows])
-    bupu.operator = op
-    return bupu
-
-
-def _hat(t):
-    return np.maximum(0.0, 1.0 - np.abs(t))
-
-
-def _hat_row(point, window, grid):
-    """Support and values of the hat supported in ``point . window``.
-
-    The hat is a product of factors, taken on their supports: per-axis hats
-    for a box, where a degenerate axis collapses to an indicator, and for
-    ``AxbWindow`` ``hat(|x - x0| / (r a0))`` on the raveled x sub-grid times
-    ``hat(log(a / a0) / log beta)`` on the scale axis.
-    """
-    axes = grid.axes
-    if isinstance(window, BoxWindow):
-        lo = np.asarray(window.lo)
-        hi = np.asarray(window.hi)
-        center = point + (lo + hi) / 2.0
-        half = (hi - lo) / 2.0
-        factors = [_hat((c - center[k]) / half[k]) if half[k] > 0
-                   else (np.abs(c - center[k]) <= _TOL).astype(float)
-                   for k, c in enumerate(axes)]
-    elif isinstance(window, AxbWindow):
-        x0, a0 = point[:-1], point[-1]
-        dx = np.linalg.norm(tensor_points(axes[:-1]) - x0, axis=-1)
-        du = np.log(axes[-1]) - np.log(a0)
-        factors = [_hat(dx / (window.radius * a0)), _hat(du / np.log(window.beta))]
-    else:
-        raise InvalidElementError(f"unsupported window type {type(window).__name__}")
-    support = [np.flatnonzero(f > 0) for f in factors]
-    vals = factors[0][support[0]]
-    for f, s in zip(factors[1:], support[1:]):
-        vals = np.multiply.outer(vals, f[s])
-    idx = np.flatnonzero(vals > 0)
-    return (_product_index(support, [len(f) for f in factors])[idx],
-            vals.ravel()[idx])
-
-
 def build_bupu(X, window, grid=None, kind="hat"):
     """Partition of unity subordinate to ``x_i . window``.
 
-    ``kind="hat"`` builds piecewise-linear hats renormalized by their
-    pointwise sum: tensor products of 1-D hats for boxes, and for
+    ``kind="hat"`` builds the hats ``window.axis_hats`` gives, renormalized
+    by their pointwise sum: tensor products of 1-D hats for boxes, and for
     ``AxbWindow`` an x-ball hat times a log-scale hat. ``kind="voronoi"``
     assigns each grid point to its nearest lattice point, giving a
     {0,1}-valued partition. Raises DensityError (naming an uncovered grid
     point) when X is not dense enough for the window. A hat costs its
     factors' lengths plus its support per member.
     """
+    if kind not in ("hat", "voronoi"):
+        raise InvalidElementError(
+            f"unknown BUPU kind {kind!r}; choose 'hat' or 'voronoi'")
     grid = grid if grid is not None else X.grid
     if grid is None:
         raise EmptyGridError("building a BUPU needs a grid")
@@ -479,14 +436,11 @@ def build_bupu(X, window, grid=None, kind="hat"):
         np.cumsum(np.bincount(owner, minlength=len(X)), out=indptr[1:])
         op = CellOperator(indptr, np.argsort(owner, kind="stable"), grid.size,
                           np.ones(grid.size))
-        bupu = _bupu_from_operator(X, window, grid, op)
+        bupu = Bupu(X, window, grid, op)
         _check_supports(bupu, window, pts)
         return bupu
 
-    rows = [_hat_row(x, window, grid) for x in X.points]
-    op = CellOperator.from_rows([idx for idx, _ in rows], grid.size,
-                                [vals for _, vals in rows])
-    del rows
+    op = _product_rows(X.points, window.axis_hats, grid)
     total = np.bincount(op.indices, weights=op.values, minlength=grid.size)
     uncovered = np.flatnonzero(total <= 0)
     if uncovered.size:
@@ -495,7 +449,7 @@ def build_bupu(X, window, grid=None, kind="hat"):
             _grid_point(grid, uncovered[0]),
         )
     np.divide(op.values, total[op.indices], out=op.values)
-    return _bupu_from_operator(X, window, grid, op)
+    return Bupu(X, window, grid, op)
 
 
 # entries of the squared-distance block that _voronoi_owner holds at once
@@ -503,17 +457,15 @@ _OWNER_BLOCK = 1 << 16
 
 
 def _voronoi_owner(X, grid, pts):
-    """Index of the nearest lattice point, in grid-adapted coordinates.
+    """Index of the nearest lattice point, in the grid's interpolation
+    coordinates (``axis_queries``: log a on ax+b).
 
     Grid points are taken in blocks of about ``_OWNER_BLOCK / |X|`` rows,
     so the distance array stays small; each row's distances and ``argmin``
     (first minimum on ties) are those of the whole array.
     """
-    if isinstance(grid, AxbGrid):
-        q = np.column_stack([pts[:, :-1], np.log(pts[:, -1])])
-        c = np.column_stack([X.points[:, :-1], np.log(X.points[:, -1])])
-    else:
-        q, c = pts, X.points
+    q = np.column_stack(grid.axis_queries(pts))
+    c = np.column_stack(grid.axis_queries(X.points))
     rows = max(1, _OWNER_BLOCK // max(len(c), 1))
     owner = np.empty(len(q), dtype=np.intp)
     for start in range(0, len(q), rows):

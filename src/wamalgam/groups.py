@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as _iter_product
 
 import numpy as np
@@ -229,6 +230,7 @@ class Grid:
 
     ``weight_factors`` splits ``weights`` into ``(x_volume, scale_weights)``,
     the factor along the last axis: ``u_step * a^{-n}`` on ax+b, else 1.
+    ``weights`` itself, one float per grid point, is built on first use.
 
     Grids compare by value: two grids are equal when they have the same
     type and the same ``metadata()``.
@@ -374,9 +376,11 @@ class UniformGrid(Grid):
         self.interp_axes = self.axes
         self.interp_steps = tuple(self.steps)
         self.shape = tuple(self.cells)
-        cell_volume = float(np.prod(self.steps))
-        self.weights = np.full(self.shape, cell_volume)
-        self.weight_factors = (cell_volume, 1.0)
+        self.weight_factors = (float(np.prod(self.steps)), 1.0)
+
+    @cached_property
+    def weights(self):
+        return np.full(self.shape, self.weight_factors[0])
 
     def refine(self, factor=2):
         return UniformGrid(self.group, self.lo, self.hi,
@@ -410,8 +414,11 @@ class LatticeGrid(Grid):
         self.shape = tuple(len(ax) for ax in self.axes)
         self.steps = np.ones(group.n)
         self.interp_steps = tuple(self.steps)
-        self.weights = np.ones(self.shape)
         self.weight_factors = (1.0, 1.0)
+
+    @cached_property
+    def weights(self):
+        return np.ones(self.shape)
 
     def refine(self, factor=2):
         # the lattice has no finer scale; refinement enlarges the window
@@ -477,10 +484,14 @@ class AxbGrid(Grid):
         self.interp_axes = x_axes + (self.u_axis,)
         self.interp_steps = tuple(self.x_steps) + (self.u_step,)
         self.shape = tuple(self.x_cells) + (self.a_cells,)
-        x_volume = float(np.prod(self.x_steps))
-        self.weights = np.broadcast_to(x_volume * self.u_step * a_axis ** (-float(n)),
-                                       self.shape).copy()
-        self.weight_factors = (x_volume, self.u_step * a_axis ** (-float(n)))
+        self.weight_factors = (float(np.prod(self.x_steps)),
+                               self.u_step * a_axis ** (-float(n)))
+
+    @cached_property
+    def weights(self):
+        x_volume, a_axis, n = self.weight_factors[0], self.axes[-1], self.group.n
+        return np.broadcast_to(x_volume * self.u_step * a_axis ** (-float(n)),
+                               self.shape).copy()
 
     def axis_queries(self, pts):
         qs = [pts[..., k] for k in range(self.group.n)]

@@ -8,15 +8,24 @@ again a scale interval and the spatial ball dilates with the base scale).
 Boundaries count as inside throughout; midpoint grids never place a point
 on a generic boundary, so indicator assemblies stay exact.
 
-``axis_masks`` gives the factors of ``contains`` over a tensor grid: one
-mask per axis for boxes, and for the affine windows a ball mask over the
-raveled x sub-grid and a scale mask. Right translates on ax+b mix x and a,
-so they do not factor and raise; ``AxbCoverWindow`` covers them instead.
+Where the group adds, the right translate ``U . g`` of a box is the box
+moved by g (``right_translate``). On ax+b it mixes x and a and is no window
+here; ``AxbCoverWindow.for_right_translate`` covers it instead.
 
-``stencil`` writes ``contains`` as grid index offsets: stages of disjoint
-parts, each a list of slides ``(axis, lo, hi)`` over the offsets lo..hi
-(integers, or one per scale column). A box is one part of a slide per axis;
-an affine window is the scale slide, then one part per row of its x ball.
+A window answers for its own shape, so callers never branch on its type:
+
+- ``axis_masks`` gives the factors of ``contains`` over a tensor grid: one
+  mask per axis for boxes, and for the affine windows a ball mask over the
+  raveled x sub-grid and a scale mask;
+- ``axis_hats`` gives the factors of the hat supported in the translate,
+  in the same layout (``BoxWindow`` and ``AxbWindow``);
+- ``overlaps`` is the exact pairwise test of which translates meet
+  (``BoxWindow`` and ``AxbWindow``);
+- ``stencil`` writes ``contains`` as grid index offsets: stages of disjoint
+  parts, each a list of slides ``(axis, lo, hi)`` over the offsets lo..hi
+  (integers, or one per scale column). A box is one part of a slide per
+  axis; an affine window is the scale slide, then one part per row of its
+  x ball.
 """
 
 from __future__ import annotations
@@ -30,6 +39,10 @@ from .errors import DimensionMismatchError, InvalidElementError
 from .groups import AxbGroup, Euclidean, IntegerLattice, tensor_points
 
 _TOL = 1e-9
+
+
+def _hat(t):
+    return np.maximum(0.0, 1.0 - np.abs(t))
 
 
 @dataclass(frozen=True)
@@ -86,6 +99,25 @@ class BoxWindow:
         lo, hi = self._bounds()
         return [((ax - b) >= l) & ((ax - b) <= h)
                 for ax, b, l, h in zip(axes, base, lo, hi)]
+
+    def axis_hats(self, group, base, axes):
+        """Per-axis factors of the hat supported in ``base . window``: the
+        hat of the distance to the center in half-widths, or on a degenerate
+        axis the indicator of the center."""
+        lo = np.asarray(self.lo)
+        hi = np.asarray(self.hi)
+        center = base + (lo + hi) / 2.0
+        half = (hi - lo) / 2.0
+        return [_hat((c - center[k]) / half[k]) if half[k] > 0
+                else (np.abs(c - center[k]) <= _TOL).astype(float)
+                for k, c in enumerate(axes)]
+
+    def overlaps(self, points):
+        """Pairwise mask: ``x . window`` meets ``y . window`` for rows x, y
+        of ``points``, which holds iff ``|x - y| <= hi - lo`` componentwise."""
+        width = np.asarray(self.hi) - np.asarray(self.lo)
+        diff = np.abs(points[:, None, :] - points[None, :, :])
+        return np.all(diff <= width + _TOL * (1 + np.abs(width)), axis=-1)
 
     def stencil(self, grid):
         """One part: along axis k, the offsets d with ``lo_k <= d step_k <= hi_k``."""
@@ -181,6 +213,26 @@ class AxbWindow(_AffineWindow):
     def _in_scales(self, qa, ba):
         return np.abs(np.log(qa) - np.log(ba)) <= np.log(self.beta) * (1 + _TOL)
 
+    def axis_hats(self, group, base, axes):
+        """Factors of the hat supported in ``base . window`` on an (x, a)
+        grid: ``hat(|x - x0| / (r a0))`` on the raveled x sub-grid and
+        ``hat(log(a / a0) / log beta)`` on the scale axis."""
+        x0, a0 = base[:-1], base[-1]
+        dx = np.linalg.norm(tensor_points(axes[:-1]) - x0, axis=-1)
+        du = np.log(axes[-1]) - np.log(a0)
+        return [_hat(dx / (self.radius * a0)), _hat(du / np.log(self.beta))]
+
+    def overlaps(self, points):
+        """Pairwise mask: ``ball(x, a r) x (a/beta, a beta)`` meets the
+        translate by another row of ``points``."""
+        x = points[:, :-1]
+        a = points[:, -1]
+        dist = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
+        balls = dist <= self.radius * (a[:, None] + a[None, :]) * (1 + _TOL)
+        dlog = np.abs(np.log(a[:, None]) - np.log(a[None, :]))
+        scales = dlog <= 2 * np.log(self.beta) * (1 + _TOL)
+        return balls & scales
+
     def key(self):
         return ("axb", self.radius, self.beta)
 
@@ -217,6 +269,12 @@ class AxbCoverWindow(_AffineWindow):
         return (ratio >= self.scale_lo * (1 - _TOL)) & (
             ratio <= self.scale_hi * (1 + _TOL))
 
+    def _unsupported(self, *args):
+        raise InvalidElementError(f"unsupported window type {type(self).__name__}: "
+                                  "it has no hats and no overlap test")
+
+    axis_hats = overlaps = _unsupported
+
     def key(self):
         return ("axb-cover", self.radius_mult, self.scale_lo, self.scale_hi)
 
@@ -225,57 +283,21 @@ class AxbCoverWindow(_AffineWindow):
                 "scale_lo": self.scale_lo, "scale_hi": self.scale_hi}
 
 
-@dataclass(frozen=True)
-class RightTranslatedWindow:
-    """Window ``U . g``: membership reduces to ``q g^{-1} in base . U``."""
-
-    base_window: object
-    g: tuple
-
-    def contains(self, group, base, queries):
-        ginv = group.inverse(np.asarray(self.g, dtype=float))
-        moved = group.multiply(np.asarray(queries, dtype=float), ginv)
-        return self.base_window.contains(group, base, moved)
-
-    def axis_masks(self, group, base, axes):
-        """Per-axis factors of ``contains``, where the group adds.
-
-        On R^n and Z^n, ``q g^{-1}`` moves each axis by its own offset. On
-        ax+b it mixes x and a, so the translate has no factors.
-        """
-        shift = self._shift(group, len(axes))
-        return self.base_window.axis_masks(
-            group, base, [ax + s for ax, s in zip(axes, shift)])
-
-    def stencil(self, grid):
-        """The stencil of the moved box, where the group adds."""
-        shift, box = self._shift(grid.group, grid.group.n), self.base_window
-        return BoxWindow(tuple(box.lo - shift), tuple(box.hi - shift)).stencil(grid)
-
-    def _shift(self, group, dim):
-        if not isinstance(group, (Euclidean, IntegerLattice)):
-            raise InvalidElementError(
-                f"window {self.descriptor()} does not factor over the grid of "
-                f"{type(group).__name__}; cover it by "
-                "AxbCoverWindow.for_right_translate")
-        ginv = group.inverse(np.asarray(self.g, dtype=float))
-        if dim != len(ginv):
-            raise DimensionMismatchError("window dimension does not match points")
-        return ginv
-
-    def key(self):
-        return ("rtrans", self.base_window.key(), self.g)
-
-    def descriptor(self):
-        return {
-            "shape": "right-translate",
-            "base": self.base_window.descriptor(),
-            "g": list(self.g),
-        }
-
-
 def right_translate(window, g):
-    return RightTranslatedWindow(window, tuple(np.asarray(g, dtype=float)))
+    """The right translate ``window . g`` of a box where the group adds.
+
+    ``q g^{-1}`` lies in ``base . window`` iff q lies in ``base`` plus the
+    box moved by g, so the translate is ``BoxWindow(lo + g, hi + g)``.
+    """
+    if not isinstance(window, BoxWindow):
+        raise InvalidElementError(
+            f"the right-translate of window {window.descriptor()} does not "
+            "factor over its grid; cover it by AxbCoverWindow.for_right_translate")
+    g = np.asarray(g, dtype=float)
+    if g.shape != (len(window.lo),):
+        raise DimensionMismatchError("window dimension does not match points")
+    return BoxWindow(tuple((np.asarray(window.lo) + g).tolist()),
+                     tuple((np.asarray(window.hi) + g).tolist()))
 
 
 def window_mask(window, grid, base):

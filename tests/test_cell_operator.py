@@ -27,6 +27,7 @@ from wamalgam import (
     WellSpreadSet,
     build_axb_lattice,
     build_bupu,
+    check_relatively_separated,
     discrete_amalgam_norm,
     estimate_translation_operator_norm,
     euclidean_lattice,
@@ -34,6 +35,7 @@ from wamalgam import (
     right_translate,
     sequence_norm,
     shifted_power_weight,
+    verify_bupu,
 )
 from wamalgam import components
 from wamalgam.amalgam import local_norms_bupu
@@ -142,9 +144,30 @@ def test_rows_equal_contains(name, rng):
 
 def test_right_translate_on_axb_names_the_cover_window():
     X, window, grid = _case("axb-n2", None)
-    moved = right_translate(window, (0.5, -0.4, 1.3))
     with pytest.raises(InvalidElementError, match="right-translate.*AxbCoverWindow"):
-        X.cell_masks(moved, grid)
+        right_translate(window, (0.5, -0.4, 1.3))
+
+
+def test_right_translate_checks_the_dimension():
+    with pytest.raises(DimensionMismatchError):
+        right_translate(BoxWindow.centered(0.5, 2), (0.4, -0.6, 1.0))
+
+
+@pytest.mark.parametrize("grid, spacing, radius, g", [
+    pytest.param(UniformGrid(Euclidean(2), -4.0, 4.0, 32), 1.0, 1.0, (0.4, -0.6),
+                 id="R2"),
+    pytest.param(LatticeGrid(IntegerLattice(2), -6, 6), 2.0, 2.0, (1.0, -1.0),
+                 id="Z2"),
+])
+def test_moved_box_works_wherever_a_box_does(grid, spacing, radius, g):
+    """A right translate where the group adds is the moved box: its overlap
+    count is the unmoved box's, and its hats form a BUPU."""
+    X = euclidean_lattice(grid, spacing)
+    box = BoxWindow.centered(radius, 2)
+    moved = right_translate(box, g)
+    assert check_relatively_separated(X, moved) == check_relatively_separated(X, box)
+    assert verify_bupu(build_bupu(X, moved, grid=grid))["passed"]
+    assert moved == BoxWindow(tuple(np.add(box.lo, g)), tuple(np.add(box.hi, g)))
 
 
 def test_lattice_rows_include_both_faces():

@@ -133,6 +133,29 @@ def test_weight_tabulated_once_per_grid(euclid):
     assert not Y.weight.on_grid(grid).flags.writeable
 
 
+def test_mixed_norms_evaluate_v_once_per_grid(axb_grid):
+    calls = []
+
+    def evaluate(p):
+        calls.append(p.shape)
+        return 1.0 + np.abs(p[..., 0])
+
+    v = WeightFunction("counted", evaluate)
+    F = SampledFunction.sample(axb_grid, lambda x, a: np.exp(-x**2) / (1 + a))
+    values = [quasi_norm(MixedLpq(p, q, v, n=1), F)
+              for p, q in ((1.0, 1.0), (0.5, 2.0), (2.0, math.inf), (1.0, 1.0),
+                           (3.0, 0.5))]
+    assert values[0] == values[3]
+    # v lives on R^n: it is read once, at the x coordinates of the grid
+    assert calls == [(axb_grid.size, 1)]
+
+
+def test_mixed_norm_refuses_a_group_weight():
+    w = WeightFunction("on-group", lambda p: 1.0 + np.abs(p[..., -1]), domain="group")
+    with pytest.raises(WeightDomainError, match="on-group.*'group'"):
+        MixedLpq(1.0, 1.0, w, n=1)
+
+
 # ---------------------------------------------------------------------------
 # p-exponent relation
 

@@ -126,6 +126,16 @@ def test_hat_bupu_on_integers(line_grid):
     assert member.values[np.argmin(np.abs(xs + 1.0))] <= h
 
 
+def test_bupu_members_are_read_only_views_of_its_operator(line_grid):
+    X = euclidean_lattice(line_grid, 1.0)
+    bupu = build_bupu(X, BoxWindow.centered(1.0, 1), grid=line_grid)
+    for rows, store in ((bupu.member_indices, bupu.operator.indices),
+                        (bupu.member_values, bupu.operator.values)):
+        assert len(rows) == len(X)
+        for row in (rows[0], rows[-1]):
+            assert np.shares_memory(row, store) and not row.flags.writeable
+
+
 def test_voronoi_bupu_is_indicator_partition(line_grid):
     X = euclidean_lattice(line_grid, 1.0)
     bupu = build_bupu(X, BoxWindow.centered(0.75, 1), grid=line_grid,
@@ -146,6 +156,18 @@ def test_axb_bupu_sums_to_one(axb_grid, rng):
     flat = total.values.ravel()
     idx = rng.integers(0, flat.size, 10_000)
     assert np.abs(flat[idx] - 1.0).max() <= 1e-12
+
+
+def test_bupu_unknown_kind_names_the_choices(line_grid):
+    X = euclidean_lattice(line_grid, 1.0)
+    with pytest.raises(InvalidElementError, match="'vornoi'.*'hat'.*'voronoi'"):
+        build_bupu(X, BoxWindow.centered(1.0, 1), grid=line_grid, kind="vornoi")
+
+
+def test_translated_unknown_side_names_the_choices(line_grid):
+    X = euclidean_lattice(line_grid, 1.0)
+    with pytest.raises(InvalidElementError, match="'lfet'.*'left'.*'right'"):
+        X.translated([0.5], side="lfet")
 
 
 def test_bupu_not_dense_raises(line_grid):

@@ -1,5 +1,7 @@
 """Group algebra, Haar quadrature, and grid invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,25 @@ def test_modular_right_translation_identity(axb, rng):
             rhs = haar_integral(F) / axb.modular(g)
             errors.append(abs(lhs - rhs))
         assert errors[1] <= errors[0] / 4 + 1e-12
+
+
+def test_grid_weights_built_on_first_use():
+    """A grid of 24.6M points allocates no per-point array until its
+    quadrature weights are read; they are then the factors' product."""
+    tracemalloc.start()
+    try:
+        grid = AxbGrid(AxbGroup(3), -6, 6, 80, 0.125, 8, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    small = AxbGrid(AxbGroup(2), -1, 1, 4, 0.5, 2.0, 3)
+    x_volume, scale_weights = small.weight_factors
+    np.testing.assert_allclose(
+        small.weights, np.broadcast_to(x_volume * scale_weights, small.shape),
+        rtol=1e-15)
+    assert small.weights is small.weights
+    assert grid.size == 80**3 * 48
 
 
 def test_grid_refinement_metadata(axb_grid, line_grid, z_grid):
