@@ -8,8 +8,12 @@ many atoms plus an optional density). A sampled function's control
 function folds |F| over the window's ``stencil``: a part's slides run in
 turn as sliding maxima (linf) or sums (l1, M, after weighting |F| by the
 grid's scale factor), and a stage's parts combine one at a time, so memory
-stays a few copies of the grid. A stencil whose parts times the grid points
-exceed ``_STENCIL_BUDGET`` is refused before any slide.
+stays a few copies of the grid. Under max the slides commute and the parts
+combine in any order bit for bit, so parts that end in the same slide
+object (the affine rows for the x offsets o and -o) run it once; sums keep
+every slide in stencil order, since moving a running-sum shift changes
+its rounding. A stencil whose parts times the grid points exceed
+``_STENCIL_BUDGET`` is refused before any slide.
 A sliding max over a window of L indices runs by doubling: log2(L) passes
 of ``max(V[:-s], V[s:])`` for s = 1, 2, 4, ..., then two reads of the last
 level, so N samples cost O(N log L) time and O(N) memory. On ax+b, where
@@ -209,9 +213,15 @@ def control_function(F, window, local="linf"):
     slide, combine = (_sliding_max, np.maximum) if linf else (_sliding_sum, np.add)
     out = np.abs(F.values) if linf else np.abs(F.values) * scale_weights
     for stage in stencil:
-        folded = None
+        if linf:  # exact in any order: parts sharing a last slide run it once
+            stage = sorted(stage, key=lambda part: id(part[-1]))
+        folded, shared = None, (None, None)
         for part in stage:
             piece = out
+            if linf and len(part) > 1:
+                if shared[0] is not part[-1]:
+                    shared = (part[-1], slide(out, *part[-1]))
+                piece, part = shared[1], part[:-1]
             for axis, lo, hi in part:
                 piece = slide(piece, axis, lo, hi)
             folded = piece if folded is None else combine(folded, piece, out=folded)
@@ -285,25 +295,39 @@ def local_norms_bupu(F, bupu, local):
 
 
 def local_norms_indicator(F, X, window, local):
-    """Per-point local norms ``||F chi_{x_i . window}||_B``."""
-    return _reduce_rows(F, F.grid, X.cell_masks(window, F.grid), normalize_local(local))
+    """Per-point local norms ``||F chi_{x_i . window}||_B``; for a measure,
+    ``|mu|(x_i . window)``."""
+    local = normalize_local(local)
+    if isinstance(F, DiscreteMeasure):
+        if local != "m":
+            raise InvalidElementError("measures carry the M local component")
+        out = np.zeros(len(X))
+        for z, mass in F.atoms:
+            out += abs(mass) * window.contains(F.group, X.points, z)
+        if F.density is not None:
+            if not np.all(np.isfinite(F.density.values)):
+                raise NonFiniteSampleError("samples contain non-finite values")
+            out += local_norms_indicator(F.density, X, window, "l1")
+        return out
+    return _reduce_rows(F, F.grid, X.cell_masks(window, F.grid), local)
 
 
 def _reduce_rows(F, grid, op, local):
-    """Row maxima of ``|F| v`` (linf) or row sums of ``|F| v w`` over ``op``.
+    """Row maxima of ``|F| v`` (linf) or row sums of ``(|F| w) v`` over ``op``.
 
     ``v`` is the operator's values (1 for a membership operator) and ``w``
-    the quadrature weights; one gather feeds one ``reduceat``.
+    the quadrature weights, applied on the grid before the one gather that
+    feeds one ``reduceat``.
     """
     if F.grid != grid:
         raise DimensionMismatchError("function and BUPU live on different grids")
-    piece = np.abs(F.values).ravel()[op.indices].astype(float, copy=False)
+    magnitude = np.abs(F.values).astype(float, copy=False)
+    if local != "linf":
+        magnitude *= grid.weights
+    piece = magnitude.ravel()[op.indices]
     if op.values is not None:
         piece *= op.values
-    if local == "linf":
-        return op.reduce(np.maximum, piece)
-    piece *= grid.weights.ravel()[op.indices]
-    return op.reduce(np.add, piece)
+    return op.reduce(np.maximum if local == "linf" else np.add, piece)
 
 
 def discrete_amalgam_norm(F, bupu, local, component, window=None,

@@ -16,13 +16,18 @@ from per-factor arrays: ``window.axis_masks`` (boolean, the factors of
 the hat) for BUPU members, which also keep the product of the factors'
 values. A factor is one grid axis, or for the affine windows the raveled x
 sub-grid and the scale axis, so a cell row is bit-identical to
-``contains`` on all grid points. A moved box is a box
+``contains`` on all grid points. The builder asks the window for the
+factors of a whole block of base points at once, so the temporaries stay
+one block, and writes each row as one outer sum of its supports' flat
+strides and one outer product of their values. A moved box is a box
 (``windows.right_translate``). Separation counts come from
 ``window.overlaps``, and Voronoi owners from the grid's ``axis_queries``.
 
 A ``Bupu`` holds its members once, as one ``CellOperator`` with values
 (``bupu.operator``); ``member_indices`` and ``member_values`` are read-only
-views of its rows. Local norms are a ``reduceat`` over one gather. Step
+views of its rows. A local norm weights |F| on the grid (l1), gathers it
+once over the operator's entries, multiplies by the members' values and
+takes one ``reduceat``. Step
 functions ``sum_i c_i chi_{x_i . window}`` are constant on the atoms of the
 cover, the sets of grid points covered by the same rows; the operator
 builds its ``AtomPartition`` once, on first use, and a step function is one
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -42,6 +47,9 @@ from .errors import DensityError, EmptyGridError, InvalidElementError
 from .groups import SampledFunction, tensor_points
 
 _TOL = 1e-9
+# entries of one block array: the squared distances _voronoi_owner holds at
+# once, and the factor entries and divisions of the hat and cell builders
+_OWNER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,30 +193,46 @@ def _product_rows(points, factors, grid):
     order over the factors is C order on the grid. Float factors (hats)
     also give the row's values, the products of the factors' values on the
     supports. Those are positive: a hat value is at least 2^-53, and a row
-    multiplies a few of them. Every row's length is known before it is
-    built, and the rows are written in place.
+    multiplies a few of them.
+
+    The window is called once per block of points: the first block is one
+    point, which gives the factors' lengths, and the others hold about
+    ``_OWNER_BLOCK`` factor entries. Each factor's supports are split by
+    row, so every row's length is known before any row is written; a row
+    is one outer sum of its supports' flat strides (indices) and one outer
+    product of their values, left to right.
     """
-    rows, valued = [], False
-    for x in points:
-        arrays = factors(grid.group, x, grid.axes)
-        lengths = [len(f) for f in arrays]
-        valued = arrays[0].dtype != bool
-        support = [np.flatnonzero(f > 0) for f in arrays]
-        rows.append((support, [f[s] for f, s in zip(arrays, support)]
-                     if valued else None))
+    counts, columns, on_support = [], [], []
+    valued, start, block = False, 0, 1
+    while start < len(points):
+        arrays = factors(grid.group, points[start:start + block], grid.axes)
+        if start == 0:
+            lengths = [f.shape[1] for f in arrays]
+            strides = np.cumprod([1] + lengths[:0:-1])[::-1]
+            valued = arrays[0].dtype != bool
+        masks = [f > 0 for f in arrays]
+        counts.append([np.count_nonzero(m, axis=1) for m in masks])
+        columns.append([np.nonzero(m)[1] * s for m, s in zip(masks, strides)])
+        if valued:
+            on_support.append([f[m] for f, m in zip(arrays, masks)])
+        start += block
+        block = max(1, _OWNER_BLOCK // sum(lengths))
+    counts = [np.concatenate(c) for c in zip(*counts)] or [np.zeros(0, dtype=np.intp)]
     indptr = np.zeros(len(points) + 1, dtype=np.intp)
-    np.cumsum([np.prod([len(s) for s in support]) for support, _ in rows],
-              out=indptr[1:])
+    np.cumsum(np.prod(counts, axis=0), out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.intp)
     values = np.empty(indptr[-1]) if valued else None
-    for i, (support, on_support) in enumerate(rows):
-        row = slice(indptr[i], indptr[i + 1])
-        indices[row] = np.ravel_multi_index(np.ix_(*support), lengths).ravel()
+    offsets = [np.concatenate([[0], np.cumsum(c)]).tolist() for c in counts]
+    columns = [np.concatenate(c) for c in zip(*columns)]
+    on_support = [np.concatenate(v) for v in zip(*on_support)]
+    bounds = indptr.tolist()
+    for i in np.flatnonzero(np.diff(indptr)).tolist():
+        row = slice(bounds[i], bounds[i + 1])
+        parts = [slice(o[i], o[i + 1]) for o in offsets]
+        indices[row] = reduce(np.add.outer, [c[k] for c, k in zip(columns, parts)]).ravel()
         if valued:
-            product = on_support[0]
-            for f in on_support[1:]:
-                product = np.multiply.outer(product, f)
-            values[row] = product.ravel()
+            values[row] = reduce(np.multiply.outer,
+                                 [v[k] for v, k in zip(on_support, parts)]).ravel()
     return CellOperator(indptr, indices, grid.size, values)
 
 
@@ -421,7 +445,8 @@ def build_bupu(X, window, grid=None, kind="hat"):
     assigns each grid point to its nearest lattice point, giving a
     {0,1}-valued partition. Raises DensityError (naming an uncovered grid
     point) when X is not dense enough for the window. A hat costs its
-    factors' lengths plus its support per member.
+    factors' lengths plus its support per member; the build holds the
+    operator, the pointwise sum and one block of divisions.
     """
     if kind not in ("hat", "voronoi"):
         raise InvalidElementError(
@@ -448,12 +473,10 @@ def build_bupu(X, window, grid=None, kind="hat"):
             "point set is not dense for the requested BUPU size window",
             _grid_point(grid, uncovered[0]),
         )
-    np.divide(op.values, total[op.indices], out=op.values)
+    for start in range(0, len(op.indices), _OWNER_BLOCK):
+        block = slice(start, start + _OWNER_BLOCK)
+        op.values[block] /= total[op.indices[block]]
     return Bupu(X, window, grid, op)
-
-
-# entries of the squared-distance block that _voronoi_owner holds at once
-_OWNER_BLOCK = 1 << 16
 
 
 def _voronoi_owner(X, grid, pts):

@@ -19,13 +19,16 @@ A window answers for its own shape, so callers never branch on its type:
   raveled x sub-grid and a scale mask;
 - ``axis_hats`` gives the factors of the hat supported in the translate,
   in the same layout (``BoxWindow`` and ``AxbWindow``);
+- both factor methods take one base point or a stack of m of them, shape
+  (m, dim), and then return (m, length) arrays, one row per base; the
+  affine windows build the raveled x sub-grid once per call;
 - ``overlaps`` is the exact pairwise test of which translates meet
   (``BoxWindow`` and ``AxbWindow``);
 - ``stencil`` writes ``contains`` as grid index offsets: stages of disjoint
   parts, each a list of slides ``(axis, lo, hi)`` over the offsets lo..hi
   (integers, or one per scale column). A box is one part of a slide per
   axis; an affine window is the scale slide, then one part per row of its
-  x ball.
+  x ball, whose parts of equal half-widths end in the same row slide.
 """
 
 from __future__ import annotations
@@ -43,6 +46,12 @@ _TOL = 1e-9
 
 def _hat(t):
     return np.maximum(0.0, 1.0 - np.abs(t))
+
+
+def _per_axis(base):
+    """Coordinate k of a base point, or of a stack of m of them, for each
+    k: an array that broadcasts against an axis, (1,) or (m, 1)."""
+    return np.moveaxis(np.asarray(base, dtype=float)[..., None], -2, 0)
 
 
 @dataclass(frozen=True)
@@ -95,10 +104,9 @@ class BoxWindow:
         """Per-axis factors of ``contains`` on the tensor grid with ``axes``."""
         if len(axes) != len(self.lo):
             raise DimensionMismatchError("window dimension does not match points")
-        base = np.asarray(base, dtype=float)
         lo, hi = self._bounds()
         return [((ax - b) >= l) & ((ax - b) <= h)
-                for ax, b, l, h in zip(axes, base, lo, hi)]
+                for ax, b, l, h in zip(axes, _per_axis(base), lo, hi)]
 
     def axis_hats(self, group, base, axes):
         """Per-axis factors of the hat supported in ``base . window``: the
@@ -106,11 +114,10 @@ class BoxWindow:
         axis the indicator of the center."""
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
-        center = base + (lo + hi) / 2.0
-        half = (hi - lo) / 2.0
-        return [_hat((c - center[k]) / half[k]) if half[k] > 0
-                else (np.abs(c - center[k]) <= _TOL).astype(float)
-                for k, c in enumerate(axes)]
+        return [_hat((c - (b + mid)) / half) if half > 0
+                else (np.abs(c - (b + mid)) <= _TOL).astype(float)
+                for c, b, mid, half in zip(axes, _per_axis(base), (lo + hi) / 2.0,
+                                           (hi - lo) / 2.0)]
 
     def overlaps(self, points):
         """Pairwise mask: ``x . window`` meets ``y . window`` for rows x, y
@@ -161,8 +168,8 @@ class _AffineWindow:
         that ``contains`` takes, so the masks are bit-identical to it.
         """
         base = np.asarray(base, dtype=float)
-        bx, ba = base[..., :-1], base[..., -1]
-        dist = np.linalg.norm(tensor_points(axes[:-1]) - bx, axis=-1)
+        dist = np.linalg.norm(tensor_points(axes[:-1]) - base[..., None, :-1], axis=-1)
+        ba = base[..., -1:]
         return [self._in_ball(dist, ba), self._in_scales(axes[-1], ba)]
 
     def stencil(self, grid):
@@ -185,8 +192,12 @@ class _AffineWindow:
         # the half-width of each part's row at each base scale, -1 if empty
         half = np.count_nonzero(self._in_ball(dist[..., None], a), axis=1) - 1
         past = grid.x_cells[-1]
+        # parts with the same half-widths (o and -o at least) share one row
+        # slide object, so that a fold may run it once
+        slides = {}
         rows = [[(k, c, c) for k, c in enumerate(o)]
-                + [(n - 1, np.where(w < 0, past, -w), np.where(w < 0, past, w))]
+                + [slides.setdefault(w.tobytes(), (n - 1, np.where(w < 0, past, -w),
+                                                   np.where(w < 0, past, w)))]
                 for o, w in zip(offsets[::shape[-1], :-1].tolist(), half)
                 if w.max() >= 0]
         return [[[scale]], rows]
@@ -217,8 +228,9 @@ class AxbWindow(_AffineWindow):
         """Factors of the hat supported in ``base . window`` on an (x, a)
         grid: ``hat(|x - x0| / (r a0))`` on the raveled x sub-grid and
         ``hat(log(a / a0) / log beta)`` on the scale axis."""
-        x0, a0 = base[:-1], base[-1]
-        dx = np.linalg.norm(tensor_points(axes[:-1]) - x0, axis=-1)
+        base = np.asarray(base, dtype=float)
+        dx = np.linalg.norm(tensor_points(axes[:-1]) - base[..., None, :-1], axis=-1)
+        a0 = base[..., -1:]
         du = np.log(axes[-1]) - np.log(a0)
         return [_hat(dx / (self.radius * a0)), _hat(du / np.log(self.beta))]
 

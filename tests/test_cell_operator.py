@@ -38,7 +38,7 @@ from wamalgam import (
     verify_bupu,
 )
 from wamalgam import components
-from wamalgam.amalgam import local_norms_bupu
+from wamalgam.amalgam import local_norms_bupu, local_norms_indicator
 from wamalgam.components import OVERFLOW, assemble_step_function
 from wamalgam.errors import (
     DimensionMismatchError,
@@ -369,6 +369,29 @@ def test_measure_local_norms_by_hand():
         UniformGrid(E, -2.0, 2.0, 64), np.ones(64)))
     with pytest.raises(DimensionMismatchError):
         local_norms_bupu(other, bupu, "m")
+
+
+def test_indicator_local_norms_of_a_measure():
+    """The indicator variant gives ``|mu|(x_i . window)``: an atom counts in
+    every cell that holds it, and a density adds its l1 norm per cell."""
+    E = Euclidean(1)
+    grid = UniformGrid(E, -4.0, 4.0, 64)
+    X = euclidean_lattice(grid, 1.0)
+    window = BoxWindow.centered(1.0, 1)  # cells [i - 1, i + 1]
+    mu = DiscreteMeasure(E, [(np.array([0.3]), 2.0)], grid=grid)
+    expected = np.where(np.isin(X.points[:, 0], [0.0, 1.0]), 2.0, 0.0)
+    assert np.array_equal(local_norms_indicator(mu, X, window, "m"), expected)
+    bupu = build_bupu(X, window, grid=grid)
+    Y = WeightedLp(1.0)
+    got = discrete_amalgam_norm(mu, bupu, "m", Y, variant="indicator")
+    assert got == sequence_norm(DiscreteSequence(expected, X, Y, window), grid)
+    density = SampledFunction(grid, np.full(grid.shape, 2.0))
+    with_density = DiscreteMeasure(E, mu.atoms, density=density)
+    assert np.array_equal(local_norms_indicator(with_density, X, window, "m"),
+                          expected + local_norms_indicator(density, X, window, "l1"))
+    for local in ("l1", "linf"):
+        with pytest.raises(InvalidElementError, match="M local component"):
+            discrete_amalgam_norm(mu, bupu, local, Y, variant="indicator")
 
 
 def test_integer_samples_on_the_lattice():
