@@ -21,7 +21,6 @@ from wamalgam import (
     demonstrate_lp_failure,
     quasi_norm,
     shifted_power_weight,
-    space_norm,
     verify_embedding,
 )
 from wamalgam.errors import TruncationWarning
@@ -58,8 +57,8 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore", TruncationWarning)
     report = verify_embedding(
         "cor_conv_Lp", left, right, grid=grid,
-        target_norm=space_norm(space), left_norm=space_norm(space),
-        right_norm=space_norm(space), levels=2, family="bumps")
+        target_norm=space.norm, left_norm=space.norm,
+        right_norm=space.norm, levels=2, family="bumps")
 print("\nW(Linf, L^1_w) * W(Linf, L^1_w) -> W(Linf, L^1_w) on R:")
 print("  C_emp per refinement level:", [round(c, 4) for c in report.refinement_trace],
       " passed:", report.passed)

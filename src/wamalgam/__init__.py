@@ -49,8 +49,6 @@ from .convolution import (
     convolve_point,
     demonstrate_lp_failure,
     graded_lp_norm,
-    reflected_space_norm,
-    space_norm,
     verify_embedding,
 )
 from .discretization import (

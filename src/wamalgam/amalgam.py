@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .components import (
-    DEFAULT_OVERFLOW_GUARD,
     OVERFLOW,
+    OVERFLOW_GUARD,
     DiscreteSequence,
     is_overflow,
     quasi_norm,
@@ -100,9 +100,14 @@ class AmalgamSpace:
     def p_exponent(self):
         return self.global_component.p_exponent
 
-    def norm(self, F, overflow_guard=DEFAULT_OVERFLOW_GUARD):
-        return amalgam_norm(F, self.window, self.local, self.global_component,
-                            overflow_guard=overflow_guard)
+    def norm(self, F):
+        return amalgam_norm(F, self.window, self.local, self.global_component)
+
+    def reflected_norm(self, G):
+        """Norm of the reflected space W(B, Y-reflected), taken through both
+        reversals: ``||K(G-reversed)-reversed||_Y``."""
+        K = control_function(involution(G, "reverse"), self.window, self.local)
+        return quasi_norm(self.global_component, involution(K, "reverse"))
 
     def describe(self):
         return f"W({self.local},{self.global_component.describe()})"
@@ -265,12 +270,12 @@ def _measure_control(mu, window):
 # Amalgam norms
 
 
-def amalgam_norm(F, window, local, component, overflow_guard=DEFAULT_OVERFLOW_GUARD):
+def amalgam_norm(F, window, local, component):
     """Quasi-norm of F in W(local, component, window)."""
     control = control_function(F, window, local)
-    if normalize_local(local) == "linf" and np.max(control.values, initial=0.0) > overflow_guard:
+    if normalize_local(local) == "linf" and np.max(control.values, initial=0.0) > OVERFLOW_GUARD:
         return OVERFLOW
-    return quasi_norm(component, control, overflow_guard)
+    return quasi_norm(component, control)
 
 
 def local_norms_bupu(F, bupu, local):
@@ -279,19 +284,27 @@ def local_norms_bupu(F, bupu, local):
     if isinstance(F, DiscreteMeasure):
         if local != "m":
             raise InvalidElementError("measures carry the M local component")
-        out = np.zeros(len(bupu))
-        if F.atoms:
-            zs = np.stack([z for z, _ in F.atoms])
-            masses = [abs(mass) for _, mass in F.atoms]
-            for i in range(len(bupu)):
-                for mass, value in zip(masses, bupu.member_value_at(i, zs)):
-                    out[i] += mass * float(value)
+        out = _members_at_atoms(F, bupu) if F.atoms else np.zeros(len(bupu))
         if F.density is not None:
             if not np.all(np.isfinite(F.density.values)):
                 raise NonFiniteSampleError("samples contain non-finite values")
             out += local_norms_bupu(F.density, bupu, "l1")
         return out
     return _reduce_rows(F, bupu.grid, bupu.operator, local)
+
+
+def _members_at_atoms(mu, bupu):
+    """``sum_z |mass_z| psi_i(z)`` per member, ``psi_i`` interpolated at the
+    atoms: each |mass| goes on its grid corners with its corner weights,
+    and one gather over the operator reads every member there."""
+    grid = bupu.grid
+    corners, inside = grid.corners(np.stack([z for z, _ in mu.atoms]))
+    mass = np.array([abs(m) for _, m in mu.atoms]) * inside
+    deposit = np.zeros(grid.size)
+    for index, w in corners:
+        np.add.at(deposit, np.ravel_multi_index(index, grid.shape), w * mass)
+    op = bupu.operator
+    return op.reduce(np.add, deposit[op.indices] * op.values)
 
 
 def local_norms_indicator(F, X, window, local):
@@ -331,7 +344,7 @@ def _reduce_rows(F, grid, op, local):
 
 
 def discrete_amalgam_norm(F, bupu, local, component, window=None,
-                          variant="bupu", overflow_guard=DEFAULT_OVERFLOW_GUARD):
+                          variant="bupu"):
     """Equivalent discrete quasi-norm through a BUPU (or indicator system).
 
     Computes the Y_d(X) norm of the member-wise local norms; ``window``
@@ -346,7 +359,7 @@ def discrete_amalgam_norm(F, bupu, local, component, window=None,
         raise InvalidElementError(f"unknown discrete variant {variant!r}")
     grid = F.grid if not isinstance(F, DiscreteMeasure) else bupu.grid
     seq = DiscreteSequence(coeffs, bupu.base_set, component, window)
-    return sequence_norm(seq, grid, overflow_guard)
+    return sequence_norm(seq, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -485,16 +498,22 @@ def _unclipped_cells(X, window, grid):
     return (op.counts > 0) & ~op.reduce(np.logical_or, ring.ravel()[op.indices])
 
 
-def calibrate_equivalence_bracket(space, bupu, family, overflow_guard=DEFAULT_OVERFLOW_GUARD):
-    """Empirical discrete/continuous equivalence constant over a family."""
-    worst = 1.0
+def equivalence_pairs(space, bupu, family):
+    """``(cont, disc)`` per member of the family: its norm in the space and
+    its discrete norm through the BUPU. Members where either norm
+    overflows or is not positive are skipped."""
     for F in family:
-        cont = amalgam_norm(F, space.window, space.local, space.global_component,
-                            overflow_guard)
-        disc = discrete_amalgam_norm(F, bupu, space.local, space.global_component,
-                                     overflow_guard=overflow_guard)
+        cont = space.norm(F)
+        disc = discrete_amalgam_norm(F, bupu, space.local, space.global_component)
         if is_overflow(cont) or is_overflow(disc) or cont <= 0 or disc <= 0:
             continue
+        yield cont, disc
+
+
+def calibrate_equivalence_bracket(space, bupu, family):
+    """Empirical discrete/continuous equivalence constant over a family."""
+    worst = 1.0
+    for cont, disc in equivalence_pairs(space, bupu, family):
         worst = max(worst, disc / cont, cont / disc)
     return worst
 
@@ -502,8 +521,7 @@ def calibrate_equivalence_bracket(space, bupu, family, overflow_guard=DEFAULT_OV
 def estimate_translation_operator_norm(space, g, direction, *, grid,
                                        test_family=(), well_spread=None,
                                        coeff_count=32, rng=None,
-                                       bracket_constant=1.0,
-                                       overflow_guard=DEFAULT_OVERFLOW_GUARD):
+                                       bracket_constant=1.0):
     """Certify ``|||T_g|W(B,Y)|||`` by a (lower, upper) interval.
 
     The lower bound maximizes norm ratios over the test family. The upper
@@ -523,12 +541,8 @@ def estimate_translation_operator_norm(space, g, direction, *, grid,
 
     lower = 0.0
     for F in test_family:
-        base = amalgam_norm(F, space.window, space.local, space.global_component,
-                            overflow_guard)
-        moved = translate(F, g, "left" if direction == "left" else direction,
-                          coverage_warn=0.0)
-        shifted = amalgam_norm(moved, space.window, space.local,
-                               space.global_component, overflow_guard)
+        base = space.norm(F)
+        shifted = space.norm(translate(F, g, direction, coverage_warn=0.0))
         if is_overflow(base) or is_overflow(shifted) or base <= 0:
             continue
         lower = max(lower, shifted / base)
@@ -541,8 +555,7 @@ def estimate_translation_operator_norm(space, g, direction, *, grid,
         if direction == "left":
             # the norm of L_g is governed by how much cheaper the cells of
             # the pulled-back set g^{-1}X measure the same coefficients
-            base_X, base_U = well_spread.translated(group.inverse(g),
-                                                    side="left"), space.window
+            base_X, base_U = well_spread.translated(group.inverse(g)), space.window
             moved_X = well_spread
             moved_U = space.window
         else:
@@ -569,10 +582,10 @@ def estimate_translation_operator_norm(space, g, direction, *, grid,
         for lam in vectors:
             num = sequence_norm(
                 DiscreteSequence(lam, moved_X, space.global_component, moved_U),
-                grid, overflow_guard)
+                grid)
             den = sequence_norm(
                 DiscreteSequence(lam, base_X, space.global_component, base_U),
-                grid, overflow_guard)
+                grid)
             if is_overflow(num) or is_overflow(den) or den <= 0:
                 continue
             ratio = max(ratio, num / den)

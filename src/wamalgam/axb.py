@@ -22,7 +22,7 @@ from .components import (
     ball_integral,
     check_doubling,
 )
-from .convolution import space_norm, verify_embedding
+from .convolution import verify_embedding
 from .errors import IndexMismatchError, InvalidExponentError, WeightDomainError
 from .windows import AxbWindow
 
@@ -145,9 +145,9 @@ def verify_axb_convolution(weight, p, q, left_specs, right_specs, *, grid,
     right_space = AmalgamSpace("linf", WeightedLp(r, w), window)
     report = verify_embedding(
         "axb_relation", left_specs, right_specs, grid=grid,
-        target_norm=space_norm(target_space),
-        left_norm=space_norm(target_space),
-        right_norm=space_norm(right_space),
+        target_norm=target_space.norm,
+        left_norm=target_space.norm,
+        right_norm=right_space.norm,
         levels=levels,
         family=f"axb p={p} q={q} v={weight.name} alpha={alpha:.4g}",
     )

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .amalgam import amalgam_norm, budgeted_stencil, discrete_amalgam_norm
+from .amalgam import AmalgamSpace, amalgam_norm, budgeted_stencil, equivalence_pairs
 from .axb import compute_ball_weights, lpq_discrete_norm, right_translation_bound
 from .components import (
     MixedLpq,
@@ -298,14 +298,9 @@ def cmd_equivalence(cfg, args):
     family = cfg.get("family", {})
     specs = build_family_on(family.get("kind"), group, family.get("count", 50),
                             args.seed, "family.kind")
-    ratios = []
-    for spec in specs:
-        F = spec.sample(grid)
-        cont = amalgam_norm(F, window, local, component)
-        disc = discrete_amalgam_norm(F, bupu, local, component)
-        if is_overflow(cont) or is_overflow(disc) or cont <= 0:
-            continue
-        ratios.append(disc / cont)
+    space = AmalgamSpace(local, component, window)
+    ratios = [disc / cont for cont, disc in equivalence_pairs(
+        space, bupu, (spec.sample(grid) for spec in specs))]
     if not ratios:
         raise ConfigError("config.family: every sample overflowed or vanished")
     ratios = np.asarray(ratios)

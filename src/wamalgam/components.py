@@ -26,7 +26,7 @@ from .groups import AxbGrid, SampledFunction
 
 
 class OverflowSignal:
-    """Marker for a quasi-norm that exceeded its overflow guard."""
+    """Marker for a quasi-norm that exceeded ``OVERFLOW_GUARD``."""
 
     def __repr__(self):
         return "OVERFLOW"
@@ -37,7 +37,8 @@ class OverflowSignal:
 
 OVERFLOW = OverflowSignal()
 
-DEFAULT_OVERFLOW_GUARD = 1e12
+# every quasi-norm above this value is reported as OVERFLOW
+OVERFLOW_GUARD = 1e12
 
 
 def is_overflow(value):
@@ -207,22 +208,22 @@ class MixedLpq:
         return f"L^{{{self.p},{self.q}}}({v})"
 
 
-def quasi_norm(component, F, overflow_guard=DEFAULT_OVERFLOW_GUARD):
+def quasi_norm(component, F):
     """Quadrature evaluation of the component's quasi-norm of ``F``.
 
-    Returns OVERFLOW when the result exceeds ``overflow_guard`` or the
+    Returns OVERFLOW when the result exceeds ``OVERFLOW_GUARD`` or the
     power sums leave the floating range, and raises NonFiniteSampleError
     when a sample is NaN: an undefined sample is not a divergence.
     """
     if np.isnan(F.values).any():
         raise NonFiniteSampleError("samples contain NaN")
     if isinstance(component, MixedLpq):
-        return _mixed_norm(component, F, overflow_guard)
-    return _weighted_lp_norm(component, F, overflow_guard)
+        return _mixed_norm(component, F)
+    return _weighted_lp_norm(component, F)
 
 
-def _guarded(value, guard):
-    if not np.isfinite(value) or value > guard:
+def _guarded(value):
+    if not np.isfinite(value) or value > OVERFLOW_GUARD:
         return OVERFLOW
     return float(value)
 
@@ -234,20 +235,20 @@ def _check_group(component, grid):
         )
 
 
-def _weighted_lp_norm(component, F, guard):
+def _weighted_lp_norm(component, F):
     _check_group(component, F.grid)
     absF = np.abs(F.values)
     if component.weight is not None:
         absF = absF * component.weight.on_grid(F.grid)
     p = component.p
     if p == math.inf:
-        return _guarded(absF.max(initial=0.0), guard)
+        return _guarded(absF.max(initial=0.0))
     with np.errstate(over="ignore"):
         total = np.sum(absF**p * F.grid.weights)
-        return _guarded(total ** (1.0 / p), guard)
+        return _guarded(total ** (1.0 / p))
 
 
-def _mixed_norm(component, F, guard):
+def _mixed_norm(component, F):
     grid = F.grid
     if not isinstance(grid, AxbGrid):
         raise GroupMismatchError("mixed-norm components require ax+b grids")
@@ -260,9 +261,9 @@ def _mixed_norm(component, F, guard):
     with np.errstate(over="ignore"):
         inner = np.sum(absF**component.p * vvals, axis=x_axes) * x_volume
         if component.q == math.inf:
-            return _guarded(np.max(inner, initial=0.0) ** (1.0 / component.p), guard)
+            return _guarded(np.max(inner, initial=0.0) ** (1.0 / component.p))
         total = np.sum(inner ** (component.q / component.p) * scale_weights)
-        return _guarded(total ** (1.0 / component.q), guard)
+        return _guarded(total ** (1.0 / component.q))
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +463,10 @@ def _octave_growth(weight, centers, radii, cells_per_radius,
     octaves = [r0 * 2.0**k for k in range(growth_octaves + 2)]
     report = []
     for x in centers:
-        logratios = []
-        for r in octaves:
-            b = ball_integral(weight, x, r, cells_per_radius)
-            d = ball_integral(weight, x, 2.0 * r, cells_per_radius)
-            logratios.append(np.log(max(d / b, 1e-300)))
+        # ball(x, 2r) of one octave is ball(x, r) of the next
+        balls = [ball_integral(weight, x, r0 * 2.0**k, cells_per_radius)
+                 for k in range(growth_octaves + 3)]
+        logratios = [np.log(max(d / b, 1e-300)) for b, d in zip(balls, balls[1:])]
         growth = [logratios[k + 1] / logratios[k] if logratios[k] > 0 else 0.0
                   for k in range(len(octaves) - 1)]
         run = best = 0
@@ -522,7 +522,7 @@ def assemble_step_function(X, window, coefficients, grid):
     return SampledFunction(grid, out.reshape(grid.shape))
 
 
-def sequence_norm(seq, grid=None, overflow_guard=DEFAULT_OVERFLOW_GUARD):
+def sequence_norm(seq, grid=None):
     """Y_d quasi-norm of a coefficient sequence.
 
     The step function ``s = sum_i |c_i| chi_{x_i . window}`` is constant on
@@ -544,7 +544,7 @@ def sequence_norm(seq, grid=None, overflow_guard=DEFAULT_OVERFLOW_GUARD):
     if isinstance(component, MixedLpq):
         step = assemble_step_function(seq.well_spread, seq.window,
                                       seq.coefficients, grid)
-        return quasi_norm(component, step, overflow_guard)
+        return quasi_norm(component, step)
     _check_group(component, grid)
     atoms = seq.well_spread.cell_masks(seq.window, grid).atoms
     values = atoms.sums(np.abs(seq.coefficients))
@@ -554,7 +554,7 @@ def sequence_norm(seq, grid=None, overflow_guard=DEFAULT_OVERFLOW_GUARD):
     p = component.p
     mass = atoms.measure(p, weight, grid.weights)
     if p == math.inf:
-        return _guarded(np.max(values * mass, initial=0.0), overflow_guard)
+        return _guarded(np.max(values * mass, initial=0.0))
     with np.errstate(over="ignore"):
         total = np.sum(values**p * mass)
-        return _guarded(total ** (1.0 / p), overflow_guard)
+        return _guarded(total ** (1.0 / p))

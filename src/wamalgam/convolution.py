@@ -51,13 +51,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .amalgam import DiscreteMeasure, amalgam_norm, control_function, involution, translate
-from .components import (
-    DEFAULT_OVERFLOW_GUARD,
-    OVERFLOW,
-    is_overflow,
-    quasi_norm,
-)
+from .amalgam import DiscreteMeasure, amalgam_norm, translate
+from .components import OVERFLOW, is_overflow
 from .errors import GroupMismatchError, TruncationWarning
 from .groups import AxbGrid, LatticeGrid, SampledFunction
 
@@ -412,16 +407,6 @@ class EmbeddingReport:
         return asdict(self)
 
 
-def space_norm(space, overflow_guard=DEFAULT_OVERFLOW_GUARD):
-    """Norm evaluator for a Wiener amalgam space."""
-
-    def norm(obj):
-        return amalgam_norm(obj, space.window, space.local,
-                            space.global_component, overflow_guard)
-
-    return norm
-
-
 def estimator_weight_on_line(space, grid, knots, direction="measure", *,
                              well_spread=None, test_family=(), rng=None,
                              bracket_constant=1.0, name="operator-norm-upper"):
@@ -453,19 +438,6 @@ def estimator_weight_on_line(space, grid, knots, direction="measure", *,
         uppers.append(bound)
     uppers = np.maximum.accumulate(np.asarray(uppers))  # monotone envelope
     return table_weight(knots, uppers, name=name)
-
-
-def reflected_space_norm(space, overflow_guard=DEFAULT_OVERFLOW_GUARD):
-    """Evaluator for the reflected space: the amalgam norm of W(B, Y-reflected)
-    applied through both reversals, ``||K(G-reversed)- reversed||_Y``."""
-
-    def norm(G):
-        rev = involution(G, "reverse")
-        K = control_function(rev, space.window, space.local)
-        back = involution(K, "reverse")
-        return quasi_norm(space.global_component, back, overflow_guard)
-
-    return norm
 
 
 def verify_embedding(relation, left_specs, right_specs, *, grid,
@@ -553,7 +525,7 @@ def graded_lp_norm(exponent_p, singularity_power, upper=1.0, x_min=1e-12,
 
 
 def demonstrate_lp_failure(p=0.5, base_cells=1000, levels=3, refine_factor=4,
-                           growth_threshold=1.8, overflow_guard=DEFAULT_OVERFLOW_GUARD):
+                           growth_threshold=1.8):
     """Show why plain L^p, p < 1, carries no convolution: quadratures of
     ``(x^{-3/2} chi_(0,1]) * chi_[0,1]`` diverge under refinement while the
     L^{1/2} quasi-norm stays at its analytic value, and the amalgam space
@@ -579,8 +551,7 @@ def demonstrate_lp_failure(p=0.5, base_cells=1000, levels=3, refine_factor=4,
         F = SampledFunction(grid, singular(grid.axes[0]).reshape(grid.shape))
         box = SampledFunction.sample(grid, lambda x: ((x >= 0) & (x <= 1)).astype(float))
         conv_values.append(abs(convolve_point(F, box, np.array([1.0]))))
-        wn = amalgam_norm(F, BoxWindow.centered(0.25, 1), "linf", WeightedLp(p),
-                          overflow_guard=overflow_guard)
+        wn = amalgam_norm(F, BoxWindow.centered(0.25, 1), "linf", WeightedLp(p))
         w_norms.append(wn)
         cells *= refine_factor
     growth = [conv_values[k + 1] / conv_values[k] for k in range(levels)]

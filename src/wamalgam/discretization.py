@@ -267,17 +267,10 @@ class WellSpreadSet:
                                                   grid)
         return self._mask_cache[key]
 
-    def translated(self, g, side="left"):
-        """The point family ``g . x_i`` (or ``x_i . g``)."""
-        if side not in ("left", "right"):
-            raise InvalidElementError(
-                f"unknown side {side!r}; choose 'left' or 'right'")
-        group = self.grid.group
+    def translated(self, g):
+        """The point family ``g . x_i``."""
         g = np.asarray(g, dtype=float)
-        if side == "left":
-            moved = group.multiply(g[None, :], self.points)
-        else:
-            moved = group.multiply(self.points, g[None, :])
+        moved = self.grid.group.multiply(g[None, :], self.points)
         return WellSpreadSet(moved, grid=self.grid,
                              density_window=self.density_window,
                              labels=self.labels)
@@ -430,10 +423,6 @@ class Bupu:
         op = self.operator
         total = np.bincount(op.indices, weights=op.values, minlength=op.size)
         return SampledFunction(self.grid, total.reshape(self.grid.shape))
-
-    def member_value_at(self, i, pts):
-        """Member i at arbitrary points, interpolated multilinearly (``eval_at``)."""
-        return self.member(i).eval_at(pts)
 
 
 def build_bupu(X, window, grid=None, kind="hat"):

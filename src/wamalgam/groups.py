@@ -220,7 +220,9 @@ class Grid:
     a whole number of steps per axis.
 
     Two interpolators share ``_axis_locate``: ``interpolate`` evaluates at
-    scattered group points (a 2^d-corner sum), and ``interpolate_along``
+    scattered group points, summing the 2^d corners that ``corners``
+    yields with their weights (BUPU members at a measure's atoms read the
+    same corners), and ``interpolate_along``
     is one 2-tap pass along a single axis at 1-D queries, which may write
     into a caller's buffer. Multilinear interpolation on a tensor of
     queries is that pass folded over the axes, which is how convolution
@@ -270,12 +272,11 @@ class Grid:
         """Per-axis interpolation coordinates for raw group points."""
         return [pts[..., k] for k in range(len(self.axes))]
 
-    def interpolate(self, values, pts):
-        """Multilinear interpolation of ``values`` at group points ``pts``.
-
-        Points outside the grid window evaluate to zero (all sampled
-        functions are treated as compactly supported in their window).
-        """
+    def corners(self, pts):
+        """Multilinear interpolation at group points ``pts`` as a corner rule:
+        ``(corners, inside)``, where ``corners`` yields ``(index, weight)``
+        per grid corner (``index`` a tuple of per-axis index arrays) and
+        ``inside`` masks the points in the grid window."""
         queries = self.axis_queries(np.asarray(pts, dtype=float))
         idx, frac, inside = [], [], None
         for ax, step, q in zip(self.interp_axes, self.interp_steps, queries):
@@ -283,14 +284,28 @@ class Grid:
             idx.append(i0)
             frac.append(f)
             inside = ins if inside is None else (inside & ins)
-        out = np.zeros(np.broadcast_shapes(*[f.shape for f in frac]), dtype=values.dtype)
-        for corner in _iter_product((0, 1), repeat=len(idx)):
-            w = np.ones_like(out, dtype=float)
-            gather = []
-            for c, i0, f, ax in zip(corner, idx, frac, self.interp_axes):
-                w = w * (f if c else (1.0 - f))
-                gather.append(np.minimum(i0 + c, len(ax) - 1))
-            out = out + w * values[tuple(gather)]
+
+        def corners():
+            for corner in _iter_product((0, 1), repeat=len(idx)):
+                w, gather = 1.0, []
+                for c, i0, f, ax in zip(corner, idx, frac, self.interp_axes):
+                    w = w * (f if c else (1.0 - f))
+                    gather.append(np.minimum(i0 + c, len(ax) - 1))
+                yield tuple(gather), w
+
+        return corners(), inside
+
+    def interpolate(self, values, pts):
+        """Multilinear interpolation of ``values`` at group points ``pts``.
+
+        Points outside the grid window evaluate to zero (all sampled
+        functions are treated as compactly supported in their window).
+        """
+        corners, inside = self.corners(pts)
+        out = np.zeros(inside.shape, dtype=values.dtype)
+        for index, w in corners:
+            out = out + w * values[index]
+            del index, w  # free this corner before the next one is built
         return np.where(inside, out, 0.0)
 
     def interpolate_along(self, values, k, q, axis, out=None):
@@ -428,18 +443,14 @@ class LatticeGrid(Grid):
         hi = np.ceil(center + factor * half).astype(int)
         return LatticeGrid(self.group, lo, hi)
 
-    def index_of(self, pts):
-        """Exact indices of lattice points; -1 where outside the window."""
+    def corners(self, pts):
+        """The exact lookup of lattice points as a corner rule: one corner,
+        weight 1. Raises off the lattice (``check_element``)."""
         pts = self.group.check_element(pts)
         idx = np.round(pts - self.lo).astype(int)
         ok = np.all((idx >= 0) & (idx <= self.hi - self.lo), axis=-1)
-        return idx, ok
-
-    def interpolate(self, values, pts):
-        idx, ok = self.index_of(pts)
         idx = np.clip(idx, 0, np.array(self.shape) - 1)
-        out = values[tuple(np.moveaxis(idx, -1, 0))]
-        return np.where(ok, out, 0.0)
+        return iter([(tuple(np.moveaxis(idx, -1, 0)), 1.0)]), ok
 
     def metadata(self):
         return {

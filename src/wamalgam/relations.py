@@ -18,7 +18,7 @@ import numpy as np
 from .amalgam import AmalgamSpace
 from .axb import verify_axb_convolution
 from .components import WeightedLp, constant_weight, shifted_power_weight
-from .convolution import reflected_space_norm, space_norm, verify_embedding
+from .convolution import verify_embedding
 from .errors import InvalidExponentError
 from .families import build_family
 from .groups import AxbGrid, AxbGroup, Euclidean, UniformGrid, tensor_points
@@ -109,10 +109,9 @@ class LineRelation:
         window = BoxWindow.centered(0.5, 1)
         Y = AmalgamSpace("linf", WeightedLp(p, v), window)
         w = shifted_power_weight(abs(v.params.get("s", 1.0)))
-        norms = {"Y": space_norm(Y), "Y-reflected": reflected_space_norm(Y),
-                 "M": space_norm(AmalgamSpace("m", WeightedLp(p, v), window)),
-                 "bound": space_norm(AmalgamSpace("linf", WeightedLp(min(1.0, p), w),
-                                                  window))}
+        norms = {"Y": Y.norm, "Y-reflected": Y.reflected_norm,
+                 "M": AmalgamSpace("m", WeightedLp(p, v), window).norm,
+                 "bound": AmalgamSpace("linf", WeightedLp(min(1.0, p), w), window).norm}
         count = _default(s.count, 8)
         report = verify_embedding(
             self.name, self.left(count, s.seed), self.right(count, s.seed + 1),

@@ -39,6 +39,7 @@ from wamalgam import (
     translate,
     window_haar_measure,
 )
+from wamalgam.components import OVERFLOW_GUARD
 from wamalgam.families import gaussian_bump_sum, piecewise_constant
 from wamalgam.windows import AxbCoverWindow
 
@@ -222,6 +223,31 @@ def test_embedding_chain(line_grid):
 
 # ---------------------------------------------------------------------------
 # Discrete equivalent norms
+
+
+def test_one_guard_serves_every_norm(z_grid, axb_grid, rng):
+    """Every norm is OVERFLOW above OVERFLOW_GUARD = 1e12 and a float below:
+    each is homogeneous, so F scaled to norm 1e13 overflows and F scaled
+    to norm 1e11 does not."""
+    assert OVERFLOW_GUARD == 1e12
+    X = integer_lattice_set(z_grid)
+    bupu = build_bupu(X, BoxWindow.origin(1), grid=z_grid)
+    window = BoxWindow.centered(1.0, 1)
+    norms = [
+        (z_grid, lambda F: quasi_norm(WeightedLp(0.5), F)),
+        (axb_grid, lambda F: quasi_norm(MixedLpq(2.0, 1.0), F)),
+        (z_grid, lambda F: sequence_norm(
+            DiscreteSequence(F.values, X, WeightedLp(1.0), window), z_grid)),
+        (z_grid, lambda F: amalgam_norm(F, window, "linf", WeightedLp(1.0))),
+        (z_grid, lambda F: discrete_amalgam_norm(F, bupu, "l1", WeightedLp(2.0))),
+    ]
+    for grid, norm in norms:
+        values = rng.uniform(0.5, 1.0, grid.shape)
+        unit = norm(SampledFunction(grid, values))
+        below = norm(SampledFunction(grid, values * (1e11 / unit)))
+        above = norm(SampledFunction(grid, values * (1e13 / unit)))
+        assert type(below) is float and below == pytest.approx(1e11, rel=1e-9)
+        assert is_overflow(above)
 
 
 def test_discrete_norm_delta_indicators(z_grid, rng):

@@ -19,6 +19,7 @@ from wamalgam import (
     AxbGroup,
     AxbWindow,
     BoxWindow,
+    DiscreteMeasure,
     Euclidean,
     IntegerLattice,
     LatticeGrid,
@@ -107,6 +108,35 @@ def test_local_norms_match_per_member_sums_on_uneven_weights(axb_grid, rng):
     assert np.all(l1 > 0)
     assert np.max(np.abs(got - l1) / l1) <= 1e-14
     assert np.array_equal(local_norms_bupu(F, bupu, "linf"), linf)
+
+
+def _atoms_case(name):
+    """A BUPU and atoms on it, one outside the grid window and one complex."""
+    if name == "R2":
+        grid = UniformGrid(Euclidean(2), -3.0, 3.0, (40, 30))
+        bupu = build_bupu(euclidean_lattice(grid, 1.0), BoxWindow.centered(1.0, 2),
+                          grid=grid)
+        return bupu, [((0.13, -0.71), 2.0), ((-2.9, 2.95), -0.5),
+                      ((1.0, 1.0), 0.25 - 1.5j), ((4.0, 0.2), 3.0)]
+    grid = AxbGrid(AxbGroup(1), -6.0, 6.0, 80, 0.125, 8.0, 48)
+    X = build_axb_lattice(0.5, 2.0, j_range=(-3, 3), x_extent=6.0, grid=grid)
+    bupu = build_bupu(X, AxbWindow(1.0, 2.0), grid=grid)
+    return bupu, [((0.37, 1.3), 1.0), ((-5.1, 0.2), 2.0 + 2.0j),
+                  ((2.0, 5.5), -0.75), ((0.0, 20.0), 4.0)]
+
+
+@pytest.mark.parametrize("name", ["R2", "axb"])
+def test_members_at_atoms_match_per_member_interpolation(name):
+    """A measure's atoms are read from every member in one gather, as each
+    member's own multilinear interpolation at the atoms."""
+    bupu, atoms = _atoms_case(name)
+    mu = DiscreteMeasure(bupu.grid.group, atoms, grid=bupu.grid)
+    zs = np.array([z for z, _ in atoms], dtype=float)
+    masses = np.abs([m for _, m in atoms])
+    want = np.array([masses @ bupu.member(i).eval_at(zs) for i in range(len(bupu))])
+    got = local_norms_bupu(mu, bupu, "m")
+    assert want.max() > 0
+    assert np.max(np.abs(got - want)) <= 1e-14 * want.max()
 
 
 @pytest.fixture(scope="module")

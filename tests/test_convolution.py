@@ -28,8 +28,6 @@ from wamalgam import (
     graded_lp_norm,
     is_overflow,
     quasi_norm,
-    reflected_space_norm,
-    space_norm,
     shifted_power_weight,
     translate,
     verify_embedding,
@@ -579,8 +577,8 @@ def test_embedding_in_group_weighted(euclid):
     space = AmalgamSpace("linf", WeightedLp(1.0, w), window)
     report = verify_embedding(
         "cor_conv_Lp", _line_family(51, 6), _line_family(52, 6), grid=grid,
-        target_norm=space_norm(space), left_norm=space_norm(space),
-        right_norm=space_norm(space), levels=2, family="bumps")
+        target_norm=space.norm, left_norm=space.norm,
+        right_norm=space.norm, levels=2, family="bumps")
     assert report.passed
     assert np.isfinite(report.c_emp)
     trace = report.refinement_trace
@@ -596,8 +594,8 @@ def test_embedding_c_emp_seed_invariant(euclid):
     for seeds in ((61, 62), (63, 64)):
         report = verify_embedding(
             "cor_conv_Lp", _line_family(seeds[0], 12), _line_family(seeds[1], 12),
-            grid=grid, target_norm=space_norm(space), left_norm=space_norm(space),
-            right_norm=space_norm(space), levels=1, family="bumps")
+            grid=grid, target_norm=space.norm, left_norm=space.norm,
+            right_norm=space.norm, levels=1, family="bumps")
         c.append(report.c_emp)
     assert abs(c[1] - c[0]) <= 0.10 * max(c)
 
@@ -608,8 +606,8 @@ def test_reflected_norm_matches_on_in_group(euclid):
     window = BoxWindow.centered(0.5, 1)
     Y = WeightedLp(1.0, shifted_power_weight(1.0))
     space = AmalgamSpace("linf", Y, window)
-    direct = space_norm(space)
-    reflected = reflected_space_norm(space)
+    direct = space.norm
+    reflected = space.reflected_norm
     rng = generator(71)
     for _ in range(10):
         F = gaussian_bump_sum(rng, center_range=(-4, 4)).sample(grid)
@@ -627,13 +625,11 @@ def test_overflow_recorded_as_failure_witness(euclid):
         name = "huge"
 
         def sample(self, g):
-            return SampledFunction.sample(g, lambda x: 1e9 * np.exp(-x**2))
+            return SampledFunction.sample(g, lambda x: 1e13 * np.exp(-x**2))
 
     report = verify_embedding(
         "cor_conv_Lp", [HugeSpec()], [HugeSpec()], grid=grid,
-        target_norm=space_norm(space, overflow_guard=1.0),
-        left_norm=space_norm(space, overflow_guard=1.0),
-        right_norm=space_norm(space, overflow_guard=1.0),
+        target_norm=space.norm, left_norm=space.norm, right_norm=space.norm,
         levels=1, family="huge")
     assert not report.passed
     assert report.failures and report.failures[0]["reason"] == "overflow"
@@ -642,7 +638,7 @@ def test_overflow_recorded_as_failure_witness(euclid):
 def test_embedding_without_pairs_does_not_pass(euclid):
     """A level that compared no pair is a failure, not a pass at C_emp = 0."""
     grid = UniformGrid(euclid, -4, 4, 32)
-    norm = space_norm(AmalgamSpace("linf", WeightedLp(1.0), BoxWindow.centered(0.5, 1)))
+    norm = AmalgamSpace("linf", WeightedLp(1.0), BoxWindow.centered(0.5, 1)).norm
     report = verify_embedding("cor_conv_Lp", [], [], grid=grid, target_norm=norm,
                               left_norm=norm, right_norm=norm, levels=2)
     assert not report.passed
@@ -669,8 +665,8 @@ def test_embedding_records_truncation(euclid):
     # the first pair stays inside the window; the second reaches its edge
     report = verify_embedding(
         "cor_conv_Lp", [Box(1.0), Box(3.0)], [Box(1.0), Box(3.0)], grid=grid,
-        target_norm=space_norm(space), left_norm=space_norm(space),
-        right_norm=space_norm(space), levels=2, family="boxes")
+        target_norm=space.norm, left_norm=space.norm,
+        right_norm=space.norm, levels=2, family="boxes")
     ratios = [pair["truncation"] for pair in report.pairs]
     assert ratios[0] < 1e-12
     assert ratios[1] > 1e-8
@@ -719,8 +715,8 @@ def test_embedding_with_estimator_built_weight(euclid):
     right = AmalgamSpace("linf", WeightedLp(1.0, w), window)
     report = verify_embedding(
         "thm_conv_b", _line_family(92, 5), _line_family(93, 5), grid=grid,
-        target_norm=space_norm(target), left_norm=space_norm(target),
-        right_norm=space_norm(right), levels=2, family="estimator weight")
+        target_norm=target.norm, left_norm=target.norm,
+        right_norm=right.norm, levels=2, family="estimator weight")
     assert report.passed
 
 

@@ -164,12 +164,6 @@ def test_bupu_unknown_kind_names_the_choices(line_grid):
         build_bupu(X, BoxWindow.centered(1.0, 1), grid=line_grid, kind="vornoi")
 
 
-def test_translated_unknown_side_names_the_choices(line_grid):
-    X = euclidean_lattice(line_grid, 1.0)
-    with pytest.raises(InvalidElementError, match="'lfet'.*'left'.*'right'"):
-        X.translated([0.5], side="lfet")
-
-
 def test_bupu_not_dense_raises(line_grid):
     sparse = WellSpreadSet(np.array([[0.0], [9.0]]), grid=line_grid)
     with pytest.raises(DensityError):

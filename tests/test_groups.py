@@ -268,6 +268,8 @@ def test_lattice_interpolation_exact(z_grid):
     F = SampledFunction.sample(z_grid, lambda i: i * 2.0)
     assert F.eval_at(np.array([[3.0]]))[0] == 6.0
     assert F.eval_at(np.array([[40.0]]))[0] == 0.0
+    with pytest.raises(InvalidElementError):
+        F.eval_at(np.array([[2.5]]))
 
 
 def test_single_cell_axis_spans_its_cell(euclid):
