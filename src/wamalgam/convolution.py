@@ -12,15 +12,17 @@ scale axis first and x axes last (one row on R^n and Z^n):
    runs from ``1 - f.stop`` to ``N - 1 - f.start``, not over all ``2N - 1``.
 3. Table (``_Table``): on Z^n, G's samples at those offsets, cut to their
    support box; elsewhere multilinear interpolation of G, one 2-tap pass
-   per axis (``Grid.interpolate_along``). On ax+b, ``y^{-1} z`` scales the
-   x offsets by ``1/a`` of the source's scale row but not the scale
-   offsets, so the scale axis is tabulated once, on the scale offsets that
-   reach from the box, and scale row j reads a window of ``Na`` of those
-   columns, interpolated along x at its offsets ``/ a_j``. A row writes
-   only the span of its window's nonzero columns and, along x, its queries
-   inside G's window: the rest of its table is exactly zero, and a row
-   that meets no nonzero column does no work. The table's x extent is the
-   union of its rows' queries inside G's window.
+   per axis (``Grid.interpolate_along``) by rules (lower index and
+   fraction) that ``Grid.locate_along`` gives once per convolution and x
+   axis, for all rows' queries inside G's window at once. On ax+b,
+   ``y^{-1} z`` scales the x offsets by ``1/a`` of the source's scale row
+   but not the scale offsets, so the scale axis is tabulated once, on the
+   scale offsets that reach from the box, and scale row j reads a window
+   of ``Na`` of those columns, interpolated along x at its offsets
+   ``/ a_j``. A row writes only the span of its window's nonzero columns
+   and, along x, its queries inside G's window: the rest of its table is
+   exactly zero, and a row that meets no nonzero column does no work. The
+   table's x extent is the union of its rows' queries inside G's window.
 4. Placement (``_placement``): per axis, the smallest transform length at
    which the box and the table fit and no entry of their convolution that
    lands in F's window wraps around, at most the one of ``2N - 1`` (4096,
@@ -34,8 +36,13 @@ scale axis first and x axes last (one row on R^n and Z^n):
    product of its source's spectrum and its table's spectrum into one sum,
    and one inverse transform of the sum gives the result. The rows share
    one zero-padded table buffer, which each re-zeroes only where the
-   previous row wrote, and one spectrum buffer. Complex factors use the
-   complex transform, real ones the real.
+   previous row wrote, one workspace and one spectrum buffer: a row's 2-tap
+   passes read its slice of the located rules, gather the lower and upper
+   samples into the workspace (which at n >= 2 also holds the passes
+   before the last) and write the last pass into the table buffer, and its
+   table is transformed along the last x axis into the spectrum buffer,
+   then in place along the others, as ``rfftn`` does without its per-call
+   set-up. Complex factors use the complex transform, real ones the real.
 
 Embedding checks compare the target amalgam norm of F*G against the
 product of factor norms over a test family and track the empirical
@@ -45,6 +52,7 @@ constant under grid refinement.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
@@ -104,7 +112,7 @@ class _Table:
         n, js = grid.group.n, box[0]
         # offset d reaches F's window from box index i when 0 <= i + d < N
         reach = [(1 - f.stop, int(N) - f.start) for f, N in zip(box[1:], grid.shape)]
-        self._G, self._j0, self._queries, plan = G, js.start, None, []
+        self._G, self._j0, self._rules, plan = G, js.start, (), []
         if isinstance(grid, LatticeGrid):
             # offset d is G's index d - G.lo
             g_lo = G.grid.lo.tolist()
@@ -125,14 +133,14 @@ class _Table:
                 # table column m + js.stop - 1 - j
                 na = grid.shape[-1]
                 u = _steps(grid.interp_axes[n], 1 - js.stop, na - js.start)
-                self._table = G.grid.interpolate_along(np.moveaxis(G.values, -1, 0), n, u,
-                                                       axis=0)
+                self._table = G.grid.interpolate_along(np.moveaxis(G.values, -1, 0),
+                                                       G.grid.locate_along(n, u), axis=0)
                 scales = grid.axes[-1][js]
             else:
                 na, self._table, scales = 1, G.values[None], np.ones(1)
-            self._queries = [d / scales[:, None] for d in offsets]
+            queries = [d / scales[:, None] for d in offsets]
             inside = [[e.tolist() for e in G.grid.window_range(k, q)]
-                      for k, q in enumerate(self._queries)]
+                      for k, q in enumerate(queries)]
             cols = self._table.reshape(len(self._table), -1).any(axis=1).nonzero()[0].tolist()
             for r in fw[box].reshape(len(scales), -1).any(axis=1).nonzero()[0].tolist():
                 c0 = js.stop - 1 - js.start - r
@@ -146,6 +154,15 @@ class _Table:
                 self.shape = [max(x[k][1] for *_, x in plan) - o
                               for k, o in enumerate(self._origin)]
                 self.start = [a + o for (a, _), o in zip(reach, self._origin)]
+                # per x axis, the rule of every row's span, rows one after
+                # another; the spans are inside G's window, so no query is
+                # outside and a row's rule is a slice of it. The query
+                # matrix is freed first, so that locating the spans does not
+                # raise the set-up's peak memory
+                spans = [np.concatenate([q[r, slice(*x[k])] for r, *_, x in plan])
+                         for k, q in enumerate(queries)]
+                del queries
+                self._rules = [G.grid.locate_along(k, q) for k, q in enumerate(spans)]
         self._plan, self.rows = plan, [js.start + r for r, *_ in plan]
         self.width = max((hi - lo for _, lo, hi, *_ in plan), default=0)
         self.dtype = np.result_type(fw, G.values)
@@ -153,21 +170,32 @@ class _Table:
     def tables(self, size):
         """Yield ``(j, cols, K)`` per reaching row j: ``K`` is its table for
         the output columns ``cols``, scale axis first, zero-padded to ``size``
-        along x, in one buffer that the next row overwrites."""
+        along x, in one buffer that the next row overwrites. The rows' 2-tap
+        passes gather into one workspace, which at n >= 2 also holds the
+        passes before the last, in alternate halves."""
         buf = np.zeros([self.width] + list(size), self.dtype)
-        written = None
+        # one pass's result, the largest over the rows and the x axes
+        gx, part = self._table.shape[1:], 0
+        for _, lo, hi, _, x in self._plan:
+            for k in range(len(self._rules)):
+                part = max(part, (hi - lo) * math.prod(b - a for a, b in x[:k + 1])
+                           * math.prod(gx[k + 1:]))
+        work = np.empty(2 * part * min(len(self._rules), 2), self._table.dtype)
+        halves = (work[:2 * part], work[2 * part:])
+        spans, written = [0] * len(self._rules), None
         for r, lo, hi, c0, x in self._plan:
             if written:
                 buf[written] = 0.0
             written = (slice(0, hi - lo),) + tuple(
                 slice(a - o, b - o) for (a, b), o in zip(x, self._origin))
             block = self._table[lo:hi]
-            if self._queries is None:  # Z^n: G's samples, no interpolation
+            if not self._rules:  # Z^n: G's samples, no interpolation
                 buf[written] = block
-            for k, (q, (a, b)) in enumerate(zip(self._queries or (), x)):
+            for k, ((i0, frac, outside), (a, b)) in enumerate(zip(self._rules, x)):
+                s, spans[k] = spans[k], spans[k] + b - a
                 block = self._G.grid.interpolate_along(
-                    block, k, q[r, a:b], axis=k + 1,
-                    out=buf[written] if k == len(x) - 1 else None)
+                    block, (i0[s:spans[k]], frac[s:spans[k]], outside), k + 1,
+                    out=buf[written] if k == len(x) - 1 else None, work=halves[k % 2])
             yield self._j0 + r, slice(lo - c0, hi - c0), buf[:hi - lo]
 
 
@@ -202,15 +230,19 @@ def _row_convolution(fw, j0, table, size, xs, na):
     box, scale axis first, from row j0) with its table: one forward
     transform of ``fw``, one of each table, and one inverse of the spectra
     summed into ``na`` output columns."""
-    fft, ifft = ((np.fft.fftn, np.fft.ifftn) if table.dtype.kind == "c"
-                 else (np.fft.rfftn, np.fft.irfftn))
-    FW = fft(fw, size, xs)
+    complex_ = table.dtype.kind == "c"
+    fftn, ifftn = (np.fft.fftn, np.fft.ifftn) if complex_ else (np.fft.rfftn, np.fft.irfftn)
+    FW = fftn(fw, size, xs)
     spec = np.zeros((na,) + FW.shape[1:], FW.dtype)
     term = np.empty((table.width,) + FW.shape[1:], FW.dtype)
     for j, cols, K in table.tables(size):
-        rows = term[:len(K)]
-        spec[cols] += np.multiply(FW[j - j0], fft(K, axes=xs, out=rows), out=rows)
-    return ifft(spec, size, xs)
+        # K's transform as fftn and rfftn compute it: the last x axis, then
+        # the others from last to first, in place
+        rows = (np.fft.fft if complex_ else np.fft.rfft)(K, axis=-1, out=term[:len(K)])
+        for ax in xs[-2::-1]:
+            np.fft.fft(rows, axis=ax, out=rows)
+        spec[cols] += np.multiply(FW[j - j0], rows, out=rows)
+    return ifftn(spec, size, xs)
 
 
 def _support_box(a):

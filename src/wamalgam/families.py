@@ -111,8 +111,8 @@ def lattice_sequence(rng, support_radius=4, max_count=4, values=(-2, -1, 1, 2), 
     pos = rng.integers(-support_radius, support_radius + 1, (count, n))
     vals = rng.choice(values, count)
     table = {}
-    for p, v in zip(pos, vals):
-        table[tuple(int(t) for t in p)] = table.get(tuple(int(t) for t in p), 0) + v
+    for p, v in zip(map(tuple, pos.tolist()), vals):
+        table[p] = table.get(p, 0) + v
 
     def fn(*coords):
         out = np.zeros(np.broadcast_shapes(*[np.shape(c) for c in coords]))

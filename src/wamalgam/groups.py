@@ -223,12 +223,13 @@ class Grid:
     scattered group points, summing the 2^d corners that ``corners``
     yields with their weights (BUPU members at a measure's atoms read the
     same corners), and ``interpolate_along``
-    is one 2-tap pass along a single axis at 1-D queries, which may write
-    into a caller's buffer. Multilinear interpolation on a tensor of
-    queries is that pass folded over the axes, which is how convolution
-    tabulates G on the offsets: on ax+b the scale axis once per
-    convolution, the x axes once per source scale row, at the queries that
-    ``window_range`` finds inside the window.
+    is one 2-tap pass along a single axis by the rule that ``locate_along``
+    gives for 1-D queries, which may gather into and write to a caller's
+    buffers. Multilinear interpolation on a tensor of queries is that pass
+    folded over the axes, which is how convolution tabulates G on the
+    offsets: on ax+b the scale axis once per convolution, the x axes once
+    per source scale row, at the queries that ``window_range`` finds
+    inside the window, located once per convolution.
 
     ``weight_factors`` splits ``weights`` into ``(x_volume, scale_weights)``,
     the factor along the last axis: ``u_step * a^{-n}`` on ax+b, else 1.
@@ -308,24 +309,40 @@ class Grid:
             del index, w  # free this corner before the next one is built
         return np.where(inside, out, 0.0)
 
-    def interpolate_along(self, values, k, q, axis, out=None):
-        """Linear interpolation of ``values`` along its axis ``axis``, which
-        holds this grid's axis ``k``, at the 1-D interpolation coordinates
-        ``q``; the other axes are kept as they are. Queries outside the
-        window along ``k`` give zero. The result is written to ``out`` when
-        it is given."""
-        values = np.asarray(values, dtype=np.result_type(values, 1.0))
+    def locate_along(self, k, q):
+        """The 2-tap rule of the 1-D interpolation coordinates ``q`` along
+        axis ``k``: per query the lower index and the fraction, and the
+        positions of the queries outside the window, which
+        ``interpolate_along`` sets to zero."""
         i0, frac, inside = _axis_locate(self.interp_axes[k], self.interp_steps[k], q)
+        return i0, frac, np.flatnonzero(~inside)
+
+    def interpolate_along(self, values, rule, axis, out=None, work=None):
+        """Linear interpolation of ``values`` along its axis ``axis`` by a
+        ``rule`` from ``locate_along`` on the grid axis that ``axis`` holds;
+        the other axes are kept as they are. The result is written to ``out``
+        when it is given. The lower and upper taps are gathered into
+        ``work`` when it is given, a flat array of ``values``' float dtype
+        with room for two results, and the result is then a view of it when
+        ``out`` is not given."""
+        values = np.asarray(values, dtype=np.result_type(values, 1.0))
+        i0, frac, outside = rule
         frac = frac.reshape((-1,) + (1,) * (values.ndim - 1 - axis))
         before = (slice(None),) * axis
-        lo = values[before + (i0,)]
-        hi = values[before + (np.minimum(i0 + 1, values.shape[axis] - 1),)]
+        shape = values.shape[:axis] + i0.shape + values.shape[axis + 1:]
+        if work is None:
+            lo, hi = np.empty(shape, values.dtype), np.empty(shape, values.dtype)
+        else:
+            size = math.prod(shape)
+            lo, hi = work[:size].reshape(shape), work[size:2 * size].reshape(shape)
+        np.take(values, i0, axis, out=lo, mode="clip")
+        np.take(values, i0 + 1, axis, out=hi, mode="clip")  # clipped to the last index
         if out is None:
-            out = np.empty(lo.shape, dtype=values.dtype)
+            out = lo
         np.multiply(1.0 - frac, lo, out=out)
         out += np.multiply(frac, hi, out=hi)
-        if not inside.all():
-            out[before + (~inside,)] = 0.0
+        if len(outside):
+            out[before + (outside,)] = 0.0
         return out
 
     def window_range(self, k, q):
@@ -349,10 +366,12 @@ def _axis_locate(axis, step, q):
     t, lo, hi = _axis_cells(axis, step, q)
     inside = (t >= lo) & (t <= hi)
     # np.clip, as minimum and maximum without its per-call overhead
-    tc = np.minimum(np.maximum(t, 0.0), m - 1.0)
-    i0 = np.maximum(np.minimum(np.floor(tc).astype(int), max(m - 2, 0)), 0)
-    frac = tc - i0
-    return i0, frac, inside
+    t = np.minimum(np.maximum(t, 0.0), m - 1.0)
+    # the lower index as a whole float, at most the last cell's (t >= 0)
+    low = np.minimum(np.floor(t), max(m - 2, 0))
+    frac = t - low
+    del t  # free the clipped queries before the index array is made
+    return low.astype(np.intp), frac, inside
 
 
 def _check_window(lo, hi, lo_name, hi_name):

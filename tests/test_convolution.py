@@ -274,16 +274,16 @@ def test_one_inverse_transform_per_convolution(monkeypatch):
 def test_rows_out_of_reach_do_no_transform(monkeypatch):
     """A convolution transforms at most one table per scale row of F's
     support whose window meets a nonzero column of G's table on the scale
-    offsets, plus F w once. G on the top scale rows is out of reach of F's
-    top rows, which do no transform."""
+    offsets, by one rfft along the last x axis. G on the top scale rows is
+    out of reach of F's top rows, which do no transform."""
     calls = []
-    rfftn = np.fft.rfftn
+    rfft = np.fft.rfft
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
-        return rfftn(*args, **kwargs)
+        return rfft(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "rfftn", counted)
+    monkeypatch.setattr(np.fft, "rfft", counted)
     F = SampledFunction.sample(_AXB1, _bump(0.5, True))
     G = SampledFunction.sample(_AXB1, _bump(-0.3, True)) * _scale_rows(13, 14, 15)(_AXB1)
     with warnings.catch_warnings():
@@ -297,7 +297,7 @@ def test_rows_out_of_reach_do_no_transform(monkeypatch):
     support = np.flatnonzero(np.any(F.values, axis=0))
     reach = [j for j in support
              if np.any((nonzero >= na - 1 - j) & (nonzero < 2 * na - 1 - j))]
-    assert 1 <= len(calls) - 1 <= len(reach) < len(support)
+    assert 1 <= len(calls) <= len(reach) < len(support)
 
 
 def test_smooth_length_is_the_smallest_5_smooth_bound():
@@ -424,19 +424,26 @@ def _box_mask(shape, box):
 
 
 def _record_calls(monkeypatch):
-    """Record the lengths of every rfftn and every interpolate_along call."""
+    """Record the lengths of every rfftn, the length of every rfft (a row
+    table's transform along its last axis) and every interpolate_along
+    call."""
     lengths, interpolations = [], []
-    rfftn, interpolate_along = np.fft.rfftn, Grid.interpolate_along
+    rfftn, rfft, interpolate_along = np.fft.rfftn, np.fft.rfft, Grid.interpolate_along
 
     def counted_rfftn(a, s=None, axes=None, *args, **kwargs):
         lengths.append(tuple(s if s is not None else np.shape(a)))
         return rfftn(a, s, axes, *args, **kwargs)
+
+    def counted_rfft(a, n=None, axis=-1, *args, **kwargs):
+        lengths.append((n if n is not None else np.shape(a)[axis],))
+        return rfft(a, n, axis, *args, **kwargs)
 
     def counted_interpolate_along(self, *args, **kwargs):
         interpolations.append(self)
         return interpolate_along(self, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfftn", counted_rfftn)
+    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
     monkeypatch.setattr(Grid, "interpolate_along", counted_interpolate_along)
     return lengths, interpolations
 
@@ -493,13 +500,15 @@ def test_lattice_transform_length_follows_the_supports(monkeypatch):
 def test_row_transform_length_follows_the_supports(monkeypatch):
     """On R the table stops at the offsets through which F's support box
     reaches the window: bumps on part of 256 cells transform at 320 points,
-    not the 512 that 2N - 1 = 511 needs, and match the point reference."""
+    not the 512 that 2N - 1 = 511 needs, and match the point reference.
+    The one row's table is one 2-tap pass."""
     grid = UniformGrid(Euclidean(1), -16, 16, 256)
     F = SampledFunction.sample(grid, _bump(0.5, False))
     G = SampledFunction.sample(grid, _bump(-0.3, False))
-    lengths, _ = _record_calls(monkeypatch)
+    lengths, interpolations = _record_calls(monkeypatch)
     out = convolve(F, G).values
-    assert lengths and {L[-1] for L in lengths} == {320}
+    assert len(lengths) == 2 and {L[-1] for L in lengths} == {320}
+    assert interpolations == [grid]
     ref = np.array([convolve_point(F, G, z) for z in grid.points()]).real
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -747,3 +756,35 @@ def test_lattice_convolution_mismatched_windows(lattice):
     C = convolve(F, G)
     got = {int(i - 8): v for i, v in enumerate(C.values) if v != 0}
     assert got == {0: 1.0, 1: 2.0, 2: 1.0}
+
+
+def _reference_lattice_sequence(rng, support_radius=4, max_count=4, values=(-2, -1, 1, 2),
+                                n=1):
+    """The table of ``lattice_sequence`` built as it was, one generator of
+    ints per key."""
+    count = int(rng.integers(1, max_count + 1))
+    pos = rng.integers(-support_radius, support_radius + 1, (count, n))
+    vals = rng.choice(values, count)
+    table = {}
+    for p, v in zip(pos, vals):
+        table[tuple(int(t) for t in p)] = table.get(tuple(int(t) for t in p), 0) + v
+    return table
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_lattice_sequence_table_equals_the_reference(n):
+    """Same keys in the same order, same values of the same types, on
+    inputs where positions repeat, and the generator ends in the same
+    state."""
+    repeated = 0
+    for seed in range(200):
+        rng, ref_rng = generator(seed), generator(seed)
+        kwargs = dict(support_radius=3, max_count=12, n=n)
+        table = lattice_sequence(rng, **kwargs).meta["table"]
+        want = _reference_lattice_sequence(ref_rng, **kwargs)
+        assert list(table.items()) == list(want.items())
+        assert [type(k[0]) for k in table] == [type(k[0]) for k in want]
+        assert [type(v) for v in table.values()] == [type(v) for v in want.values()]
+        assert rng.random() == ref_rng.random()
+        repeated += sum(abs(v) > 2 for v in want.values())
+    assert repeated

@@ -264,6 +264,15 @@ def test_interpolation_matches_samples(line_grid):
     assert np.allclose(F.eval_at(pts), F.values.ravel()[::37], atol=1e-12)
 
 
+def test_interpolation_at_one_point(line_grid, axb_grid):
+    """A single point, shape (dim,), reads the value a batch gives it."""
+    for grid in (line_grid, axb_grid):
+        F = SampledFunction(grid, np.random.default_rng(5).random(grid.shape))
+        pts = grid.points()[[3, 17]] * 0.9 + 0.01
+        batch = F.eval_at(pts)
+        assert [F.eval_at(p) for p in pts] == list(batch)
+
+
 def test_lattice_interpolation_exact(z_grid):
     F = SampledFunction.sample(z_grid, lambda i: i * 2.0)
     assert F.eval_at(np.array([[3.0]]))[0] == 6.0
