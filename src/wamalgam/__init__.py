@@ -20,7 +20,6 @@ from .axb import (
     lpq_discrete_norm,
     right_translation_bound,
     translation_bound_weight,
-    verify_axb_convolution,
 )
 from .components import (
     OVERFLOW,
@@ -75,7 +74,12 @@ from .groups import (
     element,
     haar_integral,
 )
-from .relations import RELATIONS, RelationSettings, exhaustive_lp_algebra
+from .relations import (
+    RELATIONS,
+    RelationSettings,
+    exhaustive_lp_algebra,
+    verify_axb_convolution,
+)
 from .windows import (
     AxbWindow,
     BoxWindow,

@@ -2,9 +2,10 @@
 
 Covers the closed-form discrete norm for (L^{p,q}(v))_d over affine
 lattices (inner weighted l^p over spatial indices with ball integrals of
-the weight, outer l^q over scale levels with the scale-cell Haar factor),
-the right-translation operator bound for doubling weights, and the
-resulting convolution relation verifier.
+the weight, outer l^q over scale levels with the scale-cell Haar factor)
+and the right-translation operator bound for doubling weights. The
+convolution relation that uses the bound is ax+b's set of spaces in
+``relations.py``.
 """
 
 from __future__ import annotations
@@ -14,17 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amalgam import AmalgamSpace
-from .components import (
-    WeightedLp,
-    MixedLpq,
-    WeightFunction,
-    ball_integral,
-    check_doubling,
-)
-from .convolution import verify_embedding
+from .components import WeightFunction, ball_integral
 from .errors import IndexMismatchError, InvalidExponentError, WeightDomainError
-from .windows import AxbWindow
 
 
 @dataclass
@@ -117,38 +109,3 @@ def translation_bound_weight(p, q, alpha, n=1):
     return WeightFunction("right-translation-bound", evaluate, domain="group",
                           params={"p": p, "q": q, "alpha": alpha, "n": n})
 
-
-def verify_axb_convolution(weight, p, q, left_specs, right_specs, *, grid,
-                           window=None, alpha=None,
-                           doubling_centers=(0.0, 1.5, -3.0),
-                           doubling_radii=(0.5, 1.0, 2.0),
-                           levels=2, right_weight=None):
-    """Verify W(L^inf, L^{p,q}(v)) * W(L^inf, L^r_w) into W(L^inf, L^{p,q}(v)).
-
-    ``r = min(1, p, q)`` and w is the right-translation bound with the
-    certified doubling exponent of v (certification runs here when no
-    alpha is supplied). ``right_weight`` overrides w for negative-control
-    sweeps.
-    """
-    n = grid.group.n
-    if alpha is None:
-        rec = check_doubling(weight, [np.full(n, c) for c in doubling_centers],
-                             doubling_radii)
-        if not rec["passed"]:
-            raise WeightDomainError("weight failed doubling certification")
-        alpha = rec["alpha"]
-    r = min(1.0, p, q)
-    w = right_weight if right_weight is not None else translation_bound_weight(
-        p, q, alpha, n)
-    window = window if window is not None else AxbWindow(0.5, 1.5)
-    target_space = AmalgamSpace("linf", MixedLpq(p, q, weight, n=n), window)
-    right_space = AmalgamSpace("linf", WeightedLp(r, w), window)
-    report = verify_embedding(
-        "axb_relation", left_specs, right_specs, grid=grid,
-        target_norm=target_space.norm,
-        left_norm=target_space.norm,
-        right_norm=right_space.norm,
-        levels=levels,
-        family=f"axb p={p} q={q} v={weight.name} alpha={alpha:.4g}",
-    )
-    return report

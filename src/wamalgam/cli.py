@@ -74,35 +74,49 @@ def _per_axis(value, axes, key):
     return value
 
 
+def _section(cfg, key, what, reads, axes):
+    """The config at ``key``. A key that ``what`` does not read (it reads
+    ``reads``) or a list of the wrong length (``_per_axis``) raises."""
+    section = cfg.get(key, {})
+    for k, value in section.items():
+        if k not in reads:
+            raise ConfigError(f"config.{key}.{k}: {what} reads {', '.join(reads)}")
+        _per_axis(value, axes, f"{key}.{k}")
+    return section
+
+
+# group kind -> its grid's name, class and keys, each with its default
+GRIDS = {
+    "euclidean": ("a euclidean grid", UniformGrid, {"lo": -8.0, "hi": 8.0, "cells": 512}),
+    "lattice": ("a lattice grid", LatticeGrid, {"lo": -16, "hi": 16}),
+    "axb": ("an ax+b grid", AxbGrid, {"x_lo": -6.0, "x_hi": 6.0, "x_cells": 80,
+                                     "a_lo": 0.125, "a_hi": 8.0, "a_cells": 48}),
+}
+
+
 def build_grid(cfg, group):
-    g = {key: _per_axis(value, group.n, f"grid.{key}")
-         for key, value in cfg.get("grid", {}).items()}
+    what, grid_class, defaults = GRIDS[group.kind]
+    g = _section(cfg, "grid", what, tuple(defaults), group.n)
     if isinstance(group, IntegerLattice):
         for key in ("lo", "hi"):
             if np.any(np.mod(g.get(key, 0), 1)):
                 raise ConfigError(f"config.grid.{key}: a lattice needs integral "
                                   f"bounds, got {g[key]!r}")
     try:
-        if isinstance(group, Euclidean):
-            return UniformGrid(group, g.get("lo", -8.0), g.get("hi", 8.0),
-                               g.get("cells", 512))
-        if isinstance(group, IntegerLattice):
-            return LatticeGrid(group, g.get("lo", -16), g.get("hi", 16))
-        return AxbGrid(group, g.get("x_lo", -6.0), g.get("x_hi", 6.0),
-                       g.get("x_cells", 80), g.get("a_lo", 0.125),
-                       g.get("a_hi", 8.0), g.get("a_cells", 48))
+        return grid_class(group, **(defaults | g))
     except WamalgamError as exc:
         raise ConfigError(f"config.grid: {exc}") from exc
 
 
 def build_window(cfg, group):
-    if isinstance(group, AxbGroup) and isinstance(cfg.get("window", {}).get("radius"), list):
+    on_axb = isinstance(group, AxbGroup)
+    if on_axb and isinstance(cfg.get("window", {}).get("radius"), list):
         raise ConfigError("config.window.radius: the ax+b window's ball has one "
                           "radius, expected a number, got a list")
-    w = {key: _per_axis(value, group.n, f"window.{key}")
-         for key, value in cfg.get("window", {}).items()}
+    w = _section(cfg, "window", "an ax+b window" if on_axb else "a box window",
+                 ("radius", "beta") if on_axb else ("radius", "lo", "hi"), group.n)
     try:
-        if isinstance(group, AxbGroup):
+        if on_axb:
             return AxbWindow(w.get("radius", 0.5), w.get("beta", 1.5))
         if "lo" in w or "hi" in w:
             return BoxWindow(tuple(np.broadcast_to(w.get("lo", 0.0), (group.n,))),
@@ -126,9 +140,11 @@ def build_weight(w, key):
 
 
 def build_component(cfg, group):
-    c = cfg.get("component", {})
+    kind = cfg.get("component", {}).get("type", "lp")
+    c = _section(cfg, "component", f"an {kind} component", ("type", "p", "weight")
+                 if kind == "lp" else ("type", "p", "q", "weight"), group.n)
     weight = build_weight(c.get("weight"), "component.weight")
-    if c.get("type", "lp") == "lp":
+    if kind == "lp":
         return WeightedLp(c.get("p", 1.0), weight)
     return MixedLpq(c.get("p", 1.0), c.get("q", 1.0), weight,
                     n=group.n if isinstance(group, AxbGroup) else 1)

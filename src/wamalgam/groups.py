@@ -79,50 +79,13 @@ class GroupSpec:
         return f"{type(self).__name__}(n={self.n})"
 
 
-class Euclidean(GroupSpec):
-    """(R^n, +) with Lebesgue measure; unimodular."""
-
-    kind = "euclidean"
-
-    def __init__(self, n=1):
-        self.n = int(n)
-        self.dim = self.n
-
-    def multiply(self, g, h):
-        g = self.check_element(g)
-        h = self.check_element(h)
-        return g + h
-
-    def inverse(self, g):
-        return -self.check_element(g)
-
-    @property
-    def identity(self):
-        return np.zeros(self.dim)
-
-    def haar_density(self, g):
-        g = self.check_element(g)
-        return np.ones(g.shape[:-1])
-
-    def modular(self, g):
-        g = self.check_element(g)
-        return np.ones(g.shape[:-1])
-
-
-class IntegerLattice(GroupSpec):
-    """(Z^n, +) with counting measure; unimodular and discrete."""
-
-    kind = "lattice"
+class _Additive(GroupSpec):
+    """(R^n, +) or (Z^n, +): coordinate addition, with the coordinate
+    measure as Haar measure; unimodular."""
 
     def __init__(self, n=1):
         self.n = int(n)
         self.dim = self.n
-
-    def check_element(self, g):
-        g = _as_points(g, self.dim)
-        if not np.allclose(g, np.round(g), atol=1e-9):
-            raise InvalidElementError("lattice elements must have integral coordinates")
-        return np.round(g)
 
     def multiply(self, g, h):
         return self.check_element(g) + self.check_element(h)
@@ -141,6 +104,24 @@ class IntegerLattice(GroupSpec):
     def modular(self, g):
         g = self.check_element(g)
         return np.ones(g.shape[:-1])
+
+
+class Euclidean(_Additive):
+    """(R^n, +) with Lebesgue measure; unimodular."""
+
+    kind = "euclidean"
+
+
+class IntegerLattice(_Additive):
+    """(Z^n, +) with counting measure; unimodular and discrete."""
+
+    kind = "lattice"
+
+    def check_element(self, g):
+        g = _as_points(g, self.dim)
+        if not np.allclose(g, np.round(g), atol=1e-9):
+            raise InvalidElementError("lattice elements must have integral coordinates")
+        return np.round(g)
 
 
 class AxbGroup(GroupSpec):

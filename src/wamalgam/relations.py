@@ -6,6 +6,8 @@ on R ``thm_conv_a``, ``thm_conv_b`` and ``thm_convYvee``, and the ax+b
 example ``axb_relation``. Each row has a ``name``, its default ``grid``
 (None when it samples none) and ``run(settings)``, which returns the
 report record, with ``passed`` and ``c_emp``.
+Each embedding relation is an ``EmbeddingRow``: two families and two norm
+names in the set of spaces ``SPACES`` gives its group kind.
 """
 
 from __future__ import annotations
@@ -16,13 +18,19 @@ from functools import partial
 import numpy as np
 
 from .amalgam import AmalgamSpace
-from .axb import verify_axb_convolution
-from .components import WeightedLp, constant_weight, shifted_power_weight
+from .axb import translation_bound_weight
+from .components import (
+    MixedLpq,
+    WeightedLp,
+    check_doubling,
+    constant_weight,
+    shifted_power_weight,
+)
 from .convolution import verify_embedding
-from .errors import InvalidExponentError
+from .errors import InvalidExponentError, WeightDomainError
 from .families import build_family
 from .groups import AxbGrid, AxbGroup, Euclidean, UniformGrid, tensor_points
-from .windows import BoxWindow
+from .windows import AxbWindow, BoxWindow
 
 
 def exhaustive_lp_algebra(p, weighted, support_len=4, offset=-1,
@@ -84,67 +92,98 @@ class LpAlgebra:
                 "detail": rec}
 
 
-@dataclass(frozen=True)
-class LineRelation:
-    """``||F*G||_Y <= C ||F||_left ||G||_right`` on R, F and G drawn by
-    ``left(count, seed)`` and ``right(count, seed + 1)``.
+def _line_spaces(s, n, label):
+    """R's set: Y = W(L^inf, L^p_v) on the window [-1/2, 1/2], M = W(M, L^p_v)
+    and bound = W(L^inf, L^r_w) with r = min(1, p) and w = (1 + |x|)^|s| (s is
+    v's exponent, 1 if it has none). Defaults: p = 1, v = 1 + |x|."""
+    p, v = _default(s.p, 1.0), _default(s.weight, shifted_power_weight(1.0))
+    window = BoxWindow.centered(0.5, n)
+    w = shifted_power_weight(abs(v.params.get("s", 1.0)))
+    return {"Y": AmalgamSpace("linf", WeightedLp(p, v), window),
+            "M": AmalgamSpace("m", WeightedLp(p, v), window),
+            "bound": AmalgamSpace("linf", WeightedLp(min(1.0, p), w), window)}, label
 
-    Y is W(L^inf, L^p_v) on the window [-1/2, 1/2]; the factors' norms are
-    ``"Y"``, ``"M"`` for W(M, L^p_v), ``"bound"`` for W(L^inf, L^r_w) with
-    r = min(1, p) and w = (1 + |x|)^|s| (s is v's exponent, 1 if it has
-    none) and ``"Y-reflected"`` for Y's reflected norm. Defaults: p = 1,
-    v = 1 + |x|, 8 pairs, 256 cells on [-16, 16].
-    """
+
+def _axb_spaces(s, n, label=None, alpha=None, right_weight=None):
+    """ax+b's set on the window ``AxbWindow(0.5, 1.5)``: Y = W(L^inf,
+    L^{p,q}(v)) and bound = W(L^inf, L^r_w) with r = min(1, p, q) and w the
+    right-translation bound for v's doubling exponent alpha (certified here
+    when not given); ``right_weight`` stands in for w. Defaults: p = 1,
+    v = 1. The family label names p, q, v and alpha."""
+    p, v = _default(s.p, 1.0), _default(s.weight, constant_weight(1.0))
+    if alpha is None:
+        rec = check_doubling(v, [np.full(n, c) for c in (0.0, 1.5, -3.0)],
+                             (0.5, 1.0, 2.0))
+        if not rec["passed"]:
+            raise WeightDomainError("weight failed doubling certification")
+        alpha = rec["alpha"]
+    w = _default(right_weight, translation_bound_weight(p, s.q, alpha, n))
+    window = AxbWindow(0.5, 1.5)
+    return ({"Y": AmalgamSpace("linf", MixedLpq(p, s.q, v, n=n), window),
+             "bound": AmalgamSpace("linf", WeightedLp(min(1.0, p, s.q), w), window)},
+            f"axb p={p} q={s.q} v={v.name} alpha={alpha:.4g}")
+
+
+# group kind -> (settings, n, label) -> its spaces by name and the family label
+SPACES = {"euclidean": _line_spaces, "axb": _axb_spaces}
+
+
+@dataclass(frozen=True)
+class EmbeddingRow:
+    """``||F*G||_Y <= C ||F||_left ||G||_right`` over the set of spaces of
+    its grid's group kind, F and G drawn by ``left(count, seed)`` and
+    ``right(count, seed + 1)``. A norm name is a space of the set, or
+    ``"<space>-reflected"`` for that space's reflected norm. ``label`` is the
+    family label of R's set; ax+b's set writes its own. Defaults: 8 pairs
+    on 256 cells of [-16, 16]."""
 
     name: str
     left: object
     right: object
     left_norm: str
     right_norm: str
-    label: str
-    grid = UniformGrid(Euclidean(1), -16.0, 16.0, 256)
+    label: str | None
+    grid: object = UniformGrid(Euclidean(1), -16.0, 16.0, 256)
+    count: int = 8
 
     def run(self, s):
-        p, v = _default(s.p, 1.0), _default(s.weight, shifted_power_weight(1.0))
-        window = BoxWindow.centered(0.5, 1)
-        Y = AmalgamSpace("linf", WeightedLp(p, v), window)
-        w = shifted_power_weight(abs(v.params.get("s", 1.0)))
-        norms = {"Y": Y.norm, "Y-reflected": Y.reflected_norm,
-                 "M": AmalgamSpace("m", WeightedLp(p, v), window).norm,
-                 "bound": AmalgamSpace("linf", WeightedLp(min(1.0, p), w), window).norm}
-        count = _default(s.count, 8)
-        report = verify_embedding(
-            self.name, self.left(count, s.seed), self.right(count, s.seed + 1),
-            grid=_default(s.grid, self.grid),
-            target_norm=norms["Y"], left_norm=norms[self.left_norm],
-            right_norm=norms[self.right_norm], levels=s.levels, family=self.label)
-        return report.as_record()
+        grid, count = _default(s.grid, self.grid), _default(s.count, self.count)
+        spaces, family = SPACES[grid.group.kind](s, grid.group.n, self.label)
+        return self.verify(spaces, family, self.left(count, s.seed),
+                           self.right(count, s.seed + 1), grid, s.levels).as_record()
 
-
-class AxbRelation:
-    """``axb_relation`` over seeded axb-bumps pairs: defaults p = q = 1,
-    v = 1 and 6 pairs on the 80 x 48 grid of [-6, 6] x [1/8, 8]."""
-
-    name = "axb_relation"
-    grid = AxbGrid(AxbGroup(1), -6.0, 6.0, 80, 0.125, 8.0, 48)
-
-    def run(self, s):
-        count, grid = _default(s.count, 6), _default(s.grid, self.grid)
-        report = verify_axb_convolution(
-            _default(s.weight, constant_weight(1.0)), _default(s.p, 1.0), s.q,
-            build_family("axb-bumps", count, s.seed),
-            build_family("axb-bumps", count, s.seed + 1), grid=grid, levels=s.levels)
-        return report.as_record()
+    def verify(self, spaces, family, left_specs, right_specs, grid, levels):
+        """``verify_embedding`` of the pairs with the row's norms in ``spaces``."""
+        norms = {name: space.norm for name, space in spaces.items()}
+        norms |= {f"{name}-reflected": space.reflected_norm
+                  for name, space in spaces.items()}
+        return verify_embedding(
+            self.name, left_specs, right_specs, grid=grid, target_norm=norms["Y"],
+            left_norm=norms[self.left_norm], right_norm=norms[self.right_norm],
+            levels=levels, family=family)
 
 
 _ATOMS = partial(build_family, "atom-cloud")
 _BUMPS = partial(build_family, "gaussian-bumps", center_range=(-4.0, 4.0))
+_AXB_BUMPS = partial(build_family, "axb-bumps")
 
 RELATIONS = {row.name: row for row in (
     LpAlgebra(),
-    LineRelation("thm_conv_a", _ATOMS, _BUMPS, "M", "bound", "measures * bumps"),
-    LineRelation("thm_conv_b", _BUMPS, _BUMPS, "Y", "bound", "bumps * bumps"),
-    LineRelation("thm_convYvee", _BUMPS, _BUMPS, "bound", "Y-reflected",
+    EmbeddingRow("thm_conv_a", _ATOMS, _BUMPS, "M", "bound", "measures * bumps"),
+    EmbeddingRow("thm_conv_b", _BUMPS, _BUMPS, "Y", "bound", "bumps * bumps"),
+    EmbeddingRow("thm_convYvee", _BUMPS, _BUMPS, "bound", "Y-reflected",
                  "bumps * reflected bumps"),
-    AxbRelation(),
+    EmbeddingRow("axb_relation", _AXB_BUMPS, _AXB_BUMPS, "Y", "bound", None,
+                 AxbGrid(AxbGroup(1), -6.0, 6.0, 80, 0.125, 8.0, 48), 6),
 )}
+
+
+def verify_axb_convolution(weight, p, q, left_specs, right_specs, *, grid,
+                           alpha=None, levels=2, right_weight=None):
+    """Verify W(L^inf, L^{p,q}(v)) * W(L^inf, L^r_w) into W(L^inf, L^{p,q}(v))
+    through the ``axb_relation`` row and ax+b's set of spaces.
+    ``right_weight`` overrides w for negative-control sweeps."""
+    spaces, family = _axb_spaces(RelationSettings(p=p, q=q, weight=weight),
+                                 grid.group.n, alpha=alpha, right_weight=right_weight)
+    return RELATIONS["axb_relation"].verify(spaces, family, left_specs, right_specs,
+                                            grid, levels)

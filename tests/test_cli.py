@@ -220,6 +220,12 @@ def test_refine_below_one_is_a_usage_error(tmp_path, capsys):
     (["verify", "thm_conv_b"], {"group": {"kind": "axb"}}, "config.group.kind"),
     (["verify", "cor_conv_Lp"], {"grid": {"cells": 64}}, "config.grid"),
     (["verify", "cor_conv_Lp"], {"group": {"kind": "lattice"}}, "config.group"),
+    (["norm"], {"group": {"kind": "axb"}, "grid": {"cells": 16}},
+     "config.grid.cells: an ax+b grid reads x_lo, x_hi, x_cells, a_lo, a_hi, a_cells"),
+    (["norm"], {"window": {"beta": 2}},
+     "config.window.beta: a box window reads radius, lo, hi"),
+    (["norm"], {"component": {"type": "lp", "q": 3}},
+     "config.component.q: an lp component reads type, p, weight"),
 ])
 def test_bad_config_names_the_key(tmp_path, capsys, argv, config, key):
     """Bad values and unknown keys exit 1 with their key path, before any
@@ -433,9 +439,9 @@ def _bumps_config(tmp_path, group, family=None):
     bumps = {"kind": "bumps"}
     if family is not None:
         bumps["family"] = family
+    grid = {"x_cells": 16, "a_cells": 8} if group["kind"] == "axb" else {"cells": 16}
     cfg = tmp_path / "bumps.json"
-    cfg.write_text(json.dumps({"group": group,
-                               "grid": {"cells": 16, "x_cells": 16, "a_cells": 8},
+    cfg.write_text(json.dumps({"group": group, "grid": grid,
                                "function": bumps, "f": bumps, "g": bumps}))
     return cfg
 

@@ -1,9 +1,11 @@
 """The benchmark's span tracer (``bench/tracing.py``, loaded by path) finds
 every name it traces in the package, wraps it while installed, counts the
-calls made through ``AmalgamSpace`` methods, and puts the originals back."""
+calls made through ``AmalgamSpace`` methods, and puts the originals back;
+a traced ``verify`` reaches every span its benchmark workload lists."""
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -75,3 +77,51 @@ def test_tracer_installs_and_uninstalls_on_the_package():
     }
     assert (tracer.counts["discretization.build_bupu.support_entries"]
             == bupu.operator.indices.size > 0)
+
+
+WORKLOADS = TRACING.parent / "workloads.py"
+
+
+def _load_workloads():
+    """``bench/workloads.py``, registered while it runs, as its dataclasses
+    look their module up."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_verify_reaches_every_span_its_workload_lists(tmp_path):
+    """``verify`` through the CLI, traced, calls each span the benchmark's
+    axb-relation workload lists (doubling certified once per run) and the
+    measure convolution that line-relations lists for ``thm_conv_a``."""
+    tracing, workloads = _load_tracing(), _load_workloads()
+    before = _package_names()
+    configs = {
+        "axb_relation": {"grid": {"x_cells": 20, "a_cells": 12}, "family": {"count": 2}},
+        "thm_conv_a": {"grid": {"cells": 64}, "family": {"count": 2}},
+    }
+    calls = {}
+    for relation, config in configs.items():
+        cfg = tmp_path / f"{relation}.json"
+        cfg.write_text(json.dumps(config))
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert wamalgam.cli.main(["verify", relation, "--refine", "1", "--config",
+                                      str(cfg), "--out", str(tmp_path)]) in (0, 2)
+        finally:
+            tracer.uninstall()
+        calls[relation] = {name: t["calls"] for name, t in tracer.totals().items()}
+    after = _package_names()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+    for span in workloads.WORKLOADS["axb-relation"].spans:
+        assert calls["axb_relation"][span] > 0, span
+    assert calls["axb_relation"]["components.check_doubling"] == 1
+    assert "convolution.convolve_measure" in workloads.WORKLOADS["line-relations"].spans
+    assert calls["thm_conv_a"]["convolution.convolve_measure"] > 0
