@@ -43,7 +43,7 @@ from .errors import (
     InvalidElementError,
     NonFiniteSampleError,
 )
-from .groups import SampledFunction, haar_integral
+from .groups import SampledFunction, corner_weight, haar_integral
 from .windows import AxbCoverWindow, AxbWindow, right_translate
 
 # grid points times stencil parts that one control function may slide over
@@ -298,11 +298,12 @@ def _members_at_atoms(mu, bupu):
     atoms: each |mass| goes on its grid corners with its corner weights,
     and one gather over the operator reads every member there."""
     grid = bupu.grid
-    corners, inside = grid.corners(np.stack([z for z, _ in mu.atoms]))
+    base, corners, inside = grid.corners(
+        grid.axis_queries(np.stack([z for z, _ in mu.atoms], axis=-1)))
     mass = np.array([abs(m) for _, m in mu.atoms]) * inside
     deposit = np.zeros(grid.size)
-    for index, w in corners:
-        np.add.at(deposit, np.ravel_multi_index(index, grid.shape), w * mass)
+    for offset, factors in corners:
+        np.add.at(deposit, base + offset, corner_weight(factors) * mass)
     op = bupu.operator
     return op.reduce(np.add, deposit[op.indices] * op.values)
 
@@ -372,7 +373,8 @@ def translate(F, g, direction="left", coverage_warn=1e-6):
     Directions: "left" is L_g F = F(g^{-1} .), "right" is R_g F = F(. g),
     and "measure" is the measure action A_g = modular(g^{-1}) R_{g^{-1}}.
     Off-grid values are linearly interpolated (in log-scale coordinates on
-    ax+b, exactly on the integer lattice).
+    ax+b, exactly on the integer lattice). The law acts on the grid's
+    ``mesh()``, so an action on each axis alone is located per axis.
     """
     direction = _normalize_direction(direction)
     if isinstance(F, DiscreteMeasure):
@@ -380,19 +382,19 @@ def translate(F, g, direction="left", coverage_warn=1e-6):
     grid = F.grid
     group = grid.group
     g = group.check_element(np.asarray(g, dtype=float))
-    pts = grid.points()
+    mesh = grid.mesh()
     if direction == "left":
-        args = group.multiply(group.inverse(g), pts)
+        args = group.multiply_coords(group.inverse(g), mesh)
         factor = 1.0
     elif direction == "right":
-        args = group.multiply(pts, g)
+        args = group.multiply_coords(mesh, g)
         factor = 1.0
     else:  # measure action on a density
         ginv = group.inverse(g)
-        args = group.multiply(pts, ginv)
+        args = group.multiply_coords(mesh, ginv)
         factor = float(group.modular(ginv))
-    vals = factor * F.eval_at(args).reshape(grid.shape)
-    out = SampledFunction(grid, vals)
+    vals = grid.interpolate(F.values, grid.axis_queries(args))
+    out = SampledFunction(grid, np.multiply(factor, vals, out=vals))
     _warn_coverage(F, out, coverage_warn)
     return out
 
@@ -419,6 +421,8 @@ def _translate_measure(mu, g, direction):
 
 
 def _warn_coverage(before, after, threshold):
+    if threshold <= 0:  # a mass fraction is never below 0
+        return
     mass_before = float(np.sum(np.abs(before.values) * before.grid.weights))
     if mass_before <= 0:
         return
@@ -443,13 +447,12 @@ def involution(F, kind="reverse"):
         raise InvalidElementError(f"unknown involution {kind!r}")
     grid = F.grid
     group = grid.group
-    pts = grid.points()
-    inv = group.inverse(pts)
-    vals = F.eval_at(inv).reshape(grid.shape)
+    inv = group.inverse_coords(grid.mesh())
+    vals = grid.interpolate(F.values, grid.axis_queries(inv))
     if k in ("conj_reverse", "adjoint"):
         vals = np.conj(vals)
     if k == "adjoint":
-        vals = vals * group.modular(inv).reshape(grid.shape)
+        vals = vals * group.modular_coords(inv)
     return SampledFunction(grid, vals)
 
 

@@ -168,13 +168,19 @@ def build_family_on(kind, group, count, seed, key):
     return build_family(kind, count, seed)
 
 
+# function kind -> its name and the keys it reads
+FUNCTIONS = {"indicator": ("an indicator function", ("kind", "lo", "hi")),
+             "sequence": ("a sequence function", ("kind", "entries")),
+             "bumps": ("a bumps function", ("kind", "family"))}
+
+
 def build_function(cfg, grid, seed, key="function"):
-    f = cfg.get(key, {})
-    kind = f.get("kind", "indicator")
+    kind = cfg.get(key, {}).get("kind", "indicator")
+    axes = len(grid.shape)
+    f = _section(cfg, key, *FUNCTIONS[kind], axes)
     if kind == "indicator":
-        axes = len(grid.shape)
-        lo = np.broadcast_to(_per_axis(f.get("lo", 0.0), axes, f"{key}.lo"), (axes,))
-        hi = np.broadcast_to(_per_axis(f.get("hi", 1.0), axes, f"{key}.hi"), (axes,))
+        lo = np.broadcast_to(f.get("lo", 0.0), (axes,))
+        hi = np.broadcast_to(f.get("hi", 1.0), (axes,))
 
         def fn(*coords):
             mask = np.ones(np.broadcast_shapes(*[np.shape(c) for c in coords]),
@@ -372,6 +378,10 @@ def cmd_verify(cfg, args):
 
 def cmd_axb(cfg, args):
     sub = args.subcommand
+    kind = cfg.get("group", {}).get("kind", "axb")
+    if kind != "axb":
+        raise ConfigError(f"config.group.kind: axb {sub} runs on kind 'axb', "
+                          f"got {kind!r}")
     n = cfg.get("group", {}).get("n", 1)
     p, q = cfg.get("p", 1.0), cfg.get("q", 1.0)
     if sub == "translation-bound":

@@ -160,18 +160,30 @@ def _atom_partition(op):
 
     Points share a label exactly when the rows seen so far cover both or
     neither: row i gives its points with old label l the fresh label of
-    the pair (l, i). The labels in use are then renumbered 0..count-1 and
-    stored in the smallest unsigned type. Each row covers an atom whole, so
-    the entries at one point per atom give the atoms of every row. The
-    temporaries stay O(grid + fresh labels), with no array over all entries
-    but one boolean mask.
+    the pair (l, i), fresh plus the rank of l among the row's old labels
+    (the inverse of ``np.unique``). Two relabel tables over the labels find
+    the ranks in O(row) and a sort of the row's distinct labels: ``at[l]``
+    keeps one position of label l in the row, so the positions p with
+    ``at[old[p]] == p`` hold each old label once, and ``to[l]`` is the new
+    label. A row adds at most one label per entry, so the tables need one
+    slot per entry and one. The labels in use are then renumbered
+    0..count-1 and stored in the smallest unsigned type. Each row covers an
+    atom whole, so the entries at one point per atom give the atoms of
+    every row. The temporaries stay O(grid + fresh labels), with no array
+    over all entries but one boolean mask.
     """
     labels = np.zeros(op.size, dtype=np.intp)
     fresh = 1
+    at, to = (np.empty(len(op.indices) + 1, dtype=np.intp) for _ in range(2))
+    positions = np.arange(op.counts.max(initial=0))
     for row in op:
-        old, inverse = np.unique(labels[row], return_inverse=True)
-        labels[row] = fresh + inverse
-        fresh += len(old)
+        old = labels[row]
+        place = positions[:len(old)]
+        at[old] = place
+        distinct = np.sort(old[at[old] == place])
+        to[distinct] = fresh + positions[:len(distinct)]
+        labels[row] = to[old]
+        fresh += len(distinct)
     used = np.zeros(fresh, dtype=bool)
     used[labels] = True
     count = int(np.count_nonzero(used))
@@ -476,8 +488,8 @@ def _voronoi_owner(X, grid, pts):
     so the distance array stays small; each row's distances and ``argmin``
     (first minimum on ties) are those of the whole array.
     """
-    q = np.column_stack(grid.axis_queries(pts))
-    c = np.column_stack(grid.axis_queries(X.points))
+    q = np.column_stack(grid.axis_queries(pts.T))
+    c = np.column_stack(grid.axis_queries(X.points.T))
     rows = max(1, _OWNER_BLOCK // max(len(c), 1))
     owner = np.empty(len(q), dtype=np.intp)
     for start in range(0, len(q), rows):

@@ -5,6 +5,12 @@ Group elements are plain coordinate arrays of shape ``(..., dim)``:
 ``dim = n + 1`` for the affine ``ax+b`` group, whose last coordinate is
 the (strictly positive) dilation parameter.  All group operations are
 vectorized over leading axes.
+
+Each group writes its law once, coordinate-wise: ``multiply_coords``,
+``inverse_coords`` and ``modular_coords`` take one array per coordinate,
+any shapes that broadcast, such as a grid's ``mesh()``. The ``(..., dim)``
+methods ``multiply``, ``inverse`` and ``modular`` validate their elements
+and call them.
 """
 
 from __future__ import annotations
@@ -37,6 +43,11 @@ def _as_points(g, dim):
     return g
 
 
+def _coords(g):
+    """The coordinates of an ``(..., dim)`` array, one view each."""
+    return [g[..., k] for k in range(g.shape[-1])]
+
+
 class GroupSpec:
     """Group law, inverse, identity, left-Haar density and modular function."""
 
@@ -44,11 +55,25 @@ class GroupSpec:
     n: int
     dim: int
 
-    def multiply(self, g, h):
+    def multiply_coords(self, g, h):
+        """The law ``g h`` on coordinates: ``g``, ``h`` and the result hold
+        ``dim`` broadcastable arrays, one per coordinate."""
         raise NotImplementedError
 
-    def inverse(self, g):
+    def inverse_coords(self, g):
+        """``g^{-1}`` on coordinates, as in ``multiply_coords``."""
         raise NotImplementedError
+
+    def modular_coords(self, g):
+        """The modular function at coordinates ``g``: one broadcast array."""
+        raise NotImplementedError
+
+    def multiply(self, g, h):
+        g, h = self.check_element(g), self.check_element(h)
+        return np.stack(self.multiply_coords(_coords(g), _coords(h)), axis=-1)
+
+    def inverse(self, g):
+        return np.stack(self.inverse_coords(_coords(self.check_element(g))), axis=-1)
 
     @property
     def identity(self):
@@ -59,7 +84,7 @@ class GroupSpec:
         raise NotImplementedError
 
     def modular(self, g):
-        raise NotImplementedError
+        return self.modular_coords(_coords(self.check_element(g)))
 
     def check_element(self, g):
         """Validate element invariants; returns the coordinate array."""
@@ -87,11 +112,14 @@ class _Additive(GroupSpec):
         self.n = int(n)
         self.dim = self.n
 
-    def multiply(self, g, h):
-        return self.check_element(g) + self.check_element(h)
+    def multiply_coords(self, g, h):
+        return [a + b for a, b in zip(g, h)]
 
-    def inverse(self, g):
-        return -self.check_element(g)
+    def inverse_coords(self, g):
+        return [-a for a in g]
+
+    def modular_coords(self, g):
+        return np.ones(np.broadcast_shapes(*map(np.shape, g)))
 
     @property
     def identity(self):
@@ -101,9 +129,12 @@ class _Additive(GroupSpec):
         g = self.check_element(g)
         return np.ones(g.shape[:-1])
 
-    def modular(self, g):
-        g = self.check_element(g)
-        return np.ones(g.shape[:-1])
+
+def _integral_coords(g):
+    """``g`` rounded to whole numbers; raises unless it is within 1e-9 of them."""
+    if not np.allclose(g, np.round(g), atol=1e-9):
+        raise InvalidElementError("lattice elements must have integral coordinates")
+    return np.round(g)
 
 
 class Euclidean(_Additive):
@@ -118,10 +149,7 @@ class IntegerLattice(_Additive):
     kind = "lattice"
 
     def check_element(self, g):
-        g = _as_points(g, self.dim)
-        if not np.allclose(g, np.round(g), atol=1e-9):
-            raise InvalidElementError("lattice elements must have integral coordinates")
-        return np.round(g)
+        return _integral_coords(_as_points(g, self.dim))
 
 
 class AxbGroup(GroupSpec):
@@ -143,21 +171,16 @@ class AxbGroup(GroupSpec):
             raise InvalidElementError("axb elements need a strictly positive scale")
         return g
 
-    def multiply(self, g, h):
-        g = self.check_element(g)
-        h = self.check_element(h)
-        out = np.empty(np.broadcast_shapes(g.shape, h.shape))
-        a = g[..., -1:]
-        out[..., :-1] = g[..., :-1] + a * h[..., :-1]
-        out[..., -1] = g[..., -1] * h[..., -1]
-        return out
+    def multiply_coords(self, g, h):
+        a = g[-1]
+        return [x + a * y for x, y in zip(g[:-1], h[:-1])] + [a * h[-1]]
 
-    def inverse(self, g):
-        g = self.check_element(g)
-        out = np.empty_like(g)
-        out[..., :-1] = -g[..., :-1] / g[..., -1:]
-        out[..., -1] = 1.0 / g[..., -1]
-        return out
+    def inverse_coords(self, g):
+        a = g[-1]
+        return [-x / a for x in g[:-1]] + [1.0 / a]
+
+    def modular_coords(self, g):
+        return g[-1] ** (-float(self.n))
 
     @property
     def identity(self):
@@ -168,10 +191,6 @@ class AxbGroup(GroupSpec):
     def haar_density(self, g):
         g = self.check_element(g)
         return g[..., -1] ** (-(self.n + 1))
-
-    def modular(self, g):
-        g = self.check_element(g)
-        return g[..., -1] ** (-float(self.n))
 
 
 def element(group, *coords):
@@ -200,17 +219,23 @@ class Grid:
     interpolation axis is uniform, so the difference of two grid points is
     a whole number of steps per axis.
 
-    Two interpolators share ``_axis_locate``: ``interpolate`` evaluates at
-    scattered group points, summing the 2^d corners that ``corners``
-    yields with their weights (BUPU members at a measure's atoms read the
-    same corners), and ``interpolate_along``
-    is one 2-tap pass along a single axis by the rule that ``locate_along``
-    gives for 1-D queries, which may gather into and write to a caller's
-    buffers. Multilinear interpolation on a tensor of queries is that pass
-    folded over the axes, which is how convolution tabulates G on the
-    offsets: on ax+b the scale axis once per convolution, the x axes once
-    per source scale row, at the queries that ``window_range`` finds
-    inside the window, located once per convolution.
+    Interpolation reads per-axis queries: the interpolation coordinates
+    that ``axis_queries`` makes of group coordinates, one array per axis,
+    which ``_axis_locate`` locates axis by axis. ``interpolate`` sums the
+    2^d corners of the rule that ``corners`` gives, a flat gather and a
+    weight each, at the shape the queries broadcast to. Scattered points give one query per point on
+    every axis. A group law applied to ``mesh()`` gives N_k queries on
+    axis k wherever it acts on each axis alone (every translation on R^n
+    and Z^n, left translations on ax+b), so ``amalgam.translate`` and
+    ``involution`` locate N_k queries per axis, not the N grid points.
+    BUPU members at a measure's atoms read the same corners.
+    ``interpolate_along`` is one 2-tap pass along a single axis by the rule
+    that ``locate_along`` gives for 1-D queries, which may gather into and
+    write to a caller's buffers. Multilinear interpolation on a tensor of
+    queries is that pass folded over the axes, which is how convolution
+    tabulates G on the offsets: on ax+b the scale axis once per
+    convolution, the x axes once per source scale row, at the queries that
+    ``window_range`` finds inside the window, located once per convolution.
 
     ``weight_factors`` splits ``weights`` into ``(x_volume, scale_weights)``,
     the factor along the last axis: ``u_step * a^{-n}`` on ax+b, else 1.
@@ -250,45 +275,56 @@ class Grid:
     def refine(self, factor=2):
         raise NotImplementedError
 
-    def axis_queries(self, pts):
-        """Per-axis interpolation coordinates for raw group points."""
-        return [pts[..., k] for k in range(len(self.axes))]
+    def axis_queries(self, coords):
+        """Per-axis interpolation coordinates of group coordinates ``coords``,
+        one broadcastable array per coordinate (``_coords`` of a point array,
+        or a group law's result on ``mesh()``)."""
+        return list(coords)
 
-    def corners(self, pts):
-        """Multilinear interpolation at group points ``pts`` as a corner rule:
-        ``(corners, inside)``, where ``corners`` yields ``(index, weight)``
-        per grid corner (``index`` a tuple of per-axis index arrays) and
-        ``inside`` masks the points in the grid window."""
-        queries = self.axis_queries(np.asarray(pts, dtype=float))
-        idx, frac, inside = [], [], None
-        for ax, step, q in zip(self.interp_axes, self.interp_steps, queries):
-            i0, f, ins = _axis_locate(ax, step, q)
-            idx.append(i0)
-            frac.append(f)
-            inside = ins if inside is None else (inside & ins)
+    def corners(self, queries):
+        """Multilinear interpolation at per-axis ``queries`` (``axis_queries``)
+        as a corner rule ``(base, corners, inside)``. ``corners`` lists
+        ``(offset, factors)`` per grid corner: the corner's flat indices into
+        ``values.ravel()`` are ``base + offset``, and its weight is the
+        product of the per-axis ``factors`` (``corner_weight``). ``inside``
+        masks the queries in the grid window. The arrays broadcast to the
+        queries' shape.
 
-        def corners():
-            for corner in _iter_product((0, 1), repeat=len(idx)):
-                w, gather = 1.0, []
-                for c, i0, f, ax in zip(corner, idx, frac, self.interp_axes):
-                    w = w * (f if c else (1.0 - f))
-                    gather.append(np.minimum(i0 + c, len(ax) - 1))
-                yield tuple(gather), w
-
-        return corners(), inside
-
-    def interpolate(self, values, pts):
-        """Multilinear interpolation of ``values`` at group points ``pts``.
-
-        Points outside the grid window evaluate to zero (all sampled
-        functions are treated as compactly supported in their window).
+        A lower index is at most the last cell's, so a corner's index is the
+        lower corner's plus one stride per upper axis (none on an axis of
+        one point, where the upper tap is the lower one).
         """
-        corners, inside = self.corners(pts)
-        out = np.zeros(inside.shape, dtype=values.dtype)
-        for index, w in corners:
-            out = out + w * values[index]
-            del index, w  # free this corner before the next one is built
-        return np.where(inside, out, 0.0)
+        strides = [math.prod(self.shape[k + 1:]) for k in range(len(self.shape))]
+        base, taps, inside = 0, [], None
+        for ax, step, q, stride in zip(self.interp_axes, self.interp_steps,
+                                       queries, strides):
+            i0, f, ins = _axis_locate(ax, step, q)
+            base = base + i0 * stride
+            taps.append(((0, 1.0 - f), (stride if len(ax) > 1 else 0, f)))
+            inside = ins if inside is None else (inside & ins)
+        corners = [(sum(u for u, _ in corner), [f for _, f in corner])
+                   for corner in _iter_product(*taps)]
+        return base, corners, inside
+
+    def interpolate(self, values, queries):
+        """Multilinear interpolation of ``values`` at per-axis ``queries``
+        (``axis_queries``), at the shape they broadcast to.
+
+        Queries outside the grid window evaluate to zero (all sampled
+        functions are treated as compactly supported in their window).
+        Each corner is gathered and weighted in buffers that the next
+        corner reuses.
+        """
+        base, corners, inside = self.corners(queries)
+        dtype = np.result_type(values, np.float64)
+        flat = np.ravel(values).astype(dtype, copy=False)
+        out = np.zeros(inside.shape, dtype)
+        term, w = np.empty_like(out), np.empty(inside.shape)
+        for offset, factors in corners:
+            np.take(flat[offset:], base, out=term, mode="clip")
+            out += np.multiply(corner_weight(factors, w), term, out=term)
+        np.copyto(out, 0.0, where=~inside)
+        return out
 
     def locate_along(self, k, q):
         """The 2-tap rule of the 1-D interpolation coordinates ``q`` along
@@ -333,6 +369,15 @@ class Grid:
         ``interpolate_along`` does not zero."""
         t, lo, hi = _axis_cells(self.interp_axes[k], self.interp_steps[k], q)
         return (t < lo).sum(axis=-1), (t <= hi).sum(axis=-1)
+
+
+def corner_weight(factors, out=None):
+    """The product of a corner's per-axis weight ``factors``, left to right,
+    written to ``out`` when it is given; one factor is returned as it is."""
+    w = factors[0]
+    for f in factors[1:]:
+        w = np.multiply(w, f, out=out)
+    return w
 
 
 def _axis_cells(axis, step, q):
@@ -443,14 +488,16 @@ class LatticeGrid(Grid):
         hi = np.ceil(center + factor * half).astype(int)
         return LatticeGrid(self.group, lo, hi)
 
-    def corners(self, pts):
+    def corners(self, queries):
         """The exact lookup of lattice points as a corner rule: one corner,
         weight 1. Raises off the lattice (``check_element``)."""
-        pts = self.group.check_element(pts)
-        idx = np.round(pts - self.lo).astype(int)
-        ok = np.all((idx >= 0) & (idx <= self.hi - self.lo), axis=-1)
-        idx = np.clip(idx, 0, np.array(self.shape) - 1)
-        return iter([(tuple(np.moveaxis(idx, -1, 0)), 1.0)]), ok
+        index, ok = 0, None
+        for q, lo, hi, m in zip(queries, self.lo, self.hi, self.shape):
+            i = np.round(_integral_coords(q) - lo).astype(int)
+            inside = (i >= 0) & (i <= hi - lo)
+            ok = inside if ok is None else ok & inside
+            index = index * m + np.clip(i, 0, m - 1)
+        return index, [(0, [1.0])], ok
 
     def metadata(self):
         return {
@@ -504,10 +551,8 @@ class AxbGrid(Grid):
         return np.broadcast_to(x_volume * self.u_step * a_axis ** (-float(n)),
                                self.shape).copy()
 
-    def axis_queries(self, pts):
-        qs = [pts[..., k] for k in range(self.group.n)]
-        qs.append(np.log(np.maximum(pts[..., -1], 1e-300)))
-        return qs
+    def axis_queries(self, coords):
+        return [*coords[:-1], np.log(np.maximum(coords[-1], 1e-300))]
 
     def refine(self, factor=2):
         return AxbGrid(
@@ -555,7 +600,10 @@ class SampledFunction:
         return cls(grid, np.broadcast_to(vals, grid.shape).copy())
 
     def eval_at(self, pts):
-        return self.grid.interpolate(self.values, pts)
+        """Interpolated values at the group points ``pts``, ``(..., dim)``."""
+        grid = self.grid
+        pts = _as_points(pts, grid.group.dim)
+        return grid.interpolate(self.values, grid.axis_queries(_coords(pts)))
 
     def __abs__(self):
         return SampledFunction(self.grid, np.abs(self.values))

@@ -226,6 +226,20 @@ def test_refine_below_one_is_a_usage_error(tmp_path, capsys):
      "config.window.beta: a box window reads radius, lo, hi"),
     (["norm"], {"component": {"type": "lp", "q": 3}},
      "config.component.q: an lp component reads type, p, weight"),
+    (["axb", "discrete-norm"], {"group": {"kind": "lattice"}},
+     "config.group.kind: axb discrete-norm runs on kind 'axb', got 'lattice'"),
+    (["axb", "tilde-v"], {"group": {"kind": "euclidean"}},
+     "config.group.kind: axb tilde-v runs on kind 'axb', got 'euclidean'"),
+    (["axb", "translation-bound"], {"group": {"kind": "lattice"}},
+     "config.group.kind: axb translation-bound runs on kind 'axb', got 'lattice'"),
+    (["norm"], {"function": {"kind": "indicator", "entries": {"0": 1},
+                             "family": "gaussian-bumps"}},
+     "config.function.entries: an indicator function reads kind, lo, hi"),
+    (["convolve"], {"group": {"kind": "lattice"}, "grid": {"lo": -8, "hi": 8},
+                    "f": {"kind": "sequence", "lo": 0}},
+     "config.f.lo: a sequence function reads kind, entries"),
+    (["convolve"], {"g": {"kind": "bumps", "entries": {"0": 1}}},
+     "config.g.entries: a bumps function reads kind, family"),
 ])
 def test_bad_config_names_the_key(tmp_path, capsys, argv, config, key):
     """Bad values and unknown keys exit 1 with their key path, before any

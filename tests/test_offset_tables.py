@@ -38,12 +38,12 @@ def _reference(grid, G, j, reach):
     offsets = [np.arange(lo, hi) * h for (lo, hi), h in zip(reach, grid.interp_steps)]
     if not isinstance(grid, AxbGrid):
         assert j == 0
-        return G.grid.interpolate(G.values, _mesh(offsets))[None]
+        return G.eval_at(_mesh(offsets))[None]
     na = grid.shape[-1]
     a_j = grid.axes[-1][j]
     queries = [d / a_j for d in offsets]
     queries.append(np.exp((np.arange(na) - j) * grid.interp_steps[-1]))
-    return np.moveaxis(G.grid.interpolate(G.values, _mesh(queries)), -1, 0)
+    return np.moveaxis(G.eval_at(_mesh(queries)), -1, 0)
 
 
 def _mesh(queries):
