@@ -54,11 +54,10 @@ LOCAL_COMPONENTS = ("linf", "l1", "m")
 
 def normalize_local(tag):
     t = str(tag).lower().replace("^", "").replace(" ", "")
-    aliases = {"linf": "linf", "linfty": "linf", "loo": "linf",
-               "l1": "l1", "lone": "l1", "m": "m", "measure": "m"}
-    if t not in aliases:
-        raise InvalidElementError(f"unknown local component {tag!r}")
-    return aliases[t]
+    if t not in LOCAL_COMPONENTS:
+        raise InvalidElementError(f"unknown local component {tag!r}; choose from "
+                                  f"{', '.join(LOCAL_COMPONENTS)}")
+    return t
 
 
 @dataclass
@@ -262,7 +261,7 @@ def _measure_control(mu, window):
     pts = grid.points()
     for z, mass in mu.atoms:
         # the grid points x with z in x . window
-        out += abs(mass) * window.contains(grid.group, pts, z).reshape(grid.shape)
+        out += abs(mass) * window.contains(pts, z).reshape(grid.shape)
     return SampledFunction(grid, out)
 
 
@@ -317,7 +316,7 @@ def local_norms_indicator(F, X, window, local):
             raise InvalidElementError("measures carry the M local component")
         out = np.zeros(len(X))
         for z, mass in F.atoms:
-            out += abs(mass) * window.contains(F.group, X.points, z)
+            out += abs(mass) * window.contains(X.points, z)
         if F.density is not None:
             if not np.all(np.isfinite(F.density.values)):
                 raise NonFiniteSampleError("samples contain non-finite values")
@@ -400,12 +399,11 @@ def translate(F, g, direction="left", coverage_warn=1e-6):
 
 
 def _normalize_direction(direction):
-    d = str(direction).lower()
-    aliases = {"l": "left", "left": "left", "r": "right", "right": "right",
-               "a": "measure", "measure": "measure"}
-    if d not in aliases:
-        raise InvalidElementError(f"unknown translation direction {direction!r}")
-    return aliases[d]
+    d, directions = str(direction).lower(), ("left", "right", "measure")
+    if d not in directions:
+        raise InvalidElementError(f"unknown translation direction {direction!r}; "
+                                  f"choose from {', '.join(directions)}")
+    return d
 
 
 def _translate_measure(mu, g, direction):
@@ -439,12 +437,10 @@ def _warn_coverage(before, after, threshold):
 def involution(F, kind="reverse"):
     """Involutions: reverse F(x^{-1}), its conjugate, and the adjoint
     ``modular(x^{-1}) conj(F(x^{-1}))`` that absorbs the Haar module."""
-    kinds = {"reverse": "reverse", "vee": "reverse",
-             "conj_reverse": "conj_reverse", "nabla": "conj_reverse",
-             "adjoint": "adjoint", "star": "adjoint"}
-    k = kinds.get(str(kind).lower())
-    if k is None:
-        raise InvalidElementError(f"unknown involution {kind!r}")
+    k, kinds = str(kind).lower(), ("reverse", "conj_reverse", "adjoint")
+    if k not in kinds:
+        raise InvalidElementError(f"unknown involution {kind!r}; choose from "
+                                  f"{', '.join(kinds)}")
     grid = F.grid
     group = grid.group
     inv = group.inverse_coords(grid.mesh())

@@ -24,14 +24,13 @@ class BallWeightTable:
     """Ball integrals of a spatial weight over an affine lattice.
 
     Entry i is the integral of the weight over the ball centered at the
-    spatial part of lattice point i with radius ``radius_scale`` times the
-    point's scale coordinate.
+    spatial part of lattice point i with radius the point's scale
+    coordinate.
     """
 
     lattice: object
     values: np.ndarray
     source: WeightFunction
-    radius_scale: float = 1.0
 
     def __post_init__(self):
         if len(self.values) != len(self.lattice):
@@ -44,18 +43,15 @@ class BallWeightTable:
         return self.lattice.points[:, -1]
 
 
-def compute_ball_weights(weight, lattice, radius_scale=1.0, cells_per_radius=64):
-    """Tabulate ``int_{ball(x_i, radius_scale * a_i)} v`` over the lattice."""
+def compute_ball_weights(weight, lattice):
+    """Tabulate ``int_{ball(x_i, a_i)} v`` over the lattice."""
     pts = lattice.points
     vals = np.empty(len(pts))
     for i, p in enumerate(pts):
-        vals[i] = ball_integral(weight, p[:-1], radius_scale * p[-1],
-                                cells_per_radius)
+        vals[i] = ball_integral(weight, p[:-1], p[-1])
         if not np.isfinite(vals[i]) or vals[i] <= 0:
-            raise WeightDomainError(
-                f"weight not integrable on ball({p[:-1]}, {radius_scale * p[-1]})"
-            )
-    return BallWeightTable(lattice, vals, weight, radius_scale)
+            raise WeightDomainError(f"weight not integrable on ball({p[:-1]}, {p[-1]})")
+    return BallWeightTable(lattice, vals, weight)
 
 
 def lpq_discrete_norm(coefficients, table, p, q, n=1):

@@ -5,10 +5,11 @@ Configs are JSON; every report embeds the exact config used, the grid
 metadata, the seed, and the library version, and is serialized with
 sorted keys so that identical configs and seeds give byte-identical
 output up to the timestamp field. ``main`` checks the config against
-``config.CONFIG_SCHEMA`` once; each command returns its grid, results,
-summary line and verdict, and ``main`` writes the report. Exit status: 0
-on pass, 2 when a property check reports a failure verdict or argparse a
-usage error, 1 on config or run errors.
+``config.CONFIG_SCHEMA`` once, and against ``READS``, the keys the command
+reads; each command returns its grid, results, summary line and verdict,
+and ``main`` writes the report. Exit status: 0 on pass, 2 when a property
+check reports a failure verdict or argparse a usage error, 1 on config or
+run errors.
 """
 
 from __future__ import annotations
@@ -58,7 +59,35 @@ from .windows import AxbWindow, BoxWindow
 
 
 # ---------------------------------------------------------------------------
-# Builders over a config checked by ``validate_config``
+# Builders over a config checked by ``validate_config`` and ``check_reads``
+
+_LINE_ROW = ("p", "weight", "group", "grid", "family.count")
+# command -> the config keys it reads: a whole section, or "section.key"
+READS = {
+    "norm": ("group", "grid", "window", "local", "component", "function"),
+    "doubling": ("group.n", "weight", "centers", "radii"),
+    "equivalence": ("group", "grid", "window", "local", "component",
+                    "lattice_spacing", "family"),
+    "convolve": ("group", "grid", "f", "g"),
+    "verify cor_conv_Lp": ("p", "weighted"),
+    "verify thm_conv_a": _LINE_ROW,
+    "verify thm_conv_b": _LINE_ROW,
+    "verify thm_convYvee": _LINE_ROW,
+    "verify axb_relation": _LINE_ROW + ("q",),
+    "axb tilde-v": ("group", "grid", "lattice", "weight"),
+    "axb discrete-norm": ("group", "grid", "lattice", "weight", "p", "q"),
+    "axb translation-bound": ("group", "y", "b", "p", "q", "alpha"),
+}
+
+
+def check_reads(cfg, command):
+    """Refuse the first key of ``cfg`` that ``command`` does not read."""
+    reads = READS[command]
+    for key, value in cfg.items():
+        nested = any(r.startswith(f"{key}.") for r in reads)
+        for path in [f"{key}.{k}" for k in value] if nested else [key]:
+            if path not in reads:
+                raise ConfigError(f"config.{path}: {command} reads {', '.join(reads)}")
 
 
 def build_group(cfg):
@@ -356,9 +385,6 @@ def cmd_convolve(cfg, args):
 def cmd_verify(cfg, args):
     relation = RELATIONS[args.relation]
     grid = relation.grid
-    for key in ("group", "grid"):
-        if key in cfg and grid is None:
-            raise ConfigError(f"config.{key}: verify {relation.name} samples no grid")
     for key, value in cfg.get("group", {}).items():
         own = getattr(grid.group, key)
         if value != own:
@@ -385,7 +411,8 @@ def cmd_axb(cfg, args):
     n = cfg.get("group", {}).get("n", 1)
     p, q = cfg.get("p", 1.0), cfg.get("q", 1.0)
     if sub == "translation-bound":
-        value = right_translation_bound(cfg.get("y", [0.0]), cfg.get("b", 1.0), p, q,
+        y = np.broadcast_to(_per_axis(cfg.get("y", 0.0), n, "y"), (n,))
+        value = right_translation_bound(y, cfg.get("b", 1.0), p, q,
                                         cfg.get("alpha", 1.0), n)
         return None, {"subcommand": sub, "value": value}, \
             f"translation bound: {value:.6g}", True
@@ -486,8 +513,10 @@ def main(argv=None):
         cfg = load_config(args)
         # looked up per call, so a test can stand in for a command
         command = globals()[f"cmd_{args.command}"]
-        grid, results, summary, passed = command(validate_config(cfg), args)
         sub = getattr(args, "relation", None) or getattr(args, "subcommand", None)
+        typed = validate_config(cfg)
+        check_reads(typed, f"{args.command} {sub}" if sub else args.command)
+        grid, results, summary, passed = command(typed, args)
         name = f"{args.command}-{sub}" if sub else None
         _, path = finalize_report(args.command, cfg, args.seed, grid, results,
                                   args.out, name=name, fmt=args.format)

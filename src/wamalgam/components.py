@@ -299,7 +299,7 @@ def quasi_constant_from_p_exponent(p, convention="standard"):
 # Submultiplicativity
 
 
-def check_submultiplicative(weight, group, sample_points, tol=1e-12):
+def check_submultiplicative(weight, group, sample_points):
     """Check w(xy) <= w(x) w(y) over all pairs from ``sample_points``.
 
     Returns a record with ``passed``, the maximal observed ratio, and the
@@ -316,13 +316,13 @@ def check_submultiplicative(weight, group, sample_points, tol=1e-12):
     wy = weight(y)
     wxy = weight(xy)
     ratio = wxy / (wx * wy)
-    worst = float(ratio.max())
-    record = {"passed": worst <= 1.0 + tol, "max_ratio": worst,
+    violations = np.argwhere(ratio > 1.0 + 1e-12)  # beyond rounding
+    record = {"passed": not len(violations), "max_ratio": float(ratio.max()),
               "pairs_checked": int(pts.shape[0] ** 2)}
     if record["passed"]:
         weight.submultiplicative = record
     else:
-        i, j = np.argwhere(ratio > 1.0 + tol)[0]
+        i, j = violations[0]
         record["counterexample"] = {
             "x": pts[i].tolist(),
             "y": pts[j].tolist(),
@@ -342,6 +342,10 @@ def check_submultiplicative(weight, group, sample_points, tol=1e-12):
 _BALL_REFINEMENT_TOL = 0.05
 # rounding slack in the fitted doubling constants
 _DOUBLING_ROUNDING = 1e-9
+# check_doubling's dilations t, and its rejection rule: growth of the t = 2
+# log-ratio by more than _GROWTH_FACTOR over _GROWTH_OCTAVES octaves in a row
+_DOUBLING_SCALES = np.array([2.0, 4.0])
+_GROWTH_FACTOR, _GROWTH_OCTAVES = 1.5, 4
 
 
 def ball_integral(weight, center, radius, cells_per_radius=64):
@@ -393,16 +397,15 @@ def _midpoint_ball(weight, center, radius, cells_per_radius):
     raise WeightDomainError("ball integrals implemented for n in {1, 2}")
 
 
-def check_doubling(weight, centers, radii, scales=(2.0, 4.0), cells_per_radius=64,
-                   growth_factor=1.5, growth_octaves=4):
+def check_doubling(weight, centers, radii):
     """Fit doubling constants (c, alpha) or report unbounded ratio growth.
 
-    Over every (center, radius, scale) triple the ratio
-    ``int_{B(x, t r)} v / int_{B(x, r)} v`` is computed; alpha comes from a
-    least-squares fit of log ratio against log t, and c absorbs the largest
-    residual slack. Failure is declared when, for some center, the
-    log-ratio at t = 2 grows by more than ``growth_factor`` across each of
-    ``growth_octaves`` consecutive radius octaves. A fit with ``c < 1`` or
+    Over every (center, radius, scale t in ``_DOUBLING_SCALES``) triple
+    the ratio ``int_{B(x, t r)} v / int_{B(x, r)} v`` is computed; alpha
+    comes from a least-squares fit of log ratio against log t, and c absorbs
+    the largest residual slack. Failure is declared when, for some center,
+    the log-ratio at t = 2 grows by more than ``_GROWTH_FACTOR`` across each
+    of ``_GROWTH_OCTAVES`` consecutive radius octaves. A fit with ``c < 1`` or
     ``alpha < 0`` (beyond rounding) is rejected too: for a positive weight
     a larger ball never holds less mass, so such a fit means the quadrature
     missed mass. ``ball_integral`` raises ``WeightDomainError`` on a weight
@@ -410,36 +413,32 @@ def check_doubling(weight, centers, radii, scales=(2.0, 4.0), cells_per_radius=6
     """
     centers = [np.atleast_1d(np.asarray(c, dtype=float)) for c in centers]
     radii = np.asarray(sorted(radii), dtype=float)
-    scales = np.asarray(sorted(scales), dtype=float)
-    if np.any(scales < 1):
-        raise WeightDomainError("doubling scales must satisfy t >= 1")
 
     base = np.empty((len(centers), len(radii)))
-    scaled = np.empty((len(centers), len(radii), len(scales)))
+    scaled = np.empty((len(centers), len(radii), len(_DOUBLING_SCALES)))
     for i, x in enumerate(centers):
         for j, r in enumerate(radii):
-            base[i, j] = ball_integral(weight, x, r, cells_per_radius)
+            base[i, j] = ball_integral(weight, x, r)
             if base[i, j] <= 0 or not np.isfinite(base[i, j]):
                 raise WeightDomainError(f"weight not integrable on ball({x}, {r})")
-            for k, t in enumerate(scales):
-                scaled[i, j, k] = ball_integral(weight, x, t * r, cells_per_radius)
+            for k, t in enumerate(_DOUBLING_SCALES):
+                scaled[i, j, k] = ball_integral(weight, x, t * r)
     ratios = scaled / base[:, :, None]
 
     # rejection rule: sustained growth of the t=2 log-ratio along octaves
-    octave_report = _octave_growth(weight, centers, radii, cells_per_radius,
-                                   growth_factor, growth_octaves)
+    octave_report = _octave_growth(weight, centers, radii)
     failing = [rec for rec in octave_report
-               if rec["max_growth_run"] >= growth_octaves]
+               if rec["max_growth_run"] >= _GROWTH_OCTAVES]
     if failing:
         worst = max(failing, key=lambda rec: rec["max_growth_run"])
         return {"passed": False, "witness": worst, "octave_scan": octave_report}
 
-    logt = np.log(scales)
+    logt = np.log(_DOUBLING_SCALES)
     logr = np.log(np.maximum(ratios, 1e-300))
     fitted = float(np.sum(logr * logt)
                    / (logr.shape[0] * logr.shape[1] * np.sum(logt**2)))
     alpha = max(fitted, 0.0)
-    c = float(np.max(ratios / scales[None, None, :] ** alpha))
+    c = float(np.max(ratios / _DOUBLING_SCALES[None, None, :] ** alpha))
     if fitted < -_DOUBLING_ROUNDING or c < 1.0 - _DOUBLING_ROUNDING:
         return {"passed": False, "c": c, "alpha": fitted,
                 "reason": "fit has c < 1 or alpha < 0: larger balls hold less mass"}
@@ -456,22 +455,21 @@ def check_doubling(weight, centers, radii, scales=(2.0, 4.0), cells_per_radius=6
     return record
 
 
-def _octave_growth(weight, centers, radii, cells_per_radius,
-                   growth_factor, growth_octaves):
+def _octave_growth(weight, centers, radii):
     """Growth of the t=2 doubling log-ratio along radius octaves per center."""
     r0 = float(np.min(radii))
-    octaves = [r0 * 2.0**k for k in range(growth_octaves + 2)]
+    octaves = [r0 * 2.0**k for k in range(_GROWTH_OCTAVES + 2)]
     report = []
     for x in centers:
         # ball(x, 2r) of one octave is ball(x, r) of the next
-        balls = [ball_integral(weight, x, r0 * 2.0**k, cells_per_radius)
-                 for k in range(growth_octaves + 3)]
+        balls = [ball_integral(weight, x, r0 * 2.0**k)
+                 for k in range(_GROWTH_OCTAVES + 3)]
         logratios = [np.log(max(d / b, 1e-300)) for b, d in zip(balls, balls[1:])]
         growth = [logratios[k + 1] / logratios[k] if logratios[k] > 0 else 0.0
                   for k in range(len(octaves) - 1)]
         run = best = 0
         for g in growth:
-            run = run + 1 if g > growth_factor else 0
+            run = run + 1 if g > _GROWTH_FACTOR else 0
             best = max(best, run)
         report.append({
             "center": np.atleast_1d(x).tolist(),

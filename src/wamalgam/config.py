@@ -2,8 +2,9 @@
 
 ``CONFIG_SCHEMA`` nests like a config: each key maps to the keys of its
 section or to a check, which returns the value in its typed form or raises
-``ValueError``. It is the union over the commands, so one config can serve
-several of them.
+``ValueError``. It types every key that some command reads; ``cli.READS``
+then refuses each key that the command being run does not read, so a
+config serves one command.
 """
 
 from __future__ import annotations

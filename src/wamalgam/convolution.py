@@ -440,8 +440,7 @@ class EmbeddingReport:
 
 
 def estimator_weight_on_line(space, grid, knots, direction="measure", *,
-                             well_spread=None, test_family=(), rng=None,
-                             bracket_constant=1.0, name="operator-norm-upper"):
+                             well_spread=None, rng=None, bracket_constant=1.0):
     """Weight on R built from translation-operator upper certificates.
 
     Tabulates the upper bound of the operator norm at ``|x|`` knots and
@@ -464,12 +463,11 @@ def estimator_weight_on_line(space, grid, knots, direction="measure", *,
         for sign in (1.0, -1.0):
             ob = estimate_translation_operator_norm(
                 space, np.array([sign * k]), direction, grid=grid,
-                well_spread=well_spread, test_family=test_family, rng=rng,
-                bracket_constant=bracket_constant)
+                well_spread=well_spread, rng=rng, bracket_constant=bracket_constant)
             bound = max(bound, ob.upper)
         uppers.append(bound)
     uppers = np.maximum.accumulate(np.asarray(uppers))  # monotone envelope
-    return table_weight(knots, uppers, name=name)
+    return table_weight(knots, uppers, name="operator-norm-upper")
 
 
 def verify_embedding(relation, left_specs, right_specs, *, grid,
@@ -542,25 +540,23 @@ def verify_embedding(relation, left_specs, right_specs, *, grid,
 # The p < 1 failure demonstration
 
 
-def graded_lp_norm(exponent_p, singularity_power, upper=1.0, x_min=1e-12,
-                   cells=4000):
-    """L^p quasi-norm of ``x^s`` on (0, upper] by log-graded midpoint rule.
+def graded_lp_norm(exponent_p, singularity_power):
+    """L^p quasi-norm of ``x^s`` on (0, 1] by log-graded midpoint rule.
 
     The geometric mesh resolves the power singularity: the substitution
     u = log x turns the integrand into a smooth exponential.
     """
-    u_lo, u_hi = np.log(x_min), np.log(upper)
-    du = (u_hi - u_lo) / cells
+    u_lo, cells = np.log(1e-12), 4000
+    du = -u_lo / cells
     u = u_lo + (np.arange(cells) + 0.5) * du
     integrand = np.exp(u * (singularity_power * exponent_p + 1.0))
     return float(np.sum(integrand) * du) ** (1.0 / exponent_p)
 
 
-def demonstrate_lp_failure(p=0.5, base_cells=1000, levels=3, refine_factor=4,
-                           growth_threshold=1.8):
+def demonstrate_lp_failure():
     """Show why plain L^p, p < 1, carries no convolution: quadratures of
     ``(x^{-3/2} chi_(0,1]) * chi_[0,1]`` diverge under refinement while the
-    L^{1/2} quasi-norm stays at its analytic value, and the amalgam space
+    L^{1/2} quasi-norm stays at its analytic value 16, and the amalgam space
     with local sup control rejects the singular factor outright.
 
     Returns a report whose ``amalgam_norm`` entry is the overflow signal
@@ -573,11 +569,14 @@ def demonstrate_lp_failure(p=0.5, base_cells=1000, levels=3, refine_factor=4,
     group = Euclidean(1)
     singular = lambda x: np.where(x > 0, np.abs(x) ** -1.5, 0.0) * (x <= 1.0)
 
+    # the exponent, the refinements by 4 and the growth under one of them
+    # that counts as divergence
+    p, levels, threshold = 0.5, 3, 1.8
     lp_norm = graded_lp_norm(p, -1.5)
 
     conv_values = []
     w_norms = []
-    cells = base_cells
+    cells = 1000
     for _ in range(levels + 1):
         grid = UniformGrid(group, -2.0, 2.0, cells)
         F = SampledFunction(grid, singular(grid.axes[0]).reshape(grid.shape))
@@ -585,23 +584,24 @@ def demonstrate_lp_failure(p=0.5, base_cells=1000, levels=3, refine_factor=4,
         conv_values.append(abs(convolve_point(F, box, np.array([1.0]))))
         wn = amalgam_norm(F, BoxWindow.centered(0.25, 1), "linf", WeightedLp(p))
         w_norms.append(wn)
-        cells *= refine_factor
+        cells *= 4
     growth = [conv_values[k + 1] / conv_values[k] for k in range(levels)]
 
     finite_w = [v for v in w_norms if not is_overflow(v)]
     w_growth = [finite_w[k + 1] / finite_w[k] for k in range(len(finite_w) - 1)]
     diverges = any(is_overflow(v) for v in w_norms) or (
         len(w_growth) >= levels - 1
-        and all(g >= growth_threshold for g in w_growth)
+        and all(g >= threshold for g in w_growth)
     )
     return {
         "p": p,
         "lp_norm": lp_norm,
-        "lp_norm_analytic": (1.0 / (1.0 - 0.75)) ** (1.0 / p) if p == 0.5 else None,
+        # (int_0^1 x^{-3/4} dx)^{1/p} = 4^2
+        "lp_norm_analytic": 16.0,
         "convolution_values": [float(v) for v in conv_values],
         "convolution_growth": [float(g) for g in growth],
-        "growth_threshold": growth_threshold,
-        "convolution_diverges": all(g >= growth_threshold for g in growth),
+        "growth_threshold": threshold,
+        "convolution_diverges": all(g >= threshold for g in growth),
         "amalgam_norm": OVERFLOW if diverges else w_norms[-1],
         "amalgam_norm_trace": [repr(v) if is_overflow(v) else float(v)
                                for v in w_norms],

@@ -1,25 +1,26 @@
 """Well-spread point sets, covering certificates, and partitions of unity.
 
 Point families are stored with the ambient grid they discretize. Density
-and separation certificates are numerical: density is probed on the grid
-(or a refined probe grid), separation is an exact all-pairs intersection
-count of translated windows, with closed sets so touching boundaries count
-as overlapping and the constants stay conservative.
+and separation certificates are numerical: density is probed on the
+grid, separation is an exact all-pairs intersection count of translated
+windows, with closed sets so touching boundaries count as overlapping and
+the constants stay conservative.
 
 The layer works through one sparse operator per (X, window, grid): row i of
 a ``CellOperator`` holds the sorted flat grid indices of the cell
 ``x_i . window``, stored CSR-style (``indptr``, ``indices``). Windows are
 read only through their methods, so no line here branches on a window's
-or a grid's type. One builder, ``_product_rows``, writes the rows in place
-from per-factor arrays: ``window.axis_masks`` (boolean, the factors of
-``contains``) for cells, and ``window.axis_hats`` (float, the factors of
-the hat) for BUPU members, which also keep the product of the factors'
-values. A factor is one grid axis, or for the affine windows the raveled x
-sub-grid and the scale axis, so a cell row is bit-identical to
-``contains`` on all grid points. The builder asks the window for the
-factors of a whole block of base points at once, so the temporaries stay
-one block, and writes each row as one outer sum of its supports' flat
-strides and one outer product of their values. A moved box is a box
+or a grid's type, and a window is given base points and the grid's axes,
+never the group. One builder, ``_product_rows``, writes the rows in place
+from per-factor arrays: ``window.axis_masks(bases, axes)`` (boolean, the
+factors of ``contains``) for cells, and ``window.axis_hats(bases, axes)``
+(float, the factors of the hat) for BUPU members, which also keep the
+product of the factors' values. A factor is one grid axis, or for the
+affine windows the raveled x sub-grid and the scale axis, so a cell row is
+bit-identical to ``contains`` on all grid points. The builder asks the
+window for the factors of a whole block of base points at once, so the
+temporaries stay one block, and writes each row as one outer sum of its
+supports' flat strides and one outer product of their values. A moved box is a box
 (``windows.right_translate``). Separation counts come from
 ``window.overlaps``, and Voronoi owners from the grid's ``axis_queries``.
 
@@ -199,7 +200,7 @@ def _atom_partition(op):
 
 def _product_rows(points, factors, grid):
     """The ``CellOperator`` whose row i is the product of the supports of the
-    per-factor arrays ``factors(grid.group, x_i, grid.axes)``.
+    per-factor arrays ``factors(x_i, grid.axes)``.
 
     A factor is one grid axis or an affine window's raveled x sub-grid; C
     order over the factors is C order on the grid. Float factors (hats)
@@ -217,7 +218,7 @@ def _product_rows(points, factors, grid):
     counts, columns, on_support = [], [], []
     valued, start, block = False, 0, 1
     while start < len(points):
-        arrays = factors(grid.group, points[start:start + block], grid.axes)
+        arrays = factors(points[start:start + block], grid.axes)
         if start == 0:
             lengths = [f.shape[1] for f in arrays]
             strides = np.cumprod([1] + lengths[:0:-1])[::-1]
@@ -300,15 +301,15 @@ def check_relatively_separated(X, window):
     return count
 
 
-def check_density(X, window, probe_grid=None):
-    """Verify that the translates ``x_i . window`` cover the probe grid.
+def check_density(X, window):
+    """Verify that the translates ``x_i . window`` cover the grid of X.
 
     Returns the covering certificate; raises DensityError naming the first
-    uncovered probe point otherwise.
+    uncovered grid point otherwise.
     """
-    grid = probe_grid if probe_grid is not None else X.grid
+    grid = X.grid
     if grid is None:
-        raise EmptyGridError("density check needs a probe grid")
+        raise EmptyGridError("density check needs a point set with a grid")
     covered = np.zeros(grid.size, dtype=bool)
     covered[X.cell_masks(window, grid).indices] = True
     if not covered.all():
@@ -500,11 +501,10 @@ def _voronoi_owner(X, grid, pts):
 
 
 def _check_supports(bupu, window, pts):
-    group = bupu.grid.group
     for i, (idx, vals) in enumerate(zip(bupu.member_indices, bupu.member_values)):
         if idx.size == 0:
             continue
-        inside = window.contains(group, bupu.base_set.points[i], pts[idx])
+        inside = window.contains(bupu.base_set.points[i], pts[idx])
         if not np.all(inside | (vals <= _TOL)):
             raise DensityError(
                 "voronoi cell leaks outside its size window",
@@ -542,16 +542,16 @@ def bupu_to_csv(bupu, path):
     return path
 
 
-def verify_bupu(bupu, tol=1e-12):
+def verify_bupu(bupu):
     """Re-check the three partition-of-unity conditions independently."""
+    tol = 1e-12  # rounding, per member in the sum
     pts = bupu.grid.points()
     total = np.zeros(len(pts))
-    group = bupu.grid.group
     for i, (idx, vals) in enumerate(zip(bupu.member_indices, bupu.member_values)):
         if np.any(vals < -tol) or np.any(vals > 1 + tol):
             return {"passed": False, "reason": f"member {i} leaves [0, 1]"}
         if idx.size:
-            inside = bupu.size_window.contains(group, bupu.base_set.points[i], pts[idx])
+            inside = bupu.size_window.contains(bupu.base_set.points[i], pts[idx])
             if not np.all(inside):
                 return {"passed": False, "reason": f"member {i} leaks its support"}
         total[idx] += vals

@@ -45,11 +45,10 @@ class MeasureSpec:
         return DiscreteMeasure(grid.group, list(self.atoms), grid=grid)
 
 
-def gaussian_bump_sum(rng, count_max=5, center_range=(-8.0, 8.0),
-                      sigma_range=(0.4, 2.0), amp_range=(0.3, 3.0), n=1):
-    """Sum of up to ``count_max`` Gaussian bumps on R^n, random signs."""
-    k = int(rng.integers(1, count_max + 1))
-    amps = rng.uniform(*amp_range, k) * rng.choice([-1.0, 1.0], k)
+def gaussian_bump_sum(rng, center_range=(-8.0, 8.0), sigma_range=(0.4, 2.0), n=1):
+    """Sum of up to 5 Gaussian bumps on R^n, amplitudes 0.3 to 3, random signs."""
+    k = int(rng.integers(1, 6))
+    amps = rng.uniform(0.3, 3.0, k) * rng.choice([-1.0, 1.0], k)
     centers = rng.uniform(center_range[0], center_range[1], (k, n))
     sigmas = rng.uniform(*sigma_range, k)
 
@@ -66,16 +65,16 @@ def gaussian_bump_sum(rng, count_max=5, center_range=(-8.0, 8.0),
     return FunctionSpec("bumps", fn, meta)
 
 
-def axb_bump_sum(rng, count_max=3, x_range=(-3.0, 3.0), u_range=(-1.0, 1.0),
-                 sigma_x=(0.25, 0.7), sigma_u=(0.2, 0.5), amp_range=(0.5, 2.0),
-                 truncate=6.0):
-    """Gaussians in (x, log a) on the affine group, truncated at 6 sigma."""
+def axb_bump_sum(rng, count_max=3, x_range=(-3.0, 3.0)):
+    """Gaussians in (x, log a) on the affine group, truncated at 6 sigma:
+    amplitudes 0.5 to 2, centers u = log a in [-1, 1], widths 0.25 to 0.7
+    in x and 0.2 to 0.5 in u."""
     k = int(rng.integers(1, count_max + 1))
-    amps = rng.uniform(*amp_range, k)
+    amps = rng.uniform(0.5, 2.0, k)
     cx = rng.uniform(*x_range, k)
-    cu = rng.uniform(*u_range, k)
-    sx = rng.uniform(*sigma_x, k)
-    su = rng.uniform(*sigma_u, k)
+    cu = rng.uniform(-1.0, 1.0, k)
+    sx = rng.uniform(0.25, 0.7, k)
+    su = rng.uniform(0.2, 0.5, k)
 
     def fn(x, a):
         u = np.log(a)
@@ -84,32 +83,33 @@ def axb_bump_sum(rng, count_max=3, x_range=(-3.0, 3.0), u_range=(-1.0, 1.0),
             dx = (x - mx) / s1
             du = (u - mu) / s2
             bump = A * np.exp(-(dx**2 + du**2) / 2.0)
-            bump = bump * (np.abs(dx) <= truncate) * (np.abs(du) <= truncate)
+            bump = bump * (np.abs(dx) <= 6.0) * (np.abs(du) <= 6.0)
             out = out + bump
         return out
 
     return FunctionSpec("axb-bumps", fn, {"kind": "axb-bumps", "count": k})
 
 
-def piecewise_constant(rng, pieces=8, window=(-4.0, 4.0), amp_range=(-2.0, 2.0)):
-    """Random step function on an interval, for brute-force oracle tests."""
-    edges = np.sort(rng.uniform(window[0], window[1], pieces - 1))
-    edges = np.concatenate([[window[0]], edges, [window[1]]])
-    levels = rng.uniform(*amp_range, pieces)
+def piecewise_constant(rng):
+    """Random step function of 8 pieces on [-4, 4], levels in [-2, 2], for
+    brute-force oracle tests."""
+    edges = np.sort(rng.uniform(-4.0, 4.0, 7))
+    edges = np.concatenate([[-4.0], edges, [4.0]])
+    levels = rng.uniform(-2.0, 2.0, 8)
 
     def fn(x):
-        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, pieces - 1)
-        inside = (x >= window[0]) & (x <= window[1])
+        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, 7)
+        inside = (x >= -4.0) & (x <= 4.0)
         return np.where(inside, levels[idx], 0.0)
 
     return FunctionSpec("steps", fn, {"kind": "piecewise-constant"})
 
 
-def lattice_sequence(rng, support_radius=4, max_count=4, values=(-2, -1, 1, 2), n=1):
-    """Finitely supported random sequence on Z^n."""
+def lattice_sequence(rng, support_radius=4, max_count=4, n=1):
+    """Finitely supported random sequence on Z^n, values in {-2, -1, 1, 2}."""
     count = int(rng.integers(1, max_count + 1))
     pos = rng.integers(-support_radius, support_radius + 1, (count, n))
-    vals = rng.choice(values, count)
+    vals = rng.choice((-2, -1, 1, 2), count)
     table = {}
     for p, v in zip(map(tuple, pos.tolist()), vals):
         table[p] = table.get(p, 0) + v
@@ -139,22 +139,15 @@ def delta_comb(entries):
     return FunctionSpec("comb", fn, {"kind": "lattice-sequence", "table": table})
 
 
-def atom_cloud(rng, count=3, box=(-2.0, 2.0), mass_range=(0.5, 2.0), group=None):
-    """Random finite atomic measure inside a coordinate box."""
+def atom_cloud(rng):
+    """Random atomic measure on R: 3 atoms in [-2, 2], masses 0.5 to 2 in
+    absolute value, random signs."""
     atoms = []
-    for _ in range(count):
-        if group is not None and group.kind == "axb":
-            x = rng.uniform(box[0], box[1], group.n)
-            a = float(np.exp(rng.uniform(-0.5, 0.5)))
-            point = np.concatenate([x, [a]])
-        elif group is not None and group.kind == "lattice":
-            point = rng.integers(int(box[0]), int(box[1]) + 1, group.n).astype(float)
-        else:
-            n = group.n if group is not None else 1
-            point = rng.uniform(box[0], box[1], n)
-        mass = float(rng.uniform(*mass_range)) * float(rng.choice([-1.0, 1.0]))
+    for _ in range(3):
+        point = rng.uniform(-2.0, 2.0, 1)
+        mass = float(rng.uniform(0.5, 2.0)) * float(rng.choice([-1.0, 1.0]))
         atoms.append((point, mass))
-    return MeasureSpec("atoms", atoms, {"kind": "atom-cloud", "count": count})
+    return MeasureSpec("atoms", atoms, {"kind": "atom-cloud", "count": 3})
 
 
 FAMILY_BUILDERS = {

@@ -33,20 +33,21 @@ from .groups import AxbGrid, AxbGroup, Euclidean, UniformGrid, tensor_points
 from .windows import AxbWindow, BoxWindow
 
 
-def exhaustive_lp_algebra(p, weighted, support_len=4, offset=-1,
-                          values=(-1, 0, 1, 2)):
-    """Exhaustive l^p_w algebra check over short integer sequences, with
-    ``w = 1 + |k|`` when ``weighted``, else ``w = 1``."""
+def exhaustive_lp_algebra(p, weighted):
+    """Exhaustive l^p_w algebra check over the sequences with values in
+    {-1, 0, 1, 2} on the indices -1..2, with ``w = 1 + |k|`` when
+    ``weighted``, else ``w = 1``."""
     if not p > 0:
         raise InvalidExponentError(f"p must be positive, got {p}")
-    seqs = tensor_points([np.array(values)] * support_len).astype(float)
-    conv = np.zeros((len(seqs), len(seqs), 2 * support_len - 1))
-    for i in range(support_len):
-        conv[:, :, i:i + support_len] += seqs[:, None, i, None] * seqs[None, :, :]
-    coords_f = np.arange(offset, offset + support_len)
-    coords_c = np.arange(2 * offset, 2 * offset + 2 * support_len - 1)
-    wf = (1.0 + np.abs(coords_f)) if weighted else np.ones(support_len)
-    wc = (1.0 + np.abs(coords_c)) if weighted else np.ones(2 * support_len - 1)
+    n, start = 4, -1
+    seqs = tensor_points([np.array((-1, 0, 1, 2))] * n).astype(float)
+    conv = np.zeros((len(seqs), len(seqs), 2 * n - 1))
+    for i in range(n):
+        conv[:, :, i:i + n] += seqs[:, None, i, None] * seqs[None, :, :]
+    coords_f = np.arange(start, start + n)
+    coords_c = np.arange(2 * start, 2 * start + 2 * n - 1)
+    wf = (1.0 + np.abs(coords_f)) if weighted else np.ones(n)
+    wc = (1.0 + np.abs(coords_c)) if weighted else np.ones(2 * n - 1)
     norm_f = np.sum(np.abs(seqs * wf) ** p, axis=1) ** (1.0 / p)
     norm_c = np.sum(np.abs(conv * wc) ** p, axis=2) ** (1.0 / p)
     products = norm_f[:, None] * norm_f[None, :]
@@ -92,19 +93,20 @@ class LpAlgebra:
                 "detail": rec}
 
 
-def _line_spaces(s, n, label):
+def _line_spaces(s, n):
     """R's set: Y = W(L^inf, L^p_v) on the window [-1/2, 1/2], M = W(M, L^p_v)
     and bound = W(L^inf, L^r_w) with r = min(1, p) and w = (1 + |x|)^|s| (s is
-    v's exponent, 1 if it has none). Defaults: p = 1, v = 1 + |x|."""
+    v's exponent, 1 if it has none). Defaults: p = 1, v = 1 + |x|. Its
+    family label is the row's."""
     p, v = _default(s.p, 1.0), _default(s.weight, shifted_power_weight(1.0))
     window = BoxWindow.centered(0.5, n)
     w = shifted_power_weight(abs(v.params.get("s", 1.0)))
     return {"Y": AmalgamSpace("linf", WeightedLp(p, v), window),
             "M": AmalgamSpace("m", WeightedLp(p, v), window),
-            "bound": AmalgamSpace("linf", WeightedLp(min(1.0, p), w), window)}, label
+            "bound": AmalgamSpace("linf", WeightedLp(min(1.0, p), w), window)}, None
 
 
-def _axb_spaces(s, n, label=None, alpha=None, right_weight=None):
+def _axb_spaces(s, n, alpha=None, right_weight=None):
     """ax+b's set on the window ``AxbWindow(0.5, 1.5)``: Y = W(L^inf,
     L^{p,q}(v)) and bound = W(L^inf, L^r_w) with r = min(1, p, q) and w the
     right-translation bound for v's doubling exponent alpha (certified here
@@ -124,7 +126,8 @@ def _axb_spaces(s, n, label=None, alpha=None, right_weight=None):
             f"axb p={p} q={s.q} v={v.name} alpha={alpha:.4g}")
 
 
-# group kind -> (settings, n, label) -> its spaces by name and the family label
+# group kind -> (settings, n) -> its spaces by name and its family label, or
+# None for the row's
 SPACES = {"euclidean": _line_spaces, "axb": _axb_spaces}
 
 
@@ -148,8 +151,8 @@ class EmbeddingRow:
 
     def run(self, s):
         grid, count = _default(s.grid, self.grid), _default(s.count, self.count)
-        spaces, family = SPACES[grid.group.kind](s, grid.group.n, self.label)
-        return self.verify(spaces, family, self.left(count, s.seed),
+        spaces, family = SPACES[grid.group.kind](s, grid.group.n)
+        return self.verify(spaces, family or self.label, self.left(count, s.seed),
                            self.right(count, s.seed + 1), grid, s.levels).as_record()
 
     def verify(self, spaces, family, left_specs, right_specs, grid, levels):

@@ -12,7 +12,10 @@ Where the group adds, the right translate ``U . g`` of a box is the box
 moved by g (``right_translate``). On ax+b it mixes x and a and is no window
 here; ``AxbCoverWindow.for_right_translate`` covers it instead.
 
-A window answers for its own shape, so callers never branch on its type:
+A window answers for its own shape, so callers never branch on its type.
+It knows the group it acts on, so no method takes one: ``contains(base,
+queries)`` tests points, and the factor methods take base points and the
+grid's axes.
 
 - ``axis_masks`` gives the factors of ``contains`` over a tensor grid: one
   mask per axis for boxes, and for the affine windows a ball mask over the
@@ -91,7 +94,7 @@ class BoxWindow:
         scale = np.maximum(np.abs(lo), np.abs(hi)) + 1.0
         return lo - _TOL * scale, hi + _TOL * scale
 
-    def contains(self, group, base, queries):
+    def contains(self, base, queries):
         """Mask of ``queries`` lying in ``base . window`` (vectorized)."""
         base = np.asarray(base, dtype=float)
         rel = np.asarray(queries, dtype=float) - base
@@ -100,7 +103,7 @@ class BoxWindow:
         lo, hi = self._bounds()
         return np.all((rel >= lo) & (rel <= hi), axis=-1)
 
-    def axis_masks(self, group, base, axes):
+    def axis_masks(self, base, axes):
         """Per-axis factors of ``contains`` on the tensor grid with ``axes``."""
         if len(axes) != len(self.lo):
             raise DimensionMismatchError("window dimension does not match points")
@@ -108,7 +111,7 @@ class BoxWindow:
         return [((ax - b) >= l) & ((ax - b) <= h)
                 for ax, b, l, h in zip(axes, _per_axis(base), lo, hi)]
 
-    def axis_hats(self, group, base, axes):
+    def axis_hats(self, base, axes):
         """Per-axis factors of the hat supported in ``base . window``: the
         hat of the distance to the center in half-widths, or on a degenerate
         axis the indicator of the center."""
@@ -152,7 +155,7 @@ class BoxWindow:
 class _AffineWindow:
     """Membership in an affine window: a ball test in x and a scale test in a."""
 
-    def contains(self, group, base, queries):
+    def contains(self, base, queries):
         base = np.asarray(base, dtype=float)
         q = np.asarray(queries, dtype=float)
         bx, ba = base[..., :-1], base[..., -1]
@@ -160,7 +163,7 @@ class _AffineWindow:
         dist = np.linalg.norm(qx - bx, axis=-1)
         return self._in_ball(dist, ba) & self._in_scales(qa, ba)
 
-    def axis_masks(self, group, base, axes):
+    def axis_masks(self, base, axes):
         """Factors of ``contains`` on an (x, a) grid: the ball mask over the
         raveled x sub-grid and the scale mask.
 
@@ -224,7 +227,7 @@ class AxbWindow(_AffineWindow):
     def _in_scales(self, qa, ba):
         return np.abs(np.log(qa) - np.log(ba)) <= np.log(self.beta) * (1 + _TOL)
 
-    def axis_hats(self, group, base, axes):
+    def axis_hats(self, base, axes):
         """Factors of the hat supported in ``base . window`` on an (x, a)
         grid: ``hat(|x - x0| / (r a0))`` on the raveled x sub-grid and
         ``hat(log(a / a0) / log beta)`` on the scale axis."""
@@ -315,7 +318,7 @@ def right_translate(window, g):
 def window_mask(window, grid, base):
     """Boolean mask over a grid for membership in ``base . window``."""
     pts = grid.points()
-    return window.contains(grid.group, np.asarray(base, dtype=float), pts).reshape(grid.shape)
+    return window.contains(np.asarray(base, dtype=float), pts).reshape(grid.shape)
 
 
 def window_haar_measure(window, grid, base=None):

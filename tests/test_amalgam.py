@@ -39,6 +39,7 @@ from wamalgam import (
     translate,
     window_haar_measure,
 )
+from wamalgam.amalgam import normalize_local
 from wamalgam.components import OVERFLOW_GUARD
 from wamalgam.families import gaussian_bump_sum, piecewise_constant
 from wamalgam.windows import AxbCoverWindow
@@ -108,7 +109,7 @@ def test_control_axb_against_generic_mask(n):
         K = control_function(F, window, local)
         oracle = np.empty(len(pts))
         for i, x in enumerate(pts):
-            mask = window.contains(axb, x, pts)
+            mask = window.contains(x, pts)
             if local == "linf":
                 oracle[i] = flat[mask].max(initial=0.0)
             else:
@@ -124,7 +125,7 @@ def _contains_oracle(F, window, local, indices):
     flat, wflat = np.abs(F.values).ravel(), grid.weights.ravel()
     out = np.empty(len(indices))
     for k, i in enumerate(indices):
-        mask = window.contains(grid.group, pts[i], pts)
+        mask = window.contains(pts[i], pts)
         out[k] = (flat[mask].max(initial=0.0) if local == "linf"
                   else np.sum(flat[mask] * wflat[mask]))
     return out
@@ -615,6 +616,19 @@ def test_window_validation():
         AxbWindow(0.0, 2.0)
     with pytest.raises(InvalidElementError):
         AxbWindow(1.0, 1.0)
+
+
+@pytest.mark.parametrize("call, accepted", [
+    (lambda F: normalize_local("linfty"), "linf, l1, m"),
+    (lambda F: translate(F, [1.0], "r"), "left, right, measure"),
+    (lambda F: involution(F, "star"), "reverse, conj_reverse, adjoint"),
+], ids=["local", "direction", "involution"])
+def test_unknown_spelling_names_the_accepted_ones(line_grid, call, accepted):
+    from wamalgam.errors import InvalidElementError
+
+    F = SampledFunction(line_grid, np.ones(line_grid.shape))
+    with pytest.raises(InvalidElementError, match=f"; choose from {accepted}$"):
+        call(F)
 
 
 def test_amalgam_norm_inherits_p_exponent(line_grid):

@@ -76,8 +76,8 @@ def test_batched_factors_equal_stacked_single_factors(name, rng):
     if not isinstance(window, AxbCoverWindow):
         methods.append(window.axis_hats)
     for method in methods:
-        batched = method(grid.group, points, grid.axes)
-        singles = [method(grid.group, x, grid.axes) for x in points]
+        batched = method(points, grid.axes)
+        singles = [method(x, grid.axes) for x in points]
         assert len(batched) == len(singles[0])
         for k, factor in enumerate(batched):
             assert all(single[k].ndim == 1 for single in singles)
@@ -86,7 +86,7 @@ def test_batched_factors_equal_stacked_single_factors(name, rng):
             assert factor.dtype == stacked.dtype
             assert np.array_equal(factor, stacked)
         # a stack of one is the single base with a leading axis
-        one = method(grid.group, points[:1], grid.axes)
+        one = method(points[:1], grid.axes)
         assert all(np.array_equal(f[0], s) for f, s in zip(one, singles[0]))
 
 

@@ -50,7 +50,7 @@ from wamalgam.windows import AxbCoverWindow
 
 def reference_rows(X, window, grid):
     pts = grid.points()
-    return [np.flatnonzero(window.contains(grid.group, x, pts)) for x in X.points]
+    return [np.flatnonzero(window.contains(x, pts)) for x in X.points]
 
 
 def reference_hat(point, window, pts):
@@ -138,7 +138,7 @@ def test_rows_equal_contains(name, rng):
         assert np.array_equal(row, expected)
     assert sum(r.size for r in ref) > 0
     # every window factorizes: its factors tile the grid
-    factors = window.axis_masks(grid.group, X.points[0], grid.axes)
+    factors = window.axis_masks(X.points[0], grid.axes)
     assert np.prod([len(f) for f in factors]) == grid.size
 
 

@@ -240,6 +240,25 @@ def test_refine_below_one_is_a_usage_error(tmp_path, capsys):
      "config.f.lo: a sequence function reads kind, entries"),
     (["convolve"], {"g": {"kind": "bumps", "entries": {"0": 1}}},
      "config.g.entries: a bumps function reads kind, family"),
+    *[(["verify", "thm_conv_b"], {key: value}, f"config.{key}: verify thm_conv_b "
+       "reads p, weight, group, grid, family.count")
+      for key, value in (("window", {"radius": 2.0}), ("local", "l1"),
+                         ("component", {"p": 3}), ("q", 2.0), ("weighted", True))],
+    *[(["norm"], {key: value}, f"config.{key}: norm reads group, grid, window, "
+       "local, component, function")
+      for key, value in (("weight", {"family": "power", "s": 1.0}),
+                         ("lattice_spacing", 0.5), ("centers", [0.0]))],
+    (["convolve"], {"lattice_spacing": 0.5},
+     "config.lattice_spacing: convolve reads group, grid, f, g"),
+    (["verify", "thm_conv_b"], {"family": {"kind": "piecewise-constant"}},
+     "config.family.kind: verify thm_conv_b reads p, weight, group, grid, "
+     "family.count"),
+    (["verify", "cor_conv_Lp"], {"family": {"count": 2}},
+     "config.family: verify cor_conv_Lp reads p, weighted"),
+    (["axb", "translation-bound"], {"y": [3.0, 4.0]},
+     "config.y: expected a number or a list of 1, one per axis, got a list of 2"),
+    (["axb", "translation-bound"], {"group": {"n": 2}, "y": [1.0, 1.0, 1.0]},
+     "config.y: expected a number or a list of 2, one per axis, got a list of 3"),
 ])
 def test_bad_config_names_the_key(tmp_path, capsys, argv, config, key):
     """Bad values and unknown keys exit 1 with their key path, before any
@@ -250,7 +269,7 @@ def test_bad_config_names_the_key(tmp_path, capsys, argv, config, key):
     cfg.write_text(json.dumps(config))
     assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert key in err and "Traceback" not in err
+    assert key in err and "Traceback" not in err and err.count("\n") == 1
     assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
 
@@ -263,6 +282,30 @@ def test_axb_translation_bound(tmp_path):
     assert r.returncode == 0, r.stderr
     rep = load_report(tmp_path / "axb-translation-bound.json")
     assert rep["results"]["value"] == pytest.approx(4.0)
+
+
+def test_every_command_has_a_table_of_read_keys():
+    from wamalgam import cli
+
+    commands = {"norm", "doubling", "equivalence", "convolve"}
+    commands |= {f"verify {name}" for name in cli.RELATIONS}
+    commands |= {f"axb {sub}" for sub in ("tilde-v", "discrete-norm", "translation-bound")}
+    assert set(cli.READS) == commands
+
+
+def test_axb_translation_bound_reads_a_number_on_every_axis(tmp_path):
+    """At n = 2 a number y is the point (y, y)."""
+    from wamalgam import cli
+
+    values = []
+    for y in (1.0, [1.0, 1.0]):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"group": {"kind": "axb", "n": 2}, "y": y}))
+        assert cli.main(["axb", "translation-bound", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 0
+        values.append(load_report(tmp_path / "axb-translation-bound.json")
+                      ["results"]["value"])
+    assert values[0] == values[1] == pytest.approx(1.0 + 2**0.5)
 
 
 def test_axb_tilde_v_csv(tmp_path):
@@ -449,14 +492,15 @@ def test_n_dimensional_families_take_n():
         if "n" in inspect.signature(builder).parameters}
 
 
-def _bumps_config(tmp_path, group, family=None):
+def _bumps_config(tmp_path, command, group, family=None):
+    """A config of ``command`` whose functions are all ``bumps``."""
     bumps = {"kind": "bumps"}
     if family is not None:
         bumps["family"] = family
     grid = {"x_cells": 16, "a_cells": 8} if group["kind"] == "axb" else {"cells": 16}
+    keys = ("function",) if command == "norm" else ("f", "g")
     cfg = tmp_path / "bumps.json"
-    cfg.write_text(json.dumps({"group": group, "grid": grid,
-                               "function": bumps, "f": bumps, "g": bumps}))
+    cfg.write_text(json.dumps({"group": group, "grid": grid} | dict.fromkeys(keys, bumps)))
     return cfg
 
 
@@ -470,7 +514,7 @@ def test_bumps_function_on_its_group(tmp_path, command, group, samples):
     family on the plane (16² grid) and on ax+b."""
     from wamalgam import cli
 
-    cfg = _bumps_config(tmp_path, group)
+    cfg = _bumps_config(tmp_path, command, group)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -499,6 +543,6 @@ def test_bumps_family_errors_name_the_key(tmp_path, capsys, command, key, group,
                                           family, message):
     from wamalgam import cli
 
-    cfg = _bumps_config(tmp_path, group, family)
+    cfg = _bumps_config(tmp_path, command, group, family)
     assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert f"config.{key}.family: {message}" in capsys.readouterr().err

@@ -304,7 +304,7 @@ def test_doubling_rejects_fit_with_less_mass_in_larger_balls(monkeypatch):
     import wamalgam.components as components
 
     monkeypatch.setattr(components, "ball_integral",
-                        lambda weight, x, r, cells: r ** -0.5)
+                        lambda weight, x, r: r ** -0.5)
     rec = check_doubling(constant_weight(1.0), [0.0], [0.5, 1.0, 2.0])
     assert not rec["passed"] and "c < 1 or alpha < 0" in rec["reason"]
     assert rec["alpha"] < 0 and rec["c"] < 1
