@@ -59,7 +59,6 @@ from .discretization import (
     check_density,
     check_relatively_separated,
     euclidean_lattice,
-    integer_lattice_set,
     verify_bupu,
 )
 from .families import build_family, delta_comb, generator
@@ -83,8 +82,5 @@ from .relations import (
 from .windows import (
     AxbWindow,
     BoxWindow,
-    cover_by_translates,
     right_translate,
-    window_haar_measure,
-    window_mask,
 )

@@ -53,11 +53,10 @@ LOCAL_COMPONENTS = ("linf", "l1", "m")
 
 
 def normalize_local(tag):
-    t = str(tag).lower().replace("^", "").replace(" ", "")
-    if t not in LOCAL_COMPONENTS:
+    if tag not in LOCAL_COMPONENTS:
         raise InvalidElementError(f"unknown local component {tag!r}; choose from "
                                   f"{', '.join(LOCAL_COMPONENTS)}")
-    return t
+    return tag
 
 
 @dataclass
@@ -399,11 +398,11 @@ def translate(F, g, direction="left", coverage_warn=1e-6):
 
 
 def _normalize_direction(direction):
-    d, directions = str(direction).lower(), ("left", "right", "measure")
-    if d not in directions:
+    directions = ("left", "right", "measure")
+    if direction not in directions:
         raise InvalidElementError(f"unknown translation direction {direction!r}; "
                                   f"choose from {', '.join(directions)}")
-    return d
+    return direction
 
 
 def _translate_measure(mu, g, direction):
@@ -437,17 +436,17 @@ def _warn_coverage(before, after, threshold):
 def involution(F, kind="reverse"):
     """Involutions: reverse F(x^{-1}), its conjugate, and the adjoint
     ``modular(x^{-1}) conj(F(x^{-1}))`` that absorbs the Haar module."""
-    k, kinds = str(kind).lower(), ("reverse", "conj_reverse", "adjoint")
-    if k not in kinds:
+    kinds = ("reverse", "conj_reverse", "adjoint")
+    if kind not in kinds:
         raise InvalidElementError(f"unknown involution {kind!r}; choose from "
                                   f"{', '.join(kinds)}")
     grid = F.grid
     group = grid.group
     inv = group.inverse_coords(grid.mesh())
     vals = grid.interpolate(F.values, grid.axis_queries(inv))
-    if k in ("conj_reverse", "adjoint"):
+    if kind in ("conj_reverse", "adjoint"):
         vals = np.conj(vals)
-    if k == "adjoint":
+    if kind == "adjoint":
         vals = vals * group.modular_coords(inv)
     return SampledFunction(grid, vals)
 

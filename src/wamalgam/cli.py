@@ -4,12 +4,12 @@ Commands: norm, doubling, equivalence, convolve, verify, axb, report.
 Configs are JSON; every report embeds the exact config used, the grid
 metadata, the seed, and the library version, and is serialized with
 sorted keys so that identical configs and seeds give byte-identical
-output up to the timestamp field. ``main`` checks the config against
-``config.CONFIG_SCHEMA`` once, and against ``READS``, the keys the command
-reads; each command returns its grid, results, summary line and verdict,
-and ``main`` writes the report. Exit status: 0 on pass, 2 when a property
-check reports a failure verdict or argparse a usage error, 1 on config or
-run errors.
+output up to the timestamp field. ``main`` types the config once against
+the command's row of the config table (``config.check_config``); each
+command reads that typed config and returns its grid, results, summary
+line and verdict, and ``main`` writes the report. Exit status: 0 on pass,
+2 when a property check reports a failure verdict or argparse a usage
+error, 1 on config or run errors.
 """
 
 from __future__ import annotations
@@ -34,118 +34,43 @@ from .components import (
     constant_weight,
     is_overflow,
 )
-from .config import GROUPS, validate_config
+from .config import GROUPS, check_config
 from .convolution import convolve
 from .discretization import build_axb_lattice, build_bupu, euclidean_lattice
 from .errors import ConfigError, NonFiniteSampleError, WamalgamError
-from .families import (
-    N_DIMENSIONAL_FAMILIES,
-    FunctionSpec,
-    build_family,
-    delta_comb,
-    generator,
-)
-from .groups import (
-    AxbGrid,
-    AxbGroup,
-    Euclidean,
-    IntegerLattice,
-    LatticeGrid,
-    SampledFunction,
-    UniformGrid,
-)
+from .families import N_DIMENSIONAL_FAMILIES, build_family, delta_comb, generator
+from .groups import AxbGrid, AxbGroup, LatticeGrid, SampledFunction, UniformGrid
 from .relations import RELATIONS, RelationSettings
 from .windows import AxbWindow, BoxWindow
 
 
 # ---------------------------------------------------------------------------
-# Builders over a config checked by ``validate_config`` and ``check_reads``
-
-_LINE_ROW = ("p", "weight", "group", "grid", "family.count")
-# command -> the config keys it reads: a whole section, or "section.key"
-READS = {
-    "norm": ("group", "grid", "window", "local", "component", "function"),
-    "doubling": ("group.n", "weight", "centers", "radii"),
-    "equivalence": ("group", "grid", "window", "local", "component",
-                    "lattice_spacing", "family"),
-    "convolve": ("group", "grid", "f", "g"),
-    "verify cor_conv_Lp": ("p", "weighted"),
-    "verify thm_conv_a": _LINE_ROW,
-    "verify thm_conv_b": _LINE_ROW,
-    "verify thm_convYvee": _LINE_ROW,
-    "verify axb_relation": _LINE_ROW + ("q",),
-    "axb tilde-v": ("group", "grid", "lattice", "weight"),
-    "axb discrete-norm": ("group", "grid", "lattice", "weight", "p", "q"),
-    "axb translation-bound": ("group", "y", "b", "p", "q", "alpha"),
-}
+# Builders over a config typed by ``check_config``
 
 
-def check_reads(cfg, command):
-    """Refuse the first key of ``cfg`` that ``command`` does not read."""
-    reads = READS[command]
-    for key, value in cfg.items():
-        nested = any(r.startswith(f"{key}.") for r in reads)
-        for path in [f"{key}.{k}" for k in value] if nested else [key]:
-            if path not in reads:
-                raise ConfigError(f"config.{path}: {command} reads {', '.join(reads)}")
-
-
-def build_group(cfg):
-    group = cfg.get("group", {})
-    return GROUPS[group.get("kind", "euclidean")](group.get("n", 1))
-
-
-def _per_axis(value, axes, key):
-    """``value``, the config at ``key``: a number, or a list of one per axis."""
-    if isinstance(value, list) and len(value) != axes:
-        raise ConfigError(f"config.{key}: expected a number or a list of {axes}, "
-                          f"one per axis, got a list of {len(value)}")
-    return value
-
-
-def _section(cfg, key, what, reads, axes):
-    """The config at ``key``. A key that ``what`` does not read (it reads
-    ``reads``) or a list of the wrong length (``_per_axis``) raises."""
-    section = cfg.get(key, {})
-    for k, value in section.items():
-        if k not in reads:
-            raise ConfigError(f"config.{key}.{k}: {what} reads {', '.join(reads)}")
-        _per_axis(value, axes, f"{key}.{k}")
-    return section
-
-
-# group kind -> its grid's name, class and keys, each with its default
+# group kind -> its grid's class and the default of each key
 GRIDS = {
-    "euclidean": ("a euclidean grid", UniformGrid, {"lo": -8.0, "hi": 8.0, "cells": 512}),
-    "lattice": ("a lattice grid", LatticeGrid, {"lo": -16, "hi": 16}),
-    "axb": ("an ax+b grid", AxbGrid, {"x_lo": -6.0, "x_hi": 6.0, "x_cells": 80,
-                                     "a_lo": 0.125, "a_hi": 8.0, "a_cells": 48}),
+    "euclidean": (UniformGrid, {"lo": -8.0, "hi": 8.0, "cells": 512}),
+    "lattice": (LatticeGrid, {"lo": -16, "hi": 16}),
+    "axb": (AxbGrid, {"x_lo": -6.0, "x_hi": 6.0, "x_cells": 80, "a_lo": 0.125,
+                      "a_hi": 8.0, "a_cells": 48}),
 }
 
 
-def build_grid(cfg, group):
-    what, grid_class, defaults = GRIDS[group.kind]
-    g = _section(cfg, "grid", what, tuple(defaults), group.n)
-    if isinstance(group, IntegerLattice):
-        for key in ("lo", "hi"):
-            if np.any(np.mod(g.get(key, 0), 1)):
-                raise ConfigError(f"config.grid.{key}: a lattice needs integral "
-                                  f"bounds, got {g[key]!r}")
+def build_grid(cfg):
+    group = cfg["group"]
+    grid_class, defaults = GRIDS[group["kind"]]
     try:
-        return grid_class(group, **(defaults | g))
+        return grid_class(GROUPS[group["kind"]](group["n"]),
+                          **(defaults | cfg.get("grid", {})))
     except WamalgamError as exc:
         raise ConfigError(f"config.grid: {exc}") from exc
 
 
 def build_window(cfg, group):
-    on_axb = isinstance(group, AxbGroup)
-    if on_axb and isinstance(cfg.get("window", {}).get("radius"), list):
-        raise ConfigError("config.window.radius: the ax+b window's ball has one "
-                          "radius, expected a number, got a list")
-    w = _section(cfg, "window", "an ax+b window" if on_axb else "a box window",
-                 ("radius", "beta") if on_axb else ("radius", "lo", "hi"), group.n)
+    w = cfg.get("window", {})
     try:
-        if on_axb:
+        if isinstance(group, AxbGroup):
             return AxbWindow(w.get("radius", 0.5), w.get("beta", 1.5))
         if "lo" in w or "hi" in w:
             return BoxWindow(tuple(np.broadcast_to(w.get("lo", 0.0), (group.n,))),
@@ -155,59 +80,35 @@ def build_window(cfg, group):
         raise ConfigError(f"config.window: {exc}") from exc
 
 
-def build_weight(w, key):
-    """The weight described by ``w``, the config at ``key``; None if absent."""
+def build_weight(w):
+    """The weight that the config section ``w`` describes; None if absent."""
     if w is None:
         return None
-    if "family" not in w:
-        raise ConfigError(f"config.{key}.family: missing required key")
-    params = {k: v for k, v in w.items() if k != "family"}
-    try:
-        return WEIGHT_FAMILIES[w["family"]](**params)
-    except TypeError as exc:
-        raise ConfigError(f"config.{key}: bad parameters for {w['family']}: {exc}")
+    return WEIGHT_FAMILIES[w["family"]](**{k: v for k, v in w.items() if k != "family"})
 
 
 def build_component(cfg, group):
-    kind = cfg.get("component", {}).get("type", "lp")
-    c = _section(cfg, "component", f"an {kind} component", ("type", "p", "weight")
-                 if kind == "lp" else ("type", "p", "q", "weight"), group.n)
-    weight = build_weight(c.get("weight"), "component.weight")
-    if kind == "lp":
+    c = cfg.get("component", {})
+    weight = build_weight(c.get("weight"))
+    if c.get("type", "lp") == "lp":
         return WeightedLp(c.get("p", 1.0), weight)
     return MixedLpq(c.get("p", 1.0), c.get("q", 1.0), weight,
                     n=group.n if isinstance(group, AxbGroup) else 1)
 
 
-def build_family_on(kind, group, count, seed, key):
-    """``count`` specs of the family ``kind``, named at config ``key``, drawn
-    for ``group``: the n-dimensional families on R^n or Z^n with n = group.n,
-    the one-dimensional ones on R or Z, and ``axb-bumps`` on ax+b with n = 1.
-    None picks ``axb-bumps`` on ax+b and ``gaussian-bumps`` elsewhere."""
-    on_axb = group.kind == "axb"
-    kind = kind or ("axb-bumps" if on_axb else "gaussian-bumps")
-    if on_axb != (kind == "axb-bumps"):
-        raise ConfigError(f"config.{key}: family {kind!r} does not sample "
-                          f"config.group.kind {group.kind!r}")
-    if kind in N_DIMENSIONAL_FAMILIES:
-        return build_family(kind, count, seed, n=group.n)
-    if group.n != 1:
-        raise ConfigError(f"config.{key}: family {kind!r} is one-dimensional, "
-                          f"but config.group.n is {group.n}")
-    return build_family(kind, count, seed)
-
-
-# function kind -> its name and the keys it reads
-FUNCTIONS = {"indicator": ("an indicator function", ("kind", "lo", "hi")),
-             "sequence": ("a sequence function", ("kind", "entries")),
-             "bumps": ("a bumps function", ("kind", "family"))}
+def build_family_on(kind, group, count, seed):
+    """``count`` specs of the family ``kind`` drawn for ``group``; None picks
+    ``axb-bumps`` on ax+b and ``gaussian-bumps`` elsewhere."""
+    kind = kind or ("axb-bumps" if group.kind == "axb" else "gaussian-bumps")
+    n = {"n": group.n} if kind in N_DIMENSIONAL_FAMILIES else {}
+    return build_family(kind, count, seed, **n)
 
 
 def build_function(cfg, grid, seed, key="function"):
-    kind = cfg.get(key, {}).get("kind", "indicator")
-    axes = len(grid.shape)
-    f = _section(cfg, key, *FUNCTIONS[kind], axes)
+    f = cfg.get(key, {})
+    kind = f.get("kind", "indicator")
     if kind == "indicator":
+        axes = len(grid.shape)
         lo = np.broadcast_to(f.get("lo", 0.0), (axes,))
         hi = np.broadcast_to(f.get("hi", 1.0), (axes,))
 
@@ -220,16 +121,8 @@ def build_function(cfg, grid, seed, key="function"):
 
         return SampledFunction.sample(grid, fn)
     if kind == "sequence":
-        if len(grid.shape) != 1:
-            raise ConfigError(f"config.{key}.kind: a sequence samples R or Z with n = 1, "
-                              f"not config.group.kind {grid.group.kind!r} with n = "
-                              f"{grid.group.n}")
         return delta_comb(f.get("entries", {0: 1.0})).sample(grid)
-    [spec] = build_family_on(f.get("family"), grid.group, 1, seed, f"{key}.family")
-    if not isinstance(spec, FunctionSpec):
-        raise ConfigError(f"config.{key}.family: family {f['family']!r} draws "
-                          f"measures, not functions")
-    return spec.sample(grid)
+    return build_family_on(f.get("family"), grid.group, 1, seed)[0].sample(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +202,9 @@ def write_csv(path, header, rows):
 
 
 def cmd_norm(cfg, args):
-    group = build_group(cfg)
-    grid = build_grid(cfg, group)
-    window = build_window(cfg, group)
-    component = build_component(cfg, group)
+    grid = build_grid(cfg)
+    window = build_window(cfg, grid.group)
+    component = build_component(cfg, grid.group)
     local = cfg.get("local", "linf")
     budgeted_stencil(window, grid)  # before sampling, which the budget may refuse
     F = build_function(cfg, grid, args.seed)
@@ -326,9 +218,9 @@ def cmd_norm(cfg, args):
 
 
 def cmd_doubling(cfg, args):
-    weight = build_weight(cfg.get("weight"), "weight") or constant_weight(1.0)
-    n = cfg.get("group", {}).get("n", 1)
-    centers = [np.full(n, c) for c in cfg.get("centers", [0.0, 1.5, -3.0])]
+    weight = build_weight(cfg.get("weight")) or constant_weight(1.0)
+    centers = [np.full(cfg["group"]["n"], c)
+               for c in cfg.get("centers", [0.0, 1.5, -3.0])]
     record = check_doubling(weight, centers, cfg.get("radii", [0.5, 1.0, 2.0, 4.0]))
     results = {"weight": weight.certificate_record(), "verdict": record}
     status = "pass" if record["passed"] else "fail"
@@ -336,10 +228,8 @@ def cmd_doubling(cfg, args):
 
 
 def cmd_equivalence(cfg, args):
-    group = build_group(cfg)
-    if not isinstance(group, Euclidean):
-        raise ConfigError("config.group.kind: equivalence sweep ships for euclidean")
-    grid = build_grid(cfg, group)
+    grid = build_grid(cfg)
+    group = grid.group
     window = build_window(cfg, group)
     component = build_component(cfg, group)
     local = cfg.get("local", "linf")
@@ -348,7 +238,7 @@ def cmd_equivalence(cfg, args):
     bupu = build_bupu(X, BoxWindow.centered(spacing, group.n), grid=grid)
     family = cfg.get("family", {})
     specs = build_family_on(family.get("kind"), group, family.get("count", 50),
-                            args.seed, "family.kind")
+                            args.seed)
     space = AmalgamSpace(local, component, window)
     ratios = [disc / cont for cont, disc in equivalence_pairs(
         space, bupu, (spec.sample(grid) for spec in specs))]
@@ -367,8 +257,7 @@ def cmd_equivalence(cfg, args):
 
 
 def cmd_convolve(cfg, args):
-    group = build_group(cfg)
-    grid = build_grid(cfg, group)
+    grid = build_grid(cfg)
     F = build_function(cfg, grid, args.seed, key="f")
     G = build_function(cfg, grid, args.seed + 1, key="g")
     out = convolve(F, G)
@@ -384,18 +273,11 @@ def cmd_convolve(cfg, args):
 
 def cmd_verify(cfg, args):
     relation = RELATIONS[args.relation]
-    grid = relation.grid
-    for key, value in cfg.get("group", {}).items():
-        own = getattr(grid.group, key)
-        if value != own:
-            raise ConfigError(f"config.group.{key}: verify {relation.name} runs on "
-                              f"{key} {own!r}, got {value!r}")
-    if "grid" in cfg:
-        grid = build_grid(cfg, grid.group)
+    grid = build_grid(cfg) if "grid" in cfg else relation.grid
     results = relation.run(RelationSettings(
         seed=args.seed, levels=args.refine, p=cfg.get("p"), q=cfg.get("q", 1.0),
         weighted=cfg.get("weighted", False),
-        weight=build_weight(cfg.get("weight"), "weight"), grid=grid,
+        weight=build_weight(cfg.get("weight")), grid=grid,
         count=cfg.get("family", {}).get("count")))
     status = "pass" if results["passed"] else "fail"
     return (grid, results, f"verify {relation.name}: {status} "
@@ -404,24 +286,20 @@ def cmd_verify(cfg, args):
 
 def cmd_axb(cfg, args):
     sub = args.subcommand
-    kind = cfg.get("group", {}).get("kind", "axb")
-    if kind != "axb":
-        raise ConfigError(f"config.group.kind: axb {sub} runs on kind 'axb', "
-                          f"got {kind!r}")
-    n = cfg.get("group", {}).get("n", 1)
+    n = cfg["group"]["n"]
     p, q = cfg.get("p", 1.0), cfg.get("q", 1.0)
     if sub == "translation-bound":
-        y = np.broadcast_to(_per_axis(cfg.get("y", 0.0), n, "y"), (n,))
+        y = np.broadcast_to(cfg.get("y", 0.0), (n,))
         value = right_translation_bound(y, cfg.get("b", 1.0), p, q,
                                         cfg.get("alpha", 1.0), n)
         return None, {"subcommand": sub, "value": value}, \
             f"translation bound: {value:.6g}", True
-    grid = build_grid(cfg, AxbGroup(n))
+    grid = build_grid(cfg)
     lat = cfg.get("lattice", {})
     X = build_axb_lattice(lat.get("a0", 0.5), lat.get("b0", 2.0),
                           lat.get("k_range", [-10, 10]), lat.get("j_range", [-2, 2]),
                           grid=grid, n=n)
-    weight = build_weight(cfg.get("weight"), "weight") or constant_weight(1.0)
+    weight = build_weight(cfg.get("weight")) or constant_weight(1.0)
     table = compute_ball_weights(weight, X)
     if sub == "tilde-v":
         rows = [[str(k), j, *x[:-1], x[-1], v]
@@ -514,8 +392,7 @@ def main(argv=None):
         # looked up per call, so a test can stand in for a command
         command = globals()[f"cmd_{args.command}"]
         sub = getattr(args, "relation", None) or getattr(args, "subcommand", None)
-        typed = validate_config(cfg)
-        check_reads(typed, f"{args.command} {sub}" if sub else args.command)
+        typed = check_config(cfg, f"{args.command} {sub}" if sub else args.command)
         grid, results, summary, passed = command(typed, args)
         name = f"{args.command}-{sub}" if sub else None
         _, path = finalize_report(args.command, cfg, args.seed, grid, results,

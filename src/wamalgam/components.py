@@ -270,29 +270,20 @@ def _mixed_norm(component, F):
 # Quasi-norm constant vs p-exponent
 
 
-def p_exponent_from_quasi_constant(C, convention="standard"):
-    """Exponent p with equivalent p-norm for a quasi-norm constant C >= 1.
-
-    The shipped relation is ``C = 2^{1/p} - 1``; the Aoki-Rolewicz
-    normalization ``C = 2^{1/p - 1}`` sits behind ``convention="aoki"``.
-    """
+def p_exponent_from_quasi_constant(C):
+    """Exponent p with equivalent p-norm for a quasi-norm constant C >= 1,
+    by the Aoki-Rolewicz relation ``C = 2^{1/p - 1}``."""
     if C < 1:
         raise InvalidExponentError("quasi-norm constants satisfy C >= 1")
-    if convention == "standard":
-        return 1.0 / math.log2(C + 1.0)
-    if convention == "aoki":
-        return 1.0 / (math.log2(C) + 1.0)
-    raise InvalidExponentError(f"unknown convention {convention!r}")
+    return 1.0 / (math.log2(C) + 1.0)
 
 
-def quasi_constant_from_p_exponent(p, convention="standard"):
+def quasi_constant_from_p_exponent(p):
+    """The Aoki-Rolewicz constant ``C = 2^{1/p - 1}`` of a p-norm: L^p's own
+    quasi-norm constant for 0 < p <= 1."""
     if not (0 < p <= 1):
         raise InvalidExponentError("p-exponents lie in (0, 1]")
-    if convention == "standard":
-        return 2.0 ** (1.0 / p) - 1.0
-    if convention == "aoki":
-        return 2.0 ** (1.0 / p - 1.0)
-    raise InvalidExponentError(f"unknown convention {convention!r}")
+    return 2.0 ** (1.0 / p - 1.0)
 
 
 # ---------------------------------------------------------------------------

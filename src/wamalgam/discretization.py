@@ -322,11 +322,6 @@ def check_density(X, window):
     return cert
 
 
-def integer_lattice_set(grid):
-    """All points of a LatticeGrid as a well-spread set."""
-    return WellSpreadSet(grid.points(), grid=grid)
-
-
 def euclidean_lattice(grid, spacing, origin=0.0):
     """Points ``origin + spacing * Z^n`` clipped to the grid window."""
     lo = np.atleast_1d(grid.lo)

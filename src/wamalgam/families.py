@@ -160,6 +160,8 @@ FAMILY_BUILDERS = {
 
 # the builders that take ``n`` and sample R^n or Z^n for any n
 N_DIMENSIONAL_FAMILIES = frozenset({"gaussian-bumps", "lattice-sequence"})
+# the builders that draw measures, not functions
+MEASURE_FAMILIES = frozenset({"atom-cloud"})
 
 
 def build_family(kind, count, seed, **kwargs):

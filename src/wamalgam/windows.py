@@ -313,43 +313,3 @@ def right_translate(window, g):
         raise DimensionMismatchError("window dimension does not match points")
     return BoxWindow(tuple((np.asarray(window.lo) + g).tolist()),
                      tuple((np.asarray(window.hi) + g).tolist()))
-
-
-def window_mask(window, grid, base):
-    """Boolean mask over a grid for membership in ``base . window``."""
-    pts = grid.points()
-    return window.contains(np.asarray(base, dtype=float), pts).reshape(grid.shape)
-
-
-def window_haar_measure(window, grid, base=None):
-    """Quadrature Haar measure of ``base . window`` (defaults to identity)."""
-    if base is None:
-        base = grid.group.identity
-    mask = window_mask(window, grid, base)
-    return float(np.sum(grid.weights * mask))
-
-
-def cover_by_translates(big, small, group):
-    """Translates ``y_j`` with ``big`` contained in the union of ``small . y_j``.
-
-    Implemented for boxes on abelian groups: tile the big box by copies of
-    the small box. Used for window-robustness bounds.
-    """
-    if not isinstance(group, (Euclidean, IntegerLattice)):
-        raise InvalidElementError("covering helper supports abelian box windows only")
-    lo_b, hi_b = np.asarray(big.lo), np.asarray(big.hi)
-    lo_s, hi_s = np.asarray(small.lo), np.asarray(small.hi)
-    width_s = hi_s - lo_s
-    if np.any(width_s <= 0):
-        raise InvalidElementError("small window must have positive volume")
-    counts = np.maximum(1, np.ceil((hi_b - lo_b) / width_s - _TOL).astype(int))
-    axes = []
-    for k in range(len(counts)):
-        # bases chosen so translates small + y tile [lo_b, hi_b] on axis k
-        starts = lo_b[k] + np.arange(counts[k]) * width_s[k]
-        starts = np.minimum(starts, hi_b[k] - width_s[k])
-        axes.append(starts - lo_s[k])
-    offsets = tensor_points(axes)
-    if isinstance(group, IntegerLattice):
-        offsets = np.round(offsets)
-    return offsets

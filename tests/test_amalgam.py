@@ -24,12 +24,10 @@ from wamalgam import (
     calibrate_equivalence_bracket,
     check_submultiplicative,
     control_function,
-    cover_by_translates,
     discrete_amalgam_norm,
     estimate_translation_operator_norm,
     euclidean_lattice,
     generator,
-    integer_lattice_set,
     involution,
     is_overflow,
     quasi_norm,
@@ -37,12 +35,13 @@ from wamalgam import (
     sequence_norm,
     shifted_power_weight,
     translate,
-    window_haar_measure,
 )
 from wamalgam.amalgam import normalize_local
 from wamalgam.components import OVERFLOW_GUARD
 from wamalgam.families import gaussian_bump_sum, piecewise_constant
 from wamalgam.windows import AxbCoverWindow
+
+from oracles import cover_by_translates, integer_lattice_set, window_haar_measure
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +627,21 @@ def test_unknown_spelling_names_the_accepted_ones(line_grid, call, accepted):
 
     F = SampledFunction(line_grid, np.ones(line_grid.shape))
     with pytest.raises(InvalidElementError, match=f"; choose from {accepted}$"):
+        call(F)
+
+
+@pytest.mark.parametrize("call", [
+    lambda F: normalize_local("L^inf"),
+    lambda F: normalize_local("L 1"),
+    lambda F: translate(F, [1.0], "LEFT"),
+    lambda F: involution(F, "Reverse"),
+], ids=["L^inf", "L 1", "LEFT", "Reverse"])
+def test_spellings_are_exact(line_grid, call):
+    """Case, ``^`` and spaces are part of a spelling, not folded away."""
+    from wamalgam.errors import InvalidElementError
+
+    F = SampledFunction(line_grid, np.ones(line_grid.shape))
+    with pytest.raises(InvalidElementError):
         call(F)
 
 

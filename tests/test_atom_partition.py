@@ -23,11 +23,12 @@ from wamalgam import (
     build_axb_lattice,
     build_bupu,
     euclidean_lattice,
-    integer_lattice_set,
     right_translate,
 )
 from wamalgam.discretization import AtomPartition, _atom_partition
 from wamalgam.windows import AxbCoverWindow
+
+from oracles import integer_lattice_set
 
 
 def _reference_partition(op):

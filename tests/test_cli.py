@@ -259,6 +259,39 @@ def test_refine_below_one_is_a_usage_error(tmp_path, capsys):
      "config.y: expected a number or a list of 1, one per axis, got a list of 2"),
     (["axb", "translation-bound"], {"group": {"n": 2}, "y": [1.0, 1.0, 1.0]},
      "config.y: expected a number or a list of 2, one per axis, got a list of 3"),
+    (["doubling"], {"weight": {"family": "table", "knots": [0, 1], "values": [1]}},
+     "config.weight.values: expected a list of positive numbers, one per knot, got [1]"),
+    (["doubling"], {"weight": {"family": "table", "knots": [], "values": []}},
+     "config.weight.knots: expected a non-empty list of increasing numbers"),
+    (["doubling"], {"weight": {"family": "table", "knots": [0], "values": []}},
+     "config.weight.values: expected a list of positive numbers, one per knot, got []"),
+    (["doubling"], {"weight": {"family": "table", "knots": [1, 0], "values": [1, 2]}},
+     "config.weight.knots: expected a non-empty list of increasing numbers"),
+    (["doubling"], {"weight": {"family": "table", "knots": [0, 1], "values": [1, 0]}},
+     "config.weight.values"),
+    (["doubling"], {"weight": {"family": "table", "knots": [0, 1]}},
+     "config.weight.values: missing required key"),
+    (["doubling"], {"weight": {"family": "power", "s": 1.0, "c": 2.0}},
+     "config.weight.c: a power weight reads family, s"),
+    (["doubling"], {"weight": {"family": "power"}},
+     "config.weight.s: missing required key"),
+    (["doubling"], {"weight": {"family": "constant", "c": -1.0}}, "config.weight.c"),
+    (["norm"], {"component": {"weight": {"family": "exponential", "s": 1.0}}},
+     "config.component.weight.s: an exponential weight reads family, rate"),
+    (["doubling"], {"centers": []}, "config.centers: expected a non-empty list"),
+    (["doubling"], {"radii": []}, "config.radii: expected a non-empty list"),
+    (["axb", "discrete-norm"], {"lattice": {"j_range": [2, -2]}},
+     "config.lattice.j_range: expected a list [lo, hi] of integers with lo <= hi"),
+    (["axb", "tilde-v"], {"lattice": {"k_range": [3, -3]}},
+     "config.lattice.k_range: expected a list [lo, hi] of integers with lo <= hi"),
+    (["axb", "tilde-v"], {"lattice": {"b0": 1.0}}, "config.lattice.b0"),
+    (["norm"], {"group": {"kind": "axb", "n": 2}, "function": {"kind": "bumps"}},
+     "config.function.kind: a bumps function does not sample config.group.kind 'axb' "
+     "with n = 2"),
+    (["equivalence"], {"group": {"kind": "axb"}},
+     "config.group.kind: equivalence runs on kind 'euclidean', got 'axb'"),
+    (["equivalence"], {"family": {"kind": "atom-cloud"}},
+     "config.family.kind: family 'atom-cloud' draws measures, not functions"),
 ])
 def test_bad_config_names_the_key(tmp_path, capsys, argv, config, key):
     """Bad values and unknown keys exit 1 with their key path, before any
@@ -284,13 +317,53 @@ def test_axb_translation_bound(tmp_path):
     assert rep["results"]["value"] == pytest.approx(4.0)
 
 
-def test_every_command_has_a_table_of_read_keys():
-    from wamalgam import cli
+def test_config_table_matches_the_parser_and_readme():
+    """The config table has one row per command and subcommand of the
+    parser, and README's command table lists each row's sections and fixed
+    group values."""
+    import re
 
-    commands = {"norm", "doubling", "equivalence", "convolve"}
-    commands |= {f"verify {name}" for name in cli.RELATIONS}
-    commands |= {f"axb {sub}" for sub in ("tilde-v", "discrete-norm", "translation-bound")}
-    assert set(cli.READS) == commands
+    from wamalgam import cli
+    from wamalgam.config import COMMANDS
+
+    parser = cli.build_parser()
+    [subparsers] = [a for a in parser._actions if a.dest == "command"]
+    commands = set()
+    for name, sub in subparsers.choices.items():
+        [choices] = [a.choices for a in sub._actions if not a.option_strings] or [None]
+        commands |= {f"{name} {choice}" for choice in choices} if choices else {name}
+    assert set(COMMANDS) == commands - {"report"}
+    for name, relation in cli.RELATIONS.items():
+        group = relation.grid.group if relation.grid else None
+        assert COMMANDS[f"verify {name}"][1] == (
+            {"kind": group.kind, "n": group.n} if group else {})
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([^`]+)` \| (.+) \| (.+) \|$", readme, re.MULTILINE)
+    assert {command: (tuple(re.findall(r"`([^`]+)`", reads)), runs_on)
+            for command, reads, runs_on in rows} == {
+        command: (reads, ", ".join(f"{k} {v!r}" for k, v in fixed.items()) or "any")
+        for command, (reads, fixed) in COMMANDS.items()}
+
+
+def test_config_forms_match_their_builders():
+    """A weight form reads its family's parameters, and a grid form the
+    keys of its defaults."""
+    import inspect
+
+    from wamalgam import cli
+    from wamalgam.components import WEIGHT_FAMILIES
+    from wamalgam.config import SECTIONS
+
+    weights = SECTIONS["weight"].forms
+    assert set(weights) == set(WEIGHT_FAMILIES)
+    for family, form in weights.items():
+        params = inspect.signature(WEIGHT_FAMILIES[family]).parameters
+        assert list(form.keys) == ["family", *params]
+        assert set(form.required) == {k for k, v in params.items()
+                                      if v.default is inspect.Parameter.empty}
+    grids = SECTIONS["grid"].forms
+    assert {kind: set(form.keys) for kind, form in grids.items()} == {
+        kind: set(defaults) for kind, (_, defaults) in cli.GRIDS.items()}
 
 
 def test_axb_translation_bound_reads_a_number_on_every_axis(tmp_path):
@@ -490,6 +563,14 @@ def test_n_dimensional_families_take_n():
     assert N_DIMENSIONAL_FAMILIES == {
         kind for kind, builder in FAMILY_BUILDERS.items()
         if "n" in inspect.signature(builder).parameters}
+
+
+def test_measure_families_draw_measures():
+    from wamalgam.families import (FAMILY_BUILDERS, MEASURE_FAMILIES, MeasureSpec,
+                                   generator)
+
+    assert MEASURE_FAMILIES == {kind for kind, builder in FAMILY_BUILDERS.items()
+                                if isinstance(builder(generator(0)), MeasureSpec)}
 
 
 def _bumps_config(tmp_path, command, group, family=None):

@@ -45,7 +45,7 @@ def test_plane_control_matches_mask_oracle(plane_grid, rng):
 
 
 def test_plane_amalgam_reduces_to_norm(plane_grid):
-    from wamalgam import window_haar_measure
+    from oracles import window_haar_measure
 
     F = SampledFunction.sample(plane_grid, lambda x, y: np.exp(-(x**2 + y**2)))
     Q = BoxWindow.centered(0.25, 2)
