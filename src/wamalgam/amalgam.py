@@ -14,15 +14,23 @@ object (the affine rows for the x offsets o and -o) run it once; sums keep
 every slide in stencil order, since moving a running-sum shift changes
 its rounding. A stencil whose parts times the grid points exceed
 ``_STENCIL_BUDGET`` is refused before any slide.
-A sliding max over a window of L indices runs by doubling: log2(L) passes
-of ``max(V[:-s], V[s:])`` for s = 1, 2, 4, ..., then two reads of the last
-level, so N samples cost O(N log L) time and O(N) memory. On ax+b, where
-the x half-width grows with the scale, all scale rows share the passes and
-each reads its own level. Sliding sums are differences of running sums.
+A sliding max over a window of L indices runs by doubling along the axis
+where it lies: level 2s, the max over 2s indices from each one on, is
+level s read at k and at k + s, folded from one buffer into another, for
+s = 1, 2, 4, ... up to the largest power of 2 <= L (and below the axis
+length); the blocks that overhang the axis' ends are running maxima of
+its first and last indices, and the window reads the last level at its
+start, every s indices after it and at its end. So N samples cost
+O(N log L) time and O(N) memory. On ax+b, where the x half-width grows with the scale, all
+scale rows share the folds and each reads its own level. Sliding sums are
+differences of running sums. The slides and the row reductions take
+their temporaries from the thread's kept workspace (``workspace``): a
+call on the shapes of an earlier one allocates only the array it returns.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -45,6 +53,7 @@ from .errors import (
 )
 from .groups import SampledFunction, corner_weight, haar_integral
 from .windows import AxbCoverWindow, AxbWindow, right_translate
+from .workspace import scratch
 
 # grid points times stencil parts that one control function may slide over
 _STENCIL_BUDGET = 10**8
@@ -119,78 +128,232 @@ def _sliding_max(values, axis, lo, hi):
     """max over index offsets [lo, hi] along axis, zero-padded outside.
 
     ``lo`` and ``hi`` are integers, or integer arrays that broadcast
-    against ``values.swapaxes(0, axis)[0]``: one window per column. The
-    doubling pass with shift s leaves in each table row the max of the 2s
-    rows from it on (of those that exist), so a window of length L is the
-    max of two reads of the level with s <= L < 2s. Each column keeps its
-    own level, and one gather reads them all.
+    against ``values`` without ``axis``: one window per column. Level s
+    holds at position k the max over positions k to k + s - 1. Its full
+    blocks, 0 <= k <= m - s on an axis of m, are level s/2 read at k and
+    at k + s/2, folded from ``values`` into one of two buffers and then
+    between them, one ufunc call a level. Its partial blocks at each end
+    are running maxima of the axis' first and last positions with 0
+    (``np.maximum.accumulate`` over s - 1 positions each), and its blocks
+    beyond them are 0. A window of length L reads level s, the largest
+    power of 2 with s <= L and s <= max(1, m - 1), at its start, every s
+    positions after that and at its end, from a table of level s between
+    one zero block on each side, which a position beyond reads. Per-column
+    windows copy each column's level into one more table, zero at every
+    other position that a read reaches.
     """
     m = values.shape[axis]
     lo, hi = _clipped(lo, values, axis), _clipped(hi, values, axis)
-    span = 1 << (np.frexp(hi - lo + 1)[1] - 1)  # largest power of 2 <= length
-    # one zero row after the data stands for the outside in windows that
-    # the table's end cuts short
-    table, row0 = _table(values, axis, lo, np.maximum(hi - span + 1, 1))
-    kept = table if np.ndim(span) == 0 else np.empty_like(table)
-    s, top = 1, span.max()
-    while True:
-        if kept is not table:
-            kept[:, span == s] = table[:, span == s]
-        if s == top:
-            break
-        np.maximum(table[:-s], table[s:], out=table[:-s])
-        s *= 2
-    out = np.empty(values.shape)
-    np.maximum(_rows(kept, row0 + lo, m), _rows(kept, row0 + hi - span + 1, m),
-               out=out.swapaxes(0, axis))
+    columns = isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray)
+    cap = 1 << (max(1, m - 1).bit_length() - 1)
+    if columns:
+        span = np.minimum(1 << (np.frexp(hi - lo + 1)[1] - 1), cap)
+        top, lo_min, hi_max = int(span.max()), int(np.min(lo)), int(np.max(hi))
+    else:
+        span = top = min(1 << ((hi - lo + 1).bit_length() - 1), cap)
+        lo_min, hi_max = lo, hi
+    levels = [1 << k for k in range(1, top.bit_length())]
+    other = values.size // m
+    # the full blocks of each level but the last; the last, for one window,
+    # in the table it is read from: positions -top to m
+    rows = [m - s + 1 for s in levels]
+    if levels and not columns:
+        rows[-1] = m + top + 1
+    # levels 2, 8, 32, ... fold into the first buffer, 4, 16, 64, ... into the second
+    halves = [max(rows[0::2], default=0) * other, max(rows[1::2], default=0) * other]
+    # per-column windows: the partial blocks at both ends, then the kept table
+    kept = (2 * (top - 1) + hi_max + m - lo_min) * other if columns else 0
+    with scratch(((sum(halves) + other,), float), ((kept,), float),
+                 *_gather_buffers(values, columns)) as (flat, kept, *gather):
+        buffers = flat[:halves[0]], flat[halves[0]:sum(halves)]
+        zero = _positions(flat[sum(halves):], values, axis, 0, 0)
+        zero[...] = 0.0
+        if columns:
+            ends, kept = kept[:2 * (top - 1) * other], kept[2 * (top - 1) * other:]
+            ends = _positions(ends, values, axis, 1, 2 * (top - 1))
+            kept = _positions(kept, values, axis, lo_min, hi_max + m - 1)
+            kept[...] = 0.0
+            spans = _per_column(span, axis)
+            _ends(values, axis, top, _along(ends, axis, 0, top - 1),
+                  _along(ends, axis, top - 1, None))
+        level = values
+        for k, s in enumerate([1] + levels):
+            if s > 1:
+                fold = _positions(buffers[(k - 1) % 2], values, axis, 0, rows[k - 1] - 1)
+                if s == top and not columns:
+                    table, fold = fold, _along(fold, axis, top, m + 1)
+                np.maximum(_along(level, axis, 0, m - s + 1),
+                           _along(level, axis, s // 2, m - s // 2 + 1), out=fold)
+                level = fold
+            if columns:
+                # the level's full blocks, then its partial blocks at each end
+                where = spans == s
+                _put(kept, lo_min, level, 0, axis, where)
+                _put(kept, lo_min, _along(ends, axis, 0, s - 1), 1 - s, axis, where)
+                _put(kept, lo_min, _along(ends, axis, 2 * top - 1 - s, 2 * (top - 1)),
+                     m - s + 1, axis, where)
+        out = np.empty(values.shape)
+        if columns:
+            reads = int((-(-(hi - lo + 1) // span)).max())
+            offsets = [np.minimum(lo + r * span, hi - span + 1) for r in range(reads)]
+            _gather(np.maximum, kept, lo_min, axis, offsets, out, *gather)
+        else:
+            offsets = [*range(lo, hi - span + 1, span), hi - span + 1]
+            if top > 1:
+                _ends(values, axis, top, _along(table, axis, 1, top),
+                      _along(table, axis, m + 1, m + top))
+                _along(table, axis, 0, 1)[...] = 0.0
+                _along(table, axis, m + top, None)[...] = 0.0
+                _read(np.maximum, table, -top, axis, offsets, 0, out)
+            else:
+                _read(np.maximum, values, 0, axis, offsets, 0, out, (zero, zero))
     return out
+
+
+def _ends(values, axis, top, front, back):
+    """The partial blocks of level ``top``: into ``front`` the running
+    maxima with 0 of ``values``' first ``top - 1`` positions along
+    ``axis``, into ``back`` those of its last, from the end."""
+    m, lead = values.shape[axis], (slice(None),) * axis
+    np.maximum.accumulate(values[lead + (slice(0, top - 1),)], axis, out=front)
+    np.maximum.accumulate(values[lead + (slice(m - 1, m - top, -1),)], axis,
+                          out=back[lead + (slice(None, None, -1),)])
+    np.maximum(front, 0.0, out=front)
+    np.maximum(back, 0.0, out=back)
 
 
 def _sliding_sum(values, axis, lo, hi):
     """sum over index offsets [lo, hi] along axis, zero-padded outside.
 
     ``lo`` and ``hi`` are integers or per-column arrays, as for
-    ``_sliding_max``; each sum is a difference of two running sums.
+    ``_sliding_max``; each sum is a difference of two running sums, read
+    from a table of them over every position read: 0 before the axis, the
+    total after it.
     """
     m = values.shape[axis]
     lo, hi = _clipped(lo, values, axis), _clipped(hi, values, axis)
-    table, row0 = _table(values, axis, lo - 1, hi)
-    np.cumsum(table, axis=0, out=table)
-    out = np.empty(values.shape)
-    np.subtract(_rows(table, row0 + hi, m), _rows(table, row0 + lo - 1, m),
-                out=out.swapaxes(0, axis))
+    columns = isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray)
+    start = min(int(np.min(lo)) - 1, -1)
+    stop = max(int(np.max(hi)) + m - 1, m - 1)
+    with scratch((((stop - start + 1) * (values.size // m),), float),
+                 *_gather_buffers(values, columns)) as (table, *gather):
+        table = _positions(table, values, axis, start, stop)
+        _along(table, axis, 0, -start)[...] = 0.0
+        np.cumsum(values, axis, float, _along(table, axis, -start, m - start))
+        _along(table, axis, m - start, None)[...] = _along(table, axis, m - 1 - start, m - start)
+        out = np.empty(values.shape)
+        if columns:
+            _gather(np.subtract, table, start, axis, (hi, lo - 1), out, *gather)
+        else:
+            _read(np.subtract, table, start, axis, (hi, lo - 1), 0, out)
     return out
 
 
 def _clipped(offsets, values, axis):
     """Index offsets clipped to [-m, m]: beyond, an axis of m indices reads
     only the zeros outside it, and the clipped window still reads one.
-    Offsets that vary are broadcast to one per column."""
+    Offsets that vary are broadcast to one per column; one offset is an
+    int."""
     m = values.shape[axis]
-    offsets = np.minimum(np.maximum(offsets, -m), m)
-    if np.ndim(offsets):
-        offsets = np.broadcast_to(offsets, values.swapaxes(0, axis).shape[1:])
-    return offsets
+    if not isinstance(offsets, np.ndarray):
+        return min(max(int(offsets), -m), m)
+    columns = values.shape[:axis] + values.shape[axis + 1:]
+    return np.broadcast_to(np.minimum(np.maximum(offsets, -m), m), columns)
 
 
-def _table(values, axis, first, last):
-    """``values`` with ``axis`` swapped to the front, zero-padded along it so
-    that rows ``i + first`` to ``i + last`` exist for every index i; returns
-    the table and the row that holds index 0."""
-    V = values.swapaxes(0, axis)
-    m = len(V)
-    pad_l, pad_r = max(0, -int(first.min())), max(0, int(last.max()))
-    table = np.zeros((pad_l + m + pad_r,) + V.shape[1:])
-    table[pad_l:pad_l + m] = V
-    return table, pad_l
+def _along(a, axis, start, stop):
+    """The view of ``a`` from index ``start`` to ``stop`` along ``axis``."""
+    return a[(slice(None),) * axis + (slice(start, stop),)]
 
 
-def _rows(table, start, m):
-    """``table[start + i]`` for i < m, where ``start`` may differ per column."""
-    if np.ndim(start) == 0:
-        return table[start:start + m]
-    index = np.arange(m).reshape((m,) + (1,) * np.ndim(start)) + start
-    return np.take_along_axis(table, index, axis=0)
+def _positions(flat, values, axis, first, last):
+    """A table shaped like ``values`` but for the positions ``first`` to
+    ``last`` along ``axis``, from the front of the flat buffer ``flat``."""
+    shape = list(values.shape)
+    shape[axis] = last - first + 1
+    return flat[:math.prod(shape)].reshape(shape)
+
+
+def _per_column(x, axis):
+    """Per-column ``x`` shaped to broadcast against the arrays along
+    ``axis``; a number as it is."""
+    return x.reshape(x.shape[:axis] + (1,) + x.shape[axis:]) if np.ndim(x) else x
+
+
+def _read(ufunc, table, start, axis, offsets, first, out, edges=None):
+    """``out[i]`` along ``axis`` is ``ufunc`` folded over the table's
+    entries at the positions ``i + first + o``, one per offset o, in order.
+    The table holds the positions from ``start`` on; a position before or
+    after them reads ``edges``, one row each, by default the table's first
+    and last. The reads are slices, one run of output indices at a time."""
+    lead, n, count = (slice(None),) * axis, out.shape[axis], table.shape[axis]
+    shift = first - start  # the table row that output index 0 reads at offset 0
+    cuts = [0, n]
+    for o in offsets:
+        cuts.extend(c for c in (-shift - o, count - shift - o) if 0 < c < n)
+    cuts.sort()
+    for i, j in zip(cuts, cuts[1:]):
+        if i == j:
+            continue
+        reads = []
+        for o in offsets:
+            p = i + shift + o
+            if 0 <= p < count:
+                reads.append(table[lead + (slice(p, p + j - i),)])
+            else:
+                if edges is None:
+                    edges = table[lead + (slice(0, 1),)], table[lead + (slice(-1, None),)]
+                reads.append(edges[p >= count])
+        piece = out[lead + (slice(i, j),)]
+        if len(reads) == 1:
+            np.copyto(piece, reads[0])
+            continue
+        ufunc(reads[0], reads[1], out=piece)
+        for r in reads[2:]:
+            ufunc(piece, r, out=piece)
+    return out
+
+
+def _put(table, start, part, first, axis, where):
+    """Copy ``part``, the positions from ``first`` on along ``axis``, into
+    ``table``, the positions from ``start`` on, where they overlap and
+    ``where`` holds."""
+    a = max(first, start)
+    b = min(first + part.shape[axis], start + table.shape[axis])
+    if a < b:
+        np.copyto(_along(table, axis, a - start, b - start),
+                  _along(part, axis, a - first, b - first), where=where)
+
+
+def _gather_buffers(values, columns):
+    """The two index buffers and the value buffer of a per-column read,
+    none otherwise."""
+    return [(values.shape, np.intp)] * 2 + [(values.shape, float)] if columns else []
+
+
+def _gather(ufunc, table, start, axis, offsets, out, base, index, taken):
+    """``_read`` for per-column offsets, on a table that holds every
+    position read: each offset's flat indices of the table go to ``index``
+    and its entries to ``out`` (the first) or ``taken``. ``base`` holds
+    the flat index of each output entry's column at position ``start``
+    plus its index along ``axis`` times the axis' step."""
+    steps = [st // table.itemsize for st in table.strides]
+    here = [1] * out.ndim
+    here[axis] = out.shape[axis]
+    columns = 0
+    for k, (count, step) in enumerate(zip(table.shape, steps)):
+        if k != axis:
+            shape = [1] * out.ndim
+            shape[k] = count
+            columns = columns + (np.arange(count) * step).reshape(shape)
+    np.add(np.arange(out.shape[axis]).reshape(here) * steps[axis], columns, out=base)
+    flat = table.reshape(-1)
+    for r, o in enumerate(offsets):
+        np.add(base, _per_column((o - start) * steps[axis], axis), out=index)
+        np.take(flat, index, out=taken if r else out, mode="clip")
+        if r:
+            ufunc(out, taken, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +377,9 @@ def control_function(F, window, local="linf"):
     # l1 and m coincide on functions: integrate |F| over the translate
     linf = local == "linf"
     slide, combine = (_sliding_max, np.maximum) if linf else (_sliding_sum, np.add)
-    out = np.abs(F.values) if linf else np.abs(F.values) * scale_weights
+    out = np.abs(F.values).astype(float, copy=False)
+    if not linf:
+        out *= scale_weights
     for stage in stencil:
         if linf:  # exact in any order: parts sharing a last slide run it once
             stage = sorted(stage, key=lambda part: id(part[-1]))
@@ -229,7 +394,9 @@ def control_function(F, window, local="linf"):
                 piece = slide(piece, axis, lo, hi)
             folded = piece if folded is None else combine(folded, piece, out=folded)
         out = folded
-    return SampledFunction(grid, out if linf else out * x_volume)
+    if not linf:
+        out *= x_volume
+    return SampledFunction(grid, out)
 
 
 def budgeted_stencil(window, grid):
@@ -328,18 +495,19 @@ def _reduce_rows(F, grid, op, local):
     """Row maxima of ``|F| v`` (linf) or row sums of ``(|F| w) v`` over ``op``.
 
     ``v`` is the operator's values (1 for a membership operator) and ``w``
-    the quadrature weights, applied on the grid before the one gather that
-    feeds one ``reduceat``.
+    the quadrature weights, applied on the grid before the one gather, into
+    the workspace, that feeds one ``reduceat``.
     """
     if F.grid != grid:
         raise DimensionMismatchError("function and BUPU live on different grids")
     magnitude = np.abs(F.values).astype(float, copy=False)
     if local != "linf":
         magnitude *= grid.weights
-    piece = magnitude.ravel()[op.indices]
-    if op.values is not None:
-        piece *= op.values
-    return op.reduce(np.maximum if local == "linf" else np.add, piece)
+    with scratch((op.indices.shape, float)) as (piece,):
+        np.take(magnitude.reshape(-1), op.indices, out=piece, mode="clip")
+        if op.values is not None:
+            piece *= op.values
+        return op.reduce(np.maximum if local == "linf" else np.add, piece)
 
 
 def discrete_amalgam_norm(F, bupu, local, component, window=None,

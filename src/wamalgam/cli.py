@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -345,7 +346,9 @@ def _levels(text):
     return int(text)
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="wamalgam",
         description="Wiener amalgam space computations on concrete groups",

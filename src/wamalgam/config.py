@@ -3,8 +3,9 @@
 ``COMMANDS`` names the sections that each command reads (``section.key``
 for one key of a section) and the ``group`` values that it fixes.
 ``SECTIONS`` types each section: a check of one value, a ``Form`` of typed
-keys, or ``Forms``, one form per value of a choice. ``check_config``
-resolves the group, then walks a config through the table once. A check
+keys, or ``Forms``, one form per value of a choice; ``NARROWED`` types a
+section more narrowly for one command. ``check_config`` resolves the
+group, then walks a config through the table once. A check
 takes the value, the resolved group and the keys of its section typed
 before it, and returns the typed value or raises ``ValueError``.
 """
@@ -86,8 +87,8 @@ def _choice(options, noun):
 
 
 _real = _check(lambda v: _number(v) and math.isfinite(v), "a finite number", float)
-_positive = _check(lambda v: _number(v) and 0 < v < math.inf, "a positive number",
-                   float)
+_positive = _check(lambda v: _number(v) and 0 < v < math.inf,
+                   "a finite positive number", float)
 # float() reads "inf" and "Infinity" as infinity
 _exponent = _check(lambda v: v in ("inf", "Infinity") or _number(v) and v > 0,
                    'a positive number or "inf"', float)
@@ -148,8 +149,20 @@ _FUNCTION = Forms("kind", {
         lambda v: {int(k): _real(x) for k, x in v.items()})}),
     "bumps": Form("a bumps function", {"kind": _function_kind, "family": _family}),
 }, "indicator")
-_BOX_WINDOW = Form("a box window", {"radius": _per_axis(_positive),
-                                    "lo": _per_axis(_real), "hi": _per_axis(_real)})
+
+
+def _not_beside(key, check):
+    """``check``, for a key that ``key``, checked before it, excludes."""
+    def checked(value, group, section):
+        if key in section:
+            raise ValueError(f"a box window reads {key}, or lo and hi, not both")
+        return check(value, group, section)
+    return checked
+
+
+_BOX_WINDOW = Form("a box window", {
+    "radius": _per_axis(_positive), "lo": _not_beside("radius", _per_axis(_real)),
+    "hi": _not_beside("radius", _per_axis(_real))})
 
 SECTIONS = {
     "group": Form("a group", {"kind": _choice(GROUPS, "kind"), "n": _count}),
@@ -201,6 +214,9 @@ COMMANDS = {
     "axb discrete-norm": (("group", "grid", "lattice", "weight", "p", "q"), _AXB),
     "axb translation-bound": (("group", "y", "b", "p", "q", "alpha"), _AXB),
 }
+# (command, section) -> the narrower check of a section that the command
+# reads: cor_conv_Lp sums |x|^p, which has no meaning at p = inf
+NARROWED = {("verify cor_conv_Lp", "p"): _positive}
 
 
 def check_config(cfg, command):
@@ -215,8 +231,9 @@ def check_config(cfg, command):
     sections = {}
     for name in reads:
         section, _, key = name.partition(".")
-        sections[section] = Form(command, {key: SECTIONS[section].keys[key]},
-                                 reads=reads) if key else SECTIONS[section]
+        sections[section] = NARROWED.get((command, name)) or (Form(
+            command, {key: SECTIONS[section].keys[key]}, reads=reads)
+            if key else SECTIONS[section])
     form = Form(command, sections, reads=reads)
     given = _walk({"group": cfg["group"]} if "group" in cfg else {}, form, "config",
                   None).get("group", {})

@@ -36,13 +36,18 @@ scale axis first and x axes last (one row on R^n and Z^n):
    product of its source's spectrum and its table's spectrum into one sum,
    and one inverse transform of the sum gives the result. The rows share
    one zero-padded table buffer, which each re-zeroes only where the
-   previous row wrote, one workspace and one spectrum buffer: a row's 2-tap
-   passes read its slice of the located rules, gather the lower and upper
-   samples into the workspace (which at n >= 2 also holds the passes
-   before the last) and write the last pass into the table buffer, and its
-   table is transformed along the last x axis into the spectrum buffer,
-   then in place along the others, as ``rfftn`` does without its per-call
-   set-up. Complex factors use the complex transform, real ones the real.
+   previous row wrote, one 2-tap workspace and one spectrum buffer: a
+   row's 2-tap passes read its slice of the located rules, gather the
+   lower and upper samples into the 2-tap workspace (which at n >= 2 also
+   holds the passes before the last) and write the last pass into the
+   table buffer, and its table is transformed along the last x axis into
+   the spectrum buffer, then in place along the others, as ``rfftn`` does
+   without its per-call set-up. ``F w``'s transform and the sum's inverse
+   run axis by axis in the same way. These buffers and the spectra of
+   ``F w`` and of the sum are the thread's kept workspace
+   (``workspace``), so the row loop on the shapes of an earlier one
+   allocates only the inverse transform. Complex factors
+   use the complex transform, real ones the real.
 
 Embedding checks compare the target amalgam norm of F*G against the
 product of factor norms over a test family and track the empirical
@@ -63,6 +68,7 @@ from .amalgam import DiscreteMeasure, amalgam_norm, translate
 from .components import OVERFLOW, is_overflow
 from .errors import GroupMismatchError, TruncationWarning
 from .groups import AxbGrid, LatticeGrid, SampledFunction
+from .workspace import scratch
 
 _SUPPORT_CUTOFF = 1e-14
 
@@ -170,33 +176,35 @@ class _Table:
     def tables(self, size):
         """Yield ``(j, cols, K)`` per reaching row j: ``K`` is its table for
         the output columns ``cols``, scale axis first, zero-padded to ``size``
-        along x, in one buffer that the next row overwrites. The rows' 2-tap
-        passes gather into one workspace, which at n >= 2 also holds the
-        passes before the last, in alternate halves."""
-        buf = np.zeros([self.width] + list(size), self.dtype)
+        along x, in one workspace buffer that the next row overwrites. The
+        rows' 2-tap passes gather into one more, which at n >= 2 also holds
+        the passes before the last, in alternate halves."""
         # one pass's result, the largest over the rows and the x axes
         gx, part = self._table.shape[1:], 0
         for _, lo, hi, _, x in self._plan:
             for k in range(len(self._rules)):
                 part = max(part, (hi - lo) * math.prod(b - a for a, b in x[:k + 1])
                            * math.prod(gx[k + 1:]))
-        work = np.empty(2 * part * min(len(self._rules), 2), self._table.dtype)
-        halves = (work[:2 * part], work[2 * part:])
-        spans, written = [0] * len(self._rules), None
-        for r, lo, hi, c0, x in self._plan:
-            if written:
-                buf[written] = 0.0
-            written = (slice(0, hi - lo),) + tuple(
-                slice(a - o, b - o) for (a, b), o in zip(x, self._origin))
-            block = self._table[lo:hi]
-            if not self._rules:  # Z^n: G's samples, no interpolation
-                buf[written] = block
-            for k, ((i0, frac, outside), (a, b)) in enumerate(zip(self._rules, x)):
-                s, spans[k] = spans[k], spans[k] + b - a
-                block = self._G.grid.interpolate_along(
-                    block, (i0[s:spans[k]], frac[s:spans[k]], outside), k + 1,
-                    out=buf[written] if k == len(x) - 1 else None, work=halves[k % 2])
-            yield self._j0 + r, slice(lo - c0, hi - c0), buf[:hi - lo]
+        with scratch(((self.width, *size), self.dtype),
+                     ((2 * part * min(len(self._rules), 2),), self._table.dtype)) as (
+                         buf, work):
+            buf[...] = 0.0
+            halves = (work[:2 * part], work[2 * part:])
+            spans, written = [0] * len(self._rules), None
+            for r, lo, hi, c0, x in self._plan:
+                if written:
+                    buf[written] = 0.0
+                written = (slice(0, hi - lo),) + tuple(
+                    slice(a - o, b - o) for (a, b), o in zip(x, self._origin))
+                block = self._table[lo:hi]
+                if not self._rules:  # Z^n: G's samples, no interpolation
+                    buf[written] = block
+                for k, ((i0, frac, outside), (a, b)) in enumerate(zip(self._rules, x)):
+                    s, spans[k] = spans[k], spans[k] + b - a
+                    block = self._G.grid.interpolate_along(
+                        block, (i0[s:spans[k]], frac[s:spans[k]], outside), k + 1,
+                        out=buf[written] if k == len(x) - 1 else None, work=halves[k % 2])
+                yield self._j0 + r, slice(lo - c0, hi - c0), buf[:hi - lo]
 
 
 def _steps(axis, lo, hi):
@@ -229,20 +237,39 @@ def _row_convolution(fw, j0, table, size, xs, na):
     ``size`` along ``xs``, of the row's column of ``fw`` (F w on its support
     box, scale axis first, from row j0) with its table: one forward
     transform of ``fw``, one of each table, and one inverse of the spectra
-    summed into ``na`` output columns."""
+    summed into ``na`` output columns. The spectra and the tables' buffers
+    are the workspace's. Each transform is ``rfftn``'s or ``irfftn``'s
+    (``fftn``'s or ``ifftn``'s when complex), axis by axis in their order,
+    written in place but for the first axis of a forward transform, which
+    pads, and the last of the inverse, which gives the result."""
     complex_ = table.dtype.kind == "c"
     fftn, ifftn = (np.fft.fftn, np.fft.ifftn) if complex_ else (np.fft.rfftn, np.fft.irfftn)
-    FW = fftn(fw, size, xs)
-    spec = np.zeros((na,) + FW.shape[1:], FW.dtype)
-    term = np.empty((table.width,) + FW.shape[1:], FW.dtype)
-    for j, cols, K in table.tables(size):
-        # K's transform as fftn and rfftn compute it: the last x axis, then
-        # the others from last to first, in place
-        rows = (np.fft.fft if complex_ else np.fft.rfft)(K, axis=-1, out=term[:len(K)])
-        for ax in xs[-2::-1]:
-            np.fft.fft(rows, axis=ax, out=rows)
-        spec[cols] += np.multiply(FW[j - j0], rows, out=rows)
-    return ifftn(spec, size, xs)
+    spectrum = (*size[:-1], size[-1] if complex_ else size[-1] // 2 + 1)
+    with scratch(((len(fw), *spectrum), complex), ((na, *spectrum), complex),
+                 ((table.width, *spectrum), complex)) as (FW, spec, term):
+        # F w's transform along the last x axis, padded with zeros along the others
+        fftn(fw, size[-1:], xs[-1:], out=FW[(slice(None),) + tuple(
+            slice(0, m) for m in fw.shape[1:-1])])
+        for ax in xs[:-1]:
+            FW[(slice(None),) * ax + (slice(fw.shape[ax], None),)] = 0.0
+        _transform_inner_axes(FW, xs)
+        spec[...] = 0.0
+        for j, cols, K in table.tables(size):
+            rows = (np.fft.fft if complex_ else np.fft.rfft)(K, axis=-1, out=term[:len(K)])
+            _transform_inner_axes(rows, xs)
+            spec[cols] += np.multiply(FW[j - j0], rows, out=rows)
+        # ifftn takes the axes from last to first, irfftn from first to last
+        inner, final = (xs[:0:-1], xs[:1]) if complex_ else (xs[:-1], xs[-1:])
+        for ax in inner:
+            np.fft.ifft(spec, axis=ax, out=spec)
+        return ifftn(spec, [size[ax - 1] for ax in final], final)
+
+
+def _transform_inner_axes(a, xs):
+    """``fft`` along the x axes but the last, from last to first, in place:
+    what ``rfftn`` and ``fftn`` do after the last axis."""
+    for ax in xs[-2::-1]:
+        np.fft.fft(a, axis=ax, out=a)
 
 
 def _support_box(a):

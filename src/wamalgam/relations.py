@@ -39,17 +39,7 @@ def exhaustive_lp_algebra(p, weighted):
     ``weighted``, else ``w = 1``."""
     if not p > 0:
         raise InvalidExponentError(f"p must be positive, got {p}")
-    n, start = 4, -1
-    seqs = tensor_points([np.array((-1, 0, 1, 2))] * n).astype(float)
-    conv = np.zeros((len(seqs), len(seqs), 2 * n - 1))
-    for i in range(n):
-        conv[:, :, i:i + n] += seqs[:, None, i, None] * seqs[None, :, :]
-    coords_f = np.arange(start, start + n)
-    coords_c = np.arange(2 * start, 2 * start + 2 * n - 1)
-    wf = (1.0 + np.abs(coords_f)) if weighted else np.ones(n)
-    wc = (1.0 + np.abs(coords_c)) if weighted else np.ones(2 * n - 1)
-    norm_f = np.sum(np.abs(seqs * wf) ** p, axis=1) ** (1.0 / p)
-    norm_c = np.sum(np.abs(conv * wc) ** p, axis=2) ** (1.0 / p)
+    norm_f, norm_c = _algebra_norms(p, weighted)
     products = norm_f[:, None] * norm_f[None, :]
     nonzero = products > 0
     ratios = np.where(nonzero, norm_c / np.where(nonzero, products, 1.0), 0.0)
@@ -61,6 +51,28 @@ def exhaustive_lp_algebra(p, weighted):
         "violations": violations,
         "c_emp": float(ratios.max()),
     }
+
+
+def _algebra_norms(p, weighted):
+    """The l^p_w norms of the sequences f that ``exhaustive_lp_algebra``
+    checks, and of ``f * g`` for every pair (f along rows, g along
+    columns). The convolution's p-th power sums one output tap k at a time:
+    the tap adds its products ``f_i g_(k-i)`` in the order of i, and the
+    taps' terms add in the order of k."""
+    n, start = 4, -1
+    seqs = tensor_points([np.array((-1, 0, 1, 2))] * n).astype(float)
+    coords_f = np.arange(start, start + n)
+    coords_c = np.arange(2 * start, 2 * start + 2 * n - 1)
+    wf = (1.0 + np.abs(coords_f)) if weighted else np.ones(n)
+    wc = (1.0 + np.abs(coords_c)) if weighted else np.ones(2 * n - 1)
+    norm_f = np.sum(np.abs(seqs * wf) ** p, axis=1) ** (1.0 / p)
+    total = 0.0
+    for k in range(2 * n - 1):
+        tap = 0.0
+        for i in range(max(0, k - n + 1), min(k, n - 1) + 1):
+            tap = tap + np.multiply.outer(seqs[:, i], seqs[:, k - i])
+        total = total + np.abs(tap * wc[k]) ** p
+    return norm_f, total ** (1.0 / p)
 
 
 @dataclass(frozen=True)

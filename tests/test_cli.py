@@ -292,6 +292,10 @@ def test_refine_below_one_is_a_usage_error(tmp_path, capsys):
      "config.group.kind: equivalence runs on kind 'euclidean', got 'axb'"),
     (["equivalence"], {"family": {"kind": "atom-cloud"}},
      "config.family.kind: family 'atom-cloud' draws measures, not functions"),
+    (["norm"], {"window": {"radius": 1, "lo": 0}},
+     "config.window.lo: a box window reads radius, or lo and hi, not both"),
+    (["verify", "cor_conv_Lp"], {"p": "inf"},
+     "config.p: expected a finite positive number, got 'inf'"),
 ])
 def test_bad_config_names_the_key(tmp_path, capsys, argv, config, key):
     """Bad values and unknown keys exit 1 with their key path, before any

@@ -40,9 +40,9 @@ from wamalgam.convolution import (
     _truncation_ratio,
 )
 from wamalgam.errors import InvalidExponentError, TruncationWarning
-from wamalgam.groups import Grid
+from wamalgam.groups import Grid, tensor_points
 from wamalgam.families import axb_bump_sum, gaussian_bump_sum, lattice_sequence
-from wamalgam.relations import exhaustive_lp_algebra
+from wamalgam.relations import _algebra_norms, exhaustive_lp_algebra
 
 
 def test_binomial_convolution(z_grid):
@@ -550,6 +550,37 @@ def test_exhaustive_lp_algebra_no_violations(p, weighted):
     rec = exhaustive_lp_algebra(p, weighted)
     assert rec["violations"] == 0
     assert rec["c_emp"] <= 1.0 + 1e-9
+
+
+def _reference_algebra_norms(p, weighted):
+    """The norms as the whole (256, 256, 7) table of convolutions gave them."""
+    n, start = 4, -1
+    seqs = tensor_points([np.array((-1, 0, 1, 2))] * n).astype(float)
+    conv = np.zeros((len(seqs), len(seqs), 2 * n - 1))
+    for i in range(n):
+        conv[:, :, i:i + n] += seqs[:, None, i, None] * seqs[None, :, :]
+    wf = (1.0 + np.abs(np.arange(start, start + n))) if weighted else np.ones(n)
+    wc = ((1.0 + np.abs(np.arange(2 * start, 2 * start + 2 * n - 1))) if weighted
+          else np.ones(2 * n - 1))
+    norm_f = np.sum(np.abs(seqs * wf) ** p, axis=1) ** (1.0 / p)
+    norm_c = np.sum(np.abs(conv * wc) ** p, axis=2) ** (1.0 / p)
+    return norm_f, norm_c
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_algebra_norms_equal_the_whole_table(p, weighted):
+    """Summing the convolutions' taps one at a time gives the norms of the
+    whole table bit for bit, and so the same record."""
+    norm_f, norm_c = _algebra_norms(p, weighted)
+    want_f, want_c = _reference_algebra_norms(p, weighted)
+    assert np.array_equal(norm_f, want_f) and np.array_equal(norm_c, want_c)
+    products = want_f[:, None] * want_f[None, :]
+    nonzero = products > 0
+    ratios = np.where(nonzero, want_c / np.where(nonzero, products, 1.0), 0.0)
+    assert exhaustive_lp_algebra(p, weighted) == {
+        "p": p, "weighted": weighted, "pairs_checked": int(nonzero.sum()),
+        "violations": int(np.sum(ratios > 1.0 + 1e-9)), "c_emp": float(ratios.max())}
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0])
