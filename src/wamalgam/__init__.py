@@ -79,8 +79,4 @@ from .relations import (
     exhaustive_lp_algebra,
     verify_axb_convolution,
 )
-from .windows import (
-    AxbWindow,
-    BoxWindow,
-    right_translate,
-)
+from .windows import AxbWindow, BoxWindow

@@ -4,7 +4,11 @@ The control function of F for a window Q and local component B tabulates
 ``x -> ||F restricted to x.Q||_B`` over the grid; the amalgam quasi-norm
 feeds it to a global component. Local components are L-infinity, L^1
 (against Haar measure) and M (total variation; measures enter as finitely
-many atoms plus an optional density). A sampled function's control
+many atoms plus an optional density). A measure's M norms take one route,
+``_measure_norms``, whatever the windows: its density's ``l1`` norms
+through the function route, and onto them its atoms' |masses|, read by
+the windows' own reader (membership tests at the grid points or at X,
+corner weights through a BUPU). A sampled function's control
 function folds |F| over the window's ``stencil``: a part's slides run in
 turn as sliding maxima (linf) or sums (l1, M, after weighting |F| by the
 grid's scale factor), and a stage's parts combine one at a time, so memory
@@ -23,9 +27,9 @@ its first and last indices, and the window reads the last level at its
 start, every s indices after it and at its end. So N samples cost
 O(N log L) time and O(N) memory. On ax+b, where the x half-width grows with the scale, all
 scale rows share the folds and each reads its own level. Sliding sums are
-differences of running sums. The slides and the row reductions take
-their temporaries from the thread's kept workspace (``workspace``): a
-call on the shapes of an earlier one allocates only the array it returns.
+differences of running sums. The slides take their temporaries from the
+thread's kept workspace (``workspace``): a call on the shapes of an
+earlier one allocates only the array it returns.
 """
 
 from __future__ import annotations
@@ -52,20 +56,25 @@ from .errors import (
     NonFiniteSampleError,
 )
 from .groups import SampledFunction, corner_weight, haar_integral
-from .windows import AxbCoverWindow, AxbWindow, right_translate
 from .workspace import scratch
 
 # grid points times stencil parts that one control function may slide over
 _STENCIL_BUDGET = 10**8
 
 LOCAL_COMPONENTS = ("linf", "l1", "m")
+DIRECTIONS = ("left", "right", "measure")
+
+
+def _one_of(value, options, noun):
+    """``value`` if it is one of ``options``; else an error that names them."""
+    if value not in options:
+        raise InvalidElementError(f"unknown {noun} {value!r}; choose from "
+                                  f"{', '.join(options)}")
+    return value
 
 
 def normalize_local(tag):
-    if tag not in LOCAL_COMPONENTS:
-        raise InvalidElementError(f"unknown local component {tag!r}; choose from "
-                                  f"{', '.join(LOCAL_COMPONENTS)}")
-    return tag
+    return _one_of(tag, LOCAL_COMPONENTS, "local component")
 
 
 @dataclass
@@ -368,9 +377,14 @@ def control_function(F, window, local="linf"):
     """
     local = normalize_local(local)
     if isinstance(F, DiscreteMeasure):
-        if local != "m":
-            raise InvalidElementError("measures carry the M local component")
-        return _measure_control(F, window)
+        grid = F.grid if F.density is None else F.density.grid
+        if F.density is None and not F.atoms:
+            raise EmptyGridError("measure has neither atoms nor density")
+        if grid is None:
+            raise EmptyGridError("atom-only measures need an attached grid")
+        return SampledFunction(grid, _measure_norms(
+            F, local, grid.shape, lambda out: _add_atoms(F, window, grid.points(), out),
+            lambda density: control_function(density, window, "l1").values))
     grid = F.grid
     stencil = budgeted_stencil(window, grid)
     x_volume, scale_weights = grid.weight_factors
@@ -413,22 +427,31 @@ def budgeted_stencil(window, grid):
     return stencil
 
 
-def _measure_control(mu, window):
-    if mu.density is not None:
-        grid = mu.density.grid
-        out = control_function(mu.density, window, "l1").values.copy()
+def _measure_norms(mu, local, shape, add_atoms, density_norms):
+    """The M local norms of the measure ``mu`` over a route's windows: the
+    ``l1`` norms of its density through the function route,
+    ``density_norms(density)``, or zeros of ``shape`` without one, and onto
+    them its atoms' |masses|, added by the route's own reader
+    ``add_atoms(out)``."""
+    if local != "m":
+        raise InvalidElementError("measures carry the M local component")
+    if mu.density is None:
+        out = np.zeros(shape)
+    elif not np.all(np.isfinite(mu.density.values)):
+        raise NonFiniteSampleError("samples contain non-finite values")
     else:
-        if not mu.atoms:
-            raise EmptyGridError("measure has neither atoms nor density")
-        if mu.grid is None:
-            raise EmptyGridError("atom-only measures need an attached grid")
-        grid = mu.grid
-        out = np.zeros(grid.shape)
-    pts = grid.points()
+        out = density_norms(mu.density)
+    if mu.atoms:
+        add_atoms(out)
+    return out
+
+
+def _add_atoms(mu, window, points, out):
+    """Add each atom's |mass| onto ``out`` at the ``points`` x whose
+    translate ``x . window`` holds the atom, one atom at a time."""
     for z, mass in mu.atoms:
-        # the grid points x with z in x . window
-        out += abs(mass) * window.contains(pts, z).reshape(grid.shape)
-    return SampledFunction(grid, out)
+        out += abs(mass) * window.contains(points, z).reshape(out.shape)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -447,21 +470,17 @@ def local_norms_bupu(F, bupu, local):
     """Per-member local norms ``||F psi_i||_B``."""
     local = normalize_local(local)
     if isinstance(F, DiscreteMeasure):
-        if local != "m":
-            raise InvalidElementError("measures carry the M local component")
-        out = _members_at_atoms(F, bupu) if F.atoms else np.zeros(len(bupu))
-        if F.density is not None:
-            if not np.all(np.isfinite(F.density.values)):
-                raise NonFiniteSampleError("samples contain non-finite values")
-            out += local_norms_bupu(F.density, bupu, "l1")
-        return out
+        return _measure_norms(
+            F, local, len(bupu), lambda out: _members_at_atoms(F, bupu, out),
+            lambda density: _reduce_rows(density, bupu.grid, bupu.operator, "l1"))
     return _reduce_rows(F, bupu.grid, bupu.operator, local)
 
 
-def _members_at_atoms(mu, bupu):
-    """``sum_z |mass_z| psi_i(z)`` per member, ``psi_i`` interpolated at the
-    atoms: each |mass| goes on its grid corners with its corner weights,
-    and one gather over the operator reads every member there."""
+def _members_at_atoms(mu, bupu, out):
+    """Add ``sum_z |mass_z| psi_i(z)`` per member onto ``out``, ``psi_i``
+    interpolated at the atoms: each |mass| goes on its grid corners with its
+    corner weights, and one gather over the operator reads every member
+    there."""
     grid = bupu.grid
     base, corners, inside = grid.corners(
         grid.axis_queries(np.stack([z for z, _ in mu.atoms], axis=-1)))
@@ -470,7 +489,7 @@ def _members_at_atoms(mu, bupu):
     for offset, factors in corners:
         np.add.at(deposit, base + offset, corner_weight(factors) * mass)
     op = bupu.operator
-    return op.reduce(np.add, deposit[op.indices] * op.values)
+    out += op.reduce(np.add, deposit[op.indices] * op.values)
 
 
 def local_norms_indicator(F, X, window, local):
@@ -478,16 +497,11 @@ def local_norms_indicator(F, X, window, local):
     ``|mu|(x_i . window)``."""
     local = normalize_local(local)
     if isinstance(F, DiscreteMeasure):
-        if local != "m":
-            raise InvalidElementError("measures carry the M local component")
-        out = np.zeros(len(X))
-        for z, mass in F.atoms:
-            out += abs(mass) * window.contains(X.points, z)
-        if F.density is not None:
-            if not np.all(np.isfinite(F.density.values)):
-                raise NonFiniteSampleError("samples contain non-finite values")
-            out += local_norms_indicator(F.density, X, window, "l1")
-        return out
+        # the atoms sum on their own, then add onto the density's norms at once
+        return _measure_norms(
+            F, local, len(X), lambda out: np.add(
+                out, _add_atoms(F, window, X.points, np.zeros(len(X))), out=out),
+            lambda density: local_norms_indicator(density, X, window, "l1"))
     return _reduce_rows(F, F.grid, X.cell_masks(window, F.grid), local)
 
 
@@ -495,19 +509,18 @@ def _reduce_rows(F, grid, op, local):
     """Row maxima of ``|F| v`` (linf) or row sums of ``(|F| w) v`` over ``op``.
 
     ``v`` is the operator's values (1 for a membership operator) and ``w``
-    the quadrature weights, applied on the grid before the one gather, into
-    the workspace, that feeds one ``reduceat``.
+    the quadrature weights, applied on the grid before the one gather that
+    feeds one ``reduceat``.
     """
     if F.grid != grid:
         raise DimensionMismatchError("function and BUPU live on different grids")
     magnitude = np.abs(F.values).astype(float, copy=False)
     if local != "linf":
         magnitude *= grid.weights
-    with scratch((op.indices.shape, float)) as (piece,):
-        np.take(magnitude.reshape(-1), op.indices, out=piece, mode="clip")
-        if op.values is not None:
-            piece *= op.values
-        return op.reduce(np.maximum if local == "linf" else np.add, piece)
+    piece = np.take(magnitude.reshape(-1), op.indices, mode="clip")
+    if op.values is not None:
+        piece *= op.values
+    return op.reduce(np.maximum if local == "linf" else np.add, piece)
 
 
 def discrete_amalgam_norm(F, bupu, local, component, window=None,
@@ -542,35 +555,29 @@ def translate(F, g, direction="left", coverage_warn=1e-6):
     ax+b, exactly on the integer lattice). The law acts on the grid's
     ``mesh()``, so an action on each axis alone is located per axis.
     """
-    direction = _normalize_direction(direction)
+    direction = _one_of(direction, DIRECTIONS, "translation direction")
     if isinstance(F, DiscreteMeasure):
         return _translate_measure(F, g, direction)
-    grid = F.grid
-    group = grid.group
+    group = F.grid.group
     g = group.check_element(np.asarray(g, dtype=float))
-    mesh = grid.mesh()
     if direction == "left":
-        args = group.multiply_coords(group.inverse(g), mesh)
-        factor = 1.0
-    elif direction == "right":
-        args = group.multiply_coords(mesh, g)
-        factor = 1.0
-    else:  # measure action on a density
-        ginv = group.inverse(g)
-        args = group.multiply_coords(mesh, ginv)
-        factor = float(group.modular(ginv))
-    vals = grid.interpolate(F.values, grid.axis_queries(args))
-    out = SampledFunction(grid, np.multiply(factor, vals, out=vals))
+        vals, _ = _at_law(F, lambda mesh: group.multiply_coords(group.inverse(g), mesh))
+    else:
+        h = g if direction == "right" else group.inverse(g)
+        vals, _ = _at_law(F, lambda mesh: group.multiply_coords(mesh, h))
+        if direction == "measure":  # the measure action on a density
+            np.multiply(float(group.modular(h)), vals, out=vals)
+    out = SampledFunction(F.grid, vals)
     _warn_coverage(F, out, coverage_warn)
     return out
 
 
-def _normalize_direction(direction):
-    directions = ("left", "right", "measure")
-    if direction not in directions:
-        raise InvalidElementError(f"unknown translation direction {direction!r}; "
-                                  f"choose from {', '.join(directions)}")
-    return direction
+def _at_law(F, law):
+    """F interpolated at ``law(mesh)``, a group law applied to the grid's
+    ``mesh()``, and those points."""
+    grid = F.grid
+    args = law(grid.mesh())
+    return grid.interpolate(F.values, grid.axis_queries(args)), args
 
 
 def _translate_measure(mu, g, direction):
@@ -604,19 +611,14 @@ def _warn_coverage(before, after, threshold):
 def involution(F, kind="reverse"):
     """Involutions: reverse F(x^{-1}), its conjugate, and the adjoint
     ``modular(x^{-1}) conj(F(x^{-1}))`` that absorbs the Haar module."""
-    kinds = ("reverse", "conj_reverse", "adjoint")
-    if kind not in kinds:
-        raise InvalidElementError(f"unknown involution {kind!r}; choose from "
-                                  f"{', '.join(kinds)}")
-    grid = F.grid
-    group = grid.group
-    inv = group.inverse_coords(grid.mesh())
-    vals = grid.interpolate(F.values, grid.axis_queries(inv))
+    _one_of(kind, ("reverse", "conj_reverse", "adjoint"), "involution")
+    group = F.grid.group
+    vals, inv = _at_law(F, group.inverse_coords)
     if kind in ("conj_reverse", "adjoint"):
         vals = np.conj(vals)
     if kind == "adjoint":
         vals = vals * group.modular_coords(inv)
-    return SampledFunction(grid, vals)
+    return SampledFunction(F.grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +698,7 @@ def estimate_translation_operator_norm(space, g, direction, *, grid,
     nonnegative coefficient vectors, and scales by the squared equivalence
     bracket (one factor per switch between continuous and discrete norms).
     """
-    direction = _normalize_direction(direction)
+    direction = _one_of(direction, DIRECTIONS, "translation direction")
     if not test_family and well_spread is None:
         raise EmptyGridError("estimator needs a test family or a well-spread set")
     if not isinstance(coeff_count, (int, np.integer)) or coeff_count < 0:
@@ -727,15 +729,9 @@ def estimate_translation_operator_norm(space, g, direction, *, grid,
         else:
             gg = g if direction == "right" else group.inverse(g)
             if direction == "measure":
-                modular_factor = float(group.modular(group.inverse(g)))
+                modular_factor = float(group.modular(gg))
             base_X, base_U = well_spread, space.window
-            moved_X = well_spread
-            if isinstance(space.window, AxbWindow):
-                # cover the translated cell by the same-center inflated set,
-                # the form the doubling bound controls
-                moved_U = AxbCoverWindow.for_right_translate(space.window, gg)
-            else:
-                moved_U = right_translate(space.window, gg)
+            moved_X, moved_U = well_spread, space.window.right_cover(gg)
         # cells clipped by the truncation window would fake ratios that the
         # whole-space norms do not have; scan interior coefficients only
         ok = _unclipped_cells(base_X, base_U, grid) & _unclipped_cells(

@@ -93,8 +93,7 @@ def build_component(cfg, group):
     weight = build_weight(c.get("weight"))
     if c.get("type", "lp") == "lp":
         return WeightedLp(c.get("p", 1.0), weight)
-    return MixedLpq(c.get("p", 1.0), c.get("q", 1.0), weight,
-                    n=group.n if isinstance(group, AxbGroup) else 1)
+    return MixedLpq(c.get("p", 1.0), c.get("q", 1.0), weight, n=group.n)
 
 
 def build_family_on(kind, group, count, seed):

@@ -228,6 +228,15 @@ def _guarded(value):
     return float(value)
 
 
+def _lp_sum(values, mass, p):
+    """``(sum values^p mass)^(1/p)``, or ``max values mass`` at p = inf,
+    guarded."""
+    if p == math.inf:
+        return _guarded(np.max(values * mass, initial=0.0))
+    with np.errstate(over="ignore"):
+        return _guarded(np.sum(values**p * mass) ** (1.0 / p))
+
+
 def _check_group(component, grid):
     if component.group is not None and grid.group != component.group:
         raise GroupMismatchError(
@@ -240,12 +249,9 @@ def _weighted_lp_norm(component, F):
     absF = np.abs(F.values)
     if component.weight is not None:
         absF = absF * component.weight.on_grid(F.grid)
-    p = component.p
-    if p == math.inf:
-        return _guarded(absF.max(initial=0.0))
-    with np.errstate(over="ignore"):
-        total = np.sum(absF**p * F.grid.weights)
-        return _guarded(total ** (1.0 / p))
+    # at p = inf a point's mass is 1: the weight is in absF
+    return _lp_sum(absF, F.grid.weights if component.p < math.inf else 1.0,
+                   component.p)
 
 
 def _mixed_norm(component, F):
@@ -540,10 +546,5 @@ def sequence_norm(seq, grid=None):
     if np.isnan(values).any():
         raise NonFiniteSampleError("samples contain NaN")
     weight = component.weight.on_grid(grid) if component.weight is not None else None
-    p = component.p
-    mass = atoms.measure(p, weight, grid.weights)
-    if p == math.inf:
-        return _guarded(np.max(values * mass, initial=0.0))
-    with np.errstate(over="ignore"):
-        total = np.sum(values**p * mass)
-        return _guarded(total ** (1.0 / p))
+    return _lp_sum(values, atoms.measure(component.p, weight, grid.weights),
+                   component.p)

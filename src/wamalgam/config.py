@@ -126,6 +126,14 @@ def _function_kind(kind, group, _):
     return kind
 
 
+def _on_axb(kind, group, _):
+    """A mixed-norm component type, which reads an x and a scale axis."""
+    if group["kind"] != "axb":
+        raise ValueError(f"mixed-norm components require config.group.kind 'axb', "
+                         f"got {group['kind']!r}")
+    return kind
+
+
 _WEIGHT = Forms("family", {
     "constant": Form("a constant weight", {"family": _chosen, "c": _positive}),
     "power": Form("a power weight", {"family": _chosen, "s": _real}, ("s",)),
@@ -181,7 +189,7 @@ SECTIONS = {
     "component": Forms("type", {
         "lp": Form("an lp component", {"type": _chosen, "p": _exponent,
                                        "weight": _WEIGHT}),
-        "lpq": Form("an lpq component", {"type": _chosen, "p": _exponent, "q": _exponent,
+        "lpq": Form("an lpq component", {"type": _on_axb, "p": _exponent, "q": _exponent,
                                          "weight": _WEIGHT})}, "lp"),
     "weight": _WEIGHT, "function": _FUNCTION, "f": _FUNCTION, "g": _FUNCTION,
     "family": Form("a family", {"kind": _family, "count": _count}),
@@ -214,9 +222,15 @@ COMMANDS = {
     "axb discrete-norm": (("group", "grid", "lattice", "weight", "p", "q"), _AXB),
     "axb translation-bound": (("group", "y", "b", "p", "q", "alpha"), _AXB),
 }
-# (command, section) -> the narrower check of a section that the command
-# reads: cor_conv_Lp sums |x|^p, which has no meaning at p = inf
-NARROWED = {("verify cor_conv_Lp", "p"): _positive}
+# (command, section or section.key) -> the narrower check of what the command
+# reads: cor_conv_Lp sums |x|^p, which has no meaning at p = inf, and ball
+# integrals run at n = 1 and 2 only
+_BALL_N = _check(lambda v: isinstance(v, int) and _number(v) and 1 <= v <= 2,
+                 "n = 1 or 2, where ball integrals run")
+_BALL_GROUP = SECTIONS["group"]._replace(keys=SECTIONS["group"].keys | {"n": _BALL_N})
+NARROWED = {("verify cor_conv_Lp", "p"): _positive, ("doubling", "group.n"): _BALL_N,
+            ("axb tilde-v", "group"): _BALL_GROUP,
+            ("axb discrete-norm", "group"): _BALL_GROUP}
 
 
 def check_config(cfg, command):
@@ -231,9 +245,9 @@ def check_config(cfg, command):
     sections = {}
     for name in reads:
         section, _, key = name.partition(".")
-        sections[section] = NARROWED.get((command, name)) or (Form(
-            command, {key: SECTIONS[section].keys[key]}, reads=reads)
-            if key else SECTIONS[section])
+        check = NARROWED.get((command, name))
+        sections[section] = (Form(command, {key: check or SECTIONS[section].keys[key]},
+                                  reads=reads) if key else check or SECTIONS[section])
     form = Form(command, sections, reads=reads)
     given = _walk({"group": cfg["group"]} if "group" in cfg else {}, form, "config",
                   None).get("group", {})

@@ -20,9 +20,11 @@ affine windows the raveled x sub-grid and the scale axis, so a cell row is
 bit-identical to ``contains`` on all grid points. The builder asks the
 window for the factors of a whole block of base points at once, so the
 temporaries stay one block, and writes each row as one outer sum of its
-supports' flat strides and one outer product of their values. A moved box is a box
-(``windows.right_translate``). Separation counts come from
-``window.overlaps``, and Voronoi owners from the grid's ``axis_queries``.
+supports' flat strides and one outer product of their values. A right
+translate is covered by ``window.right_cover(g)``: a box moved by g, or on
+ax+b an ``AxbCoverWindow``, whose rows are built the same way.
+Separation counts come from ``window.overlaps``, and Voronoi owners from
+the grid's ``axis_queries``.
 
 A ``Bupu`` holds its members once, as one ``CellOperator`` with values
 (``bupu.operator``); ``member_indices`` and ``member_values`` are read-only
@@ -262,7 +264,6 @@ class WellSpreadSet:
     points: np.ndarray
     grid: object = None
     density_window: object = None
-    separation_constants: dict = field(default_factory=dict)
     labels: np.ndarray | None = None
 
     def __post_init__(self):
@@ -290,15 +291,10 @@ class WellSpreadSet:
 
 
 def check_relatively_separated(X, window):
-    """Exact maximum overlap count of the translates ``x_i . window``.
-
-    Stores the constant in ``X.separation_constants`` keyed by the window.
-    """
+    """Exact maximum overlap count of the translates ``x_i . window``."""
     if len(X) == 0:
         raise EmptyGridError("separation check needs a nonempty point set")
-    count = int(window.overlaps(X.points).sum(axis=0).max())
-    X.separation_constants[window.key()] = count
-    return count
+    return int(window.overlaps(X.points).sum(axis=0).max())
 
 
 def check_density(X, window):

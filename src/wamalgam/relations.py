@@ -107,23 +107,23 @@ class LpAlgebra:
 
 def _line_spaces(s, n):
     """R's set: Y = W(L^inf, L^p_v) on the window [-1/2, 1/2], M = W(M, L^p_v)
-    and bound = W(L^inf, L^r_w) with r = min(1, p) and w = (1 + |x|)^|s| (s is
-    v's exponent, 1 if it has none). Defaults: p = 1, v = 1 + |x|. Its
-    family label is the row's."""
+    and bound = W(L^inf, L^r_w) with r = min(1, p), Y's p-exponent, and
+    w = (1 + |x|)^|s| (s is v's exponent, 1 if it has none). Defaults:
+    p = 1, v = 1 + |x|. Its family label is the row's."""
     p, v = _default(s.p, 1.0), _default(s.weight, shifted_power_weight(1.0))
     window = BoxWindow.centered(0.5, n)
     w = shifted_power_weight(abs(v.params.get("s", 1.0)))
-    return {"Y": AmalgamSpace("linf", WeightedLp(p, v), window),
-            "M": AmalgamSpace("m", WeightedLp(p, v), window),
-            "bound": AmalgamSpace("linf", WeightedLp(min(1.0, p), w), window)}, None
+    Y = AmalgamSpace("linf", WeightedLp(p, v), window)
+    return {"Y": Y, "M": AmalgamSpace("m", WeightedLp(p, v), window),
+            "bound": AmalgamSpace("linf", WeightedLp(Y.p_exponent, w), window)}, None
 
 
 def _axb_spaces(s, n, alpha=None, right_weight=None):
     """ax+b's set on the window ``AxbWindow(0.5, 1.5)``: Y = W(L^inf,
-    L^{p,q}(v)) and bound = W(L^inf, L^r_w) with r = min(1, p, q) and w the
-    right-translation bound for v's doubling exponent alpha (certified here
-    when not given); ``right_weight`` stands in for w. Defaults: p = 1,
-    v = 1. The family label names p, q, v and alpha."""
+    L^{p,q}(v)) and bound = W(L^inf, L^r_w) with r = min(1, p, q), Y's
+    p-exponent, and w the right-translation bound for v's doubling exponent
+    alpha (certified here when not given); ``right_weight`` stands in for w.
+    Defaults: p = 1, v = 1. The family label names p, q, v and alpha."""
     p, v = _default(s.p, 1.0), _default(s.weight, constant_weight(1.0))
     if alpha is None:
         rec = check_doubling(v, [np.full(n, c) for c in (0.0, 1.5, -3.0)],
@@ -132,10 +132,9 @@ def _axb_spaces(s, n, alpha=None, right_weight=None):
             raise WeightDomainError("weight failed doubling certification")
         alpha = rec["alpha"]
     w = _default(right_weight, translation_bound_weight(p, s.q, alpha, n))
-    window = AxbWindow(0.5, 1.5)
-    return ({"Y": AmalgamSpace("linf", MixedLpq(p, s.q, v, n=n), window),
-             "bound": AmalgamSpace("linf", WeightedLp(min(1.0, p, s.q), w), window)},
-            f"axb p={p} q={s.q} v={v.name} alpha={alpha:.4g}")
+    Y = AmalgamSpace("linf", MixedLpq(p, s.q, v, n=n), AxbWindow(0.5, 1.5))
+    bound = AmalgamSpace("linf", WeightedLp(Y.p_exponent, w), Y.window)
+    return {"Y": Y, "bound": bound}, f"axb p={p} q={s.q} v={v.name} alpha={alpha:.4g}"
 
 
 # group kind -> (settings, n) -> its spaces by name and its family label, or

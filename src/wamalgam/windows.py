@@ -8,9 +8,10 @@ again a scale interval and the spatial ball dilates with the base scale).
 Boundaries count as inside throughout; midpoint grids never place a point
 on a generic boundary, so indicator assemblies stay exact.
 
-Where the group adds, the right translate ``U . g`` of a box is the box
-moved by g (``right_translate``). On ax+b it mixes x and a and is no window
-here; ``AxbCoverWindow.for_right_translate`` covers it instead.
+``right_cover(g)`` gives a window whose translates hold the right translates
+``x . U . g``: where the group adds, a box's right translate is the box
+moved by g; on ax+b it mixes x and a and is no window here, so
+``AxbWindow`` covers it by an ``AxbCoverWindow``.
 
 A window answers for its own shape, so callers never branch on its type.
 It knows the group it acts on, so no method takes one: ``contains(base,
@@ -145,6 +146,15 @@ class BoxWindow:
             slides.append((k, d_lo, d_hi))
         return [[slides]]
 
+    def right_cover(self, g):
+        """The right translate ``window . g``, the box moved by g: ``q g^{-1}``
+        lies in ``base . window`` iff q lies in ``base`` plus the moved box."""
+        g = np.asarray(g, dtype=float)
+        if g.shape != (len(self.lo),):
+            raise DimensionMismatchError("window dimension does not match points")
+        return BoxWindow(tuple((np.asarray(self.lo) + g).tolist()),
+                         tuple((np.asarray(self.hi) + g).tolist()))
+
     def key(self):
         return ("box", self.lo, self.hi)
 
@@ -248,6 +258,15 @@ class AxbWindow(_AffineWindow):
         scales = dlog <= 2 * np.log(self.beta) * (1 + _TOL)
         return balls & scales
 
+    def right_cover(self, g):
+        """A cover of the right translate ``window . g``, g = (y, b): the
+        same-centre set ``ball(0, beta |y| + radius) x b (1/beta, beta)``,
+        the form that the doubling bound controls cell by cell."""
+        y = np.asarray(g[:-1], dtype=float)
+        b = float(g[-1])
+        return AxbCoverWindow(self.beta * float(np.linalg.norm(y)) + self.radius,
+                              b / self.beta, b * self.beta)
+
     def key(self):
         return ("axb", self.radius, self.beta)
 
@@ -261,20 +280,13 @@ class AxbCoverWindow(_AffineWindow):
 
     Contains the right translate ``(x,a) . U(r, beta) . (y, b)`` when built
     with ``radius_mult = beta |y| + r`` and ``(s_lo, s_hi) = b (1/beta,
-    beta)``; the inflated ball keeps its center, which is what makes the
-    doubling bound applicable cell by cell.
+    beta)`` (``AxbWindow.right_cover``); the inflated ball keeps its center,
+    which is what makes the doubling bound applicable cell by cell.
     """
 
     radius_mult: float
     scale_lo: float
     scale_hi: float
-
-    @classmethod
-    def for_right_translate(cls, window, g):
-        y = np.asarray(g[:-1], dtype=float)
-        b = float(g[-1])
-        return cls(window.beta * float(np.linalg.norm(y)) + window.radius,
-                   b / window.beta, b * window.beta)
 
     def _in_ball(self, dist, ba):
         return dist <= self.radius_mult * ba * (1 + _TOL)
@@ -296,20 +308,3 @@ class AxbCoverWindow(_AffineWindow):
     def descriptor(self):
         return {"shape": "axb-cover", "radius_mult": self.radius_mult,
                 "scale_lo": self.scale_lo, "scale_hi": self.scale_hi}
-
-
-def right_translate(window, g):
-    """The right translate ``window . g`` of a box where the group adds.
-
-    ``q g^{-1}`` lies in ``base . window`` iff q lies in ``base`` plus the
-    box moved by g, so the translate is ``BoxWindow(lo + g, hi + g)``.
-    """
-    if not isinstance(window, BoxWindow):
-        raise InvalidElementError(
-            f"the right-translate of window {window.descriptor()} does not "
-            "factor over its grid; cover it by AxbCoverWindow.for_right_translate")
-    g = np.asarray(g, dtype=float)
-    if g.shape != (len(window.lo),):
-        raise DimensionMismatchError("window dimension does not match points")
-    return BoxWindow(tuple((np.asarray(window.lo) + g).tolist()),
-                     tuple((np.asarray(window.hi) + g).tolist()))

@@ -1,9 +1,8 @@
 """One grow-only scratch buffer per thread for the numerical kernels.
 
-A kernel (the sliding folds, the row loop and its tables, the row
-reductions) takes its temporaries at once, ``with scratch(spec, ...) as
-arrays``: views of this thread's buffer, valid while the block runs. A
-block inside another one carves after the other's arrays, and a kernel
+A kernel (the sliding folds, the row loop and its tables) takes its
+temporaries at once, ``with scratch(spec, ...) as arrays``: views of this
+thread's buffer, valid while the block runs. A block inside another one carves after the other's arrays, and a kernel
 returns none of them: every array it returns is its own. The buffer
 grows to exactly the largest request so far and is kept, so a kernel run
 again on the same shapes allocates no temporaries, and the allocator

@@ -19,6 +19,7 @@ from wamalgam import (
     SampledFunction,
     UniformGrid,
     WeightedLp,
+    WellSpreadSet,
     amalgam_norm,
     build_bupu,
     calibrate_equivalence_bracket,
@@ -31,15 +32,13 @@ from wamalgam import (
     involution,
     is_overflow,
     quasi_norm,
-    right_translate,
     sequence_norm,
     shifted_power_weight,
     translate,
 )
-from wamalgam.amalgam import normalize_local
+from wamalgam.amalgam import local_norms_indicator, normalize_local
 from wamalgam.components import OVERFLOW_GUARD
 from wamalgam.families import gaussian_bump_sum, piecewise_constant
-from wamalgam.windows import AxbCoverWindow
 
 from oracles import cover_by_translates, integer_lattice_set, window_haar_measure
 
@@ -156,12 +155,11 @@ def test_control_of_covers_and_moved_boxes_against_contains(case):
     translate of a box, which is the moved box, at every grid point."""
     if case == "box-right-r2":
         grid = UniformGrid(Euclidean(2), -2, 2, 24)
-        window = right_translate(BoxWindow.centered(0.4, 2), [0.3, -0.7])
+        window = BoxWindow.centered(0.4, 2).right_cover([0.3, -0.7])
     else:
         n = int(case[-1])
         grid = AxbGrid(AxbGroup(n), -2, 2, 24 // n, 0.25, 4.0, 16 // n)
-        window = AxbCoverWindow.for_right_translate(AxbWindow(0.5, 1.5),
-                                                    [0.4] * n + [2.0])
+        window = AxbWindow(0.5, 1.5).right_cover([0.4] * n + [2.0])
     F = SampledFunction(grid, generator(11).standard_normal(grid.shape))
     _check_against_contains(F, window, np.arange(grid.size))
 
@@ -675,3 +673,22 @@ def test_measure_control_atoms_plus_density(line_grid):
     K_dens = control_function(dens, Q, "l1")
     assert np.allclose(K.values, K_atoms.values + K_dens.values, atol=1e-12)
     assert mu.total_variation() == pytest.approx(2.0 + 2.0, rel=1e-6)
+
+
+def test_measure_control_at_grid_points_is_its_indicator_norms():
+    """At a point set X of grid points, the control function of a measure
+    reads its atoms as the indicator route does, bit for bit; a density
+    adds its l1 norms by two routes that agree to 1e-12."""
+    grid = UniformGrid(Euclidean(1), -4.0, 4.0, 64)
+    at = np.arange(2, 64, 5)
+    X = WellSpreadSet(grid.points()[at], grid=grid)
+    window = BoxWindow.centered(0.75, 1)
+    atoms = [(np.array([z]), m) for z, m in
+             ((0.3, 2.0), (0.35, -1j), (0.4, 0.7 + 0.1j), (-1.1, 3.0), (2.9, 0.25))]
+    mu = DiscreteMeasure(grid.group, atoms, grid=grid)
+    assert np.array_equal(control_function(mu, window, "m").values[at],
+                          local_norms_indicator(mu, X, window, "m"))
+    density = SampledFunction.sample(grid, lambda x: np.exp(-x**2))
+    mu = DiscreteMeasure(grid.group, atoms, density=density)
+    np.testing.assert_allclose(control_function(mu, window, "m").values[at],
+                               local_norms_indicator(mu, X, window, "m"), rtol=1e-12)

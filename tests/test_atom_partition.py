@@ -23,10 +23,8 @@ from wamalgam import (
     build_axb_lattice,
     build_bupu,
     euclidean_lattice,
-    right_translate,
 )
 from wamalgam.discretization import AtomPartition, _atom_partition
-from wamalgam.windows import AxbCoverWindow
 
 from oracles import integer_lattice_set
 
@@ -57,7 +55,7 @@ def _operator(name):
         X = euclidean_lattice(grid, 1.0)
         window = BoxWindow.centered(1.0, 2)
         if name == "moved-box":
-            window = right_translate(window, (0.37, -0.61))
+            window = window.right_cover((0.37, -0.61))
         if name == "hat-bupu":
             return build_bupu(X, window, grid=grid).operator
         if name == "box-offset":
@@ -66,7 +64,7 @@ def _operator(name):
     if name == "axb-cover":
         grid = AxbGrid(AxbGroup(1), -4.0, 4.0, 64, 0.25, 4.0, 40)
         X = build_axb_lattice(0.5, 2.0, j_range=(-1, 1), grid=grid, x_extent=3.0)
-        window = AxbCoverWindow.for_right_translate(AxbWindow(0.5, 1.5), [0.7, 1.3])
+        window = AxbWindow(0.5, 1.5).right_cover([0.7, 1.3])
         return X.cell_masks(window, grid)
     if name == "lattice":
         grid = LatticeGrid(IntegerLattice(2), -9, 9)

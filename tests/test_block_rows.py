@@ -29,7 +29,6 @@ from wamalgam import (
     build_bupu,
     control_function,
     euclidean_lattice,
-    right_translate,
 )
 from wamalgam import amalgam
 from wamalgam.amalgam import local_norms_bupu
@@ -50,7 +49,7 @@ def _factor_case(name, rng):
         return BoxWindow((-1.0, -2.0), (2.0, 1.0)), grid, rng.integers(-7, 8, (9, 2)) * 1.0
     if name == "moved-box":
         grid = UniformGrid(Euclidean(2), -3.0, 3.0, 30)
-        window = right_translate(BoxWindow.centered(0.5, 2), (0.4, -0.6))
+        window = BoxWindow.centered(0.5, 2).right_cover((0.4, -0.6))
         return window, grid, rng.uniform(-3.5, 3.5, (9, 2))
     n = 2 if name.endswith("n2") else 1
     if n == 1:
@@ -59,7 +58,7 @@ def _factor_case(name, rng):
         grid = AxbGrid(AxbGroup(2), -3.0, 3.0, 12, 0.5, 2.0, 6)
     window = AxbWindow(1.0, 2.0)
     if name.startswith("axb-cover"):
-        window = AxbCoverWindow.for_right_translate(window, [0.7] * n + [1.3])
+        window = window.right_cover([0.7] * n + [1.3])
     points = np.column_stack([rng.uniform(-4.5, 4.5, (9, n)),
                               np.exp(rng.uniform(-2.0, 2.0, 9))])
     return window, grid, points
@@ -203,8 +202,7 @@ def test_shared_row_slides_keep_the_control_function(n, shape, local, rng):
     grid = AxbGrid(AxbGroup(n), -6.0, 6.0, shape[0], 0.125, 8.0, shape[-1])
     F = SampledFunction(grid, rng.standard_normal(grid.shape))
     for window in (AxbWindow(1.0, 2.0),
-                   AxbCoverWindow.for_right_translate(AxbWindow(1.0, 2.0),
-                                                      [0.7] * n + [1.3])):
+                   AxbWindow(1.0, 2.0).right_cover([0.7] * n + [1.3])):
         expected = _reference_control(F, window, "linf" if local == "linf" else "l1")
         assert np.array_equal(control_function(F, window, local).values, expected)
 

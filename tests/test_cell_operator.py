@@ -32,7 +32,6 @@ from wamalgam import (
     estimate_translation_operator_norm,
     euclidean_lattice,
     quasi_norm,
-    right_translate,
     sequence_norm,
     shifted_power_weight,
     verify_bupu,
@@ -45,7 +44,6 @@ from wamalgam.errors import (
     InvalidElementError,
     NonFiniteSampleError,
 )
-from wamalgam.windows import AxbCoverWindow
 
 
 def reference_rows(X, window, grid):
@@ -93,7 +91,7 @@ def _case(name, rng):
     if name == "R2-right":
         grid = UniformGrid(E2, -3.0, 3.0, 30)  # midpoints -2.9 + 0.2 k
         X = euclidean_lattice(grid, 1.0)
-        return X, right_translate(BoxWindow.centered(0.5, 2), (0.4, -0.6)), grid
+        return X, BoxWindow.centered(0.5, 2).right_cover((0.4, -0.6)), grid
     if name == "Z":
         # integer offsets put grid points exactly on both box faces
         grid = LatticeGrid(IntegerLattice(1), -10, 10)
@@ -102,14 +100,14 @@ def _case(name, rng):
     if name == "Z2-right":
         grid = LatticeGrid(IntegerLattice(2), -6, 6)
         X = WellSpreadSet(np.array([[0.0, 0.0], [-5.0, 3.0], [6.0, 6.0]]), grid=grid)
-        return X, right_translate(BoxWindow((-1.0, -2.0), (2.0, 1.0)), (1.0, -2.0)), grid
+        return X, BoxWindow((-1.0, -2.0), (2.0, 1.0)).right_cover((1.0, -2.0)), grid
     if name in ("axb", "axb-cover"):
         grid = AxbGrid(AxbGroup(1), -4.0, 4.0, 64, 0.25, 4.0, 40)
         lattice = build_axb_lattice(0.5, 2.0, j_range=(-2, 2), x_extent=4.0)
         window = AxbWindow(1.0, 2.0)
         radius = window.radius
         if name == "axb-cover":
-            window = AxbCoverWindow.for_right_translate(window, [0.7, 1.3])
+            window = window.right_cover([0.7, 1.3])
             radius = window.radius_mult
         # bases whose ball has a grid point on its rim in exact arithmetic
         a = grid.axes[1]
@@ -120,7 +118,7 @@ def _case(name, rng):
     X = build_axb_lattice(1.0, 2.0, k_range=(-2, 2), j_range=(0, 1), grid=grid, n=2)
     window = AxbWindow(1.0, 2.0)
     if name == "axb-cover-n2":
-        window = AxbCoverWindow.for_right_translate(window, [0.5, -0.4, 1.3])
+        window = window.right_cover([0.5, -0.4, 1.3])
     return X, window, grid
 
 
@@ -142,15 +140,9 @@ def test_rows_equal_contains(name, rng):
     assert np.prod([len(f) for f in factors]) == grid.size
 
 
-def test_right_translate_on_axb_names_the_cover_window():
-    X, window, grid = _case("axb-n2", None)
-    with pytest.raises(InvalidElementError, match="right-translate.*AxbCoverWindow"):
-        right_translate(window, (0.5, -0.4, 1.3))
-
-
 def test_right_translate_checks_the_dimension():
     with pytest.raises(DimensionMismatchError):
-        right_translate(BoxWindow.centered(0.5, 2), (0.4, -0.6, 1.0))
+        BoxWindow.centered(0.5, 2).right_cover((0.4, -0.6, 1.0))
 
 
 @pytest.mark.parametrize("grid, spacing, radius, g", [
@@ -164,7 +156,7 @@ def test_moved_box_works_wherever_a_box_does(grid, spacing, radius, g):
     count is the unmoved box's, and its hats form a BUPU."""
     X = euclidean_lattice(grid, spacing)
     box = BoxWindow.centered(radius, 2)
-    moved = right_translate(box, g)
+    moved = box.right_cover(g)
     assert check_relatively_separated(X, moved) == check_relatively_separated(X, box)
     assert verify_bupu(build_bupu(X, moved, grid=grid))["passed"]
     assert moved == BoxWindow(tuple(np.add(box.lo, g)), tuple(np.add(box.hi, g)))
@@ -328,7 +320,7 @@ def test_discrete_norms_and_estimator_match_per_point_reference(rng):
     g = np.array([-0.75, 0.75])
     bound = estimate_translation_operator_norm(space, g, "right", grid=grid,
                                                well_spread=X, coeff_count=8)
-    moved = reference_rows(X, right_translate(size_window, g), grid)
+    moved = reference_rows(X, size_window.right_cover(g), grid)
     shape = np.array(grid.shape)
 
     def unclipped(idx):

@@ -197,7 +197,8 @@ def test_refine_below_one_is_a_usage_error(tmp_path, capsys):
     (["doubling"], [1], "config: expected an object, got list"),
     (["verify", "cor_conv_Lp"], {"weighted": "no"}, "config.weighted"),
     (["equivalence"], {"family": {"count": 0}}, "config.family.count"),
-    (["norm"], {"component": {"type": "lpq", "q": "x"}}, "config.component.q"),
+    (["norm"], {"group": {"kind": "axb"}, "component": {"type": "lpq", "q": "x"}},
+     "config.component.q"),
     (["axb", "discrete-norm"], {"q": "x"}, "config.q"),
     (["norm"], {"group": {"n": 2}, "function": {"kind": "indicator", "lo": [0],
                                                 "hi": [1]}}, "config.function.lo"),
@@ -296,6 +297,17 @@ def test_refine_below_one_is_a_usage_error(tmp_path, capsys):
      "config.window.lo: a box window reads radius, or lo and hi, not both"),
     (["verify", "cor_conv_Lp"], {"p": "inf"},
      "config.p: expected a finite positive number, got 'inf'"),
+    *[(argv, {"component": {"type": "lpq"}}, "config.component.type: mixed-norm "
+       "components require config.group.kind 'axb', got 'euclidean'")
+      for argv in (["norm"], ["equivalence"])],
+    (["norm"], {"group": {"kind": "lattice"}, "component": {"type": "lpq"}},
+     "config.component.type: mixed-norm components require config.group.kind 'axb', "
+     "got 'lattice'"),
+    (["doubling"], {"group": {"n": 3}},
+     "config.group.n: expected n = 1 or 2, where ball integrals run, got 3"),
+    *[(["axb", sub], {"group": {"kind": "axb", "n": 3}},
+       "config.group.n: expected n = 1 or 2, where ball integrals run, got 3")
+      for sub in ("tilde-v", "discrete-norm")],
 ])
 def test_bad_config_names_the_key(tmp_path, capsys, argv, config, key):
     """Bad values and unknown keys exit 1 with their key path, before any
