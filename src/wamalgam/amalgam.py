@@ -20,14 +20,18 @@ its rounding. A stencil whose parts times the grid points exceed
 ``_STENCIL_BUDGET`` is refused before any slide.
 A sliding max over a window of L indices runs by doubling along the axis
 where it lies: level 2s, the max over 2s indices from each one on, is
-level s read at k and at k + s, folded from one buffer into another, for
-s = 1, 2, 4, ... up to the largest power of 2 <= L (and below the axis
-length); the blocks that overhang the axis' ends are running maxima of
-its first and last indices, and the window reads the last level at its
-start, every s indices after it and at its end. So N samples cost
-O(N log L) time and O(N) memory. On ax+b, where the x half-width grows with the scale, all
-scale rows share the folds and each reads its own level. Sliding sums are
-differences of running sums. The slides take their temporaries from the
+level s read at k and at k + s, folded from one buffer into another. Two
+layouts serve the two kinds of slide. One window for every column (a
+box's slides) folds the axis up to the largest power of 2 s <= L below
+its length, adds the blocks that overhang its ends as running maxima of
+its first and last indices, and reads level s at the window's start,
+every s indices after it and at its end, from a table between two zero
+rows. Per-column windows (on ax+b, where the x half-width grows with the
+scale) fold one table of every position read, zero off the axis; each
+column keeps its own level s, the largest power of 2 <= its length, and
+reads it at lo and at hi - s + 1: two blocks that cover its window [lo,
+hi]. So N samples cost O(N log L) time and O(N) memory. Sliding sums
+are differences of running sums. The slides take their temporaries from the
 thread's kept workspace (``workspace``): a call on the shapes of an
 earlier one allocates only the array it returns.
 """
@@ -136,86 +140,84 @@ class AmalgamSpace:
 def _sliding_max(values, axis, lo, hi):
     """max over index offsets [lo, hi] along axis, zero-padded outside.
 
-    ``lo`` and ``hi`` are integers, or integer arrays that broadcast
-    against ``values`` without ``axis``: one window per column. Level s
-    holds at position k the max over positions k to k + s - 1. Its full
-    blocks, 0 <= k <= m - s on an axis of m, are level s/2 read at k and
-    at k + s/2, folded from ``values`` into one of two buffers and then
-    between them, one ufunc call a level. Its partial blocks at each end
-    are running maxima of the axis' first and last positions with 0
-    (``np.maximum.accumulate`` over s - 1 positions each), and its blocks
-    beyond them are 0. A window of length L reads level s, the largest
-    power of 2 with s <= L and s <= max(1, m - 1), at its start, every s
-    positions after that and at its end, from a table of level s between
-    one zero block on each side, which a position beyond reads. Per-column
-    windows copy each column's level into one more table, zero at every
-    other position that a read reaches.
+    ``lo`` and ``hi`` are integers, one window, or integer arrays that
+    broadcast against ``values`` without ``axis``, one window per column,
+    which ``_column_max`` slides. Level s holds at position k the max over
+    positions k to k + s - 1. A window of length L reads level s, the
+    largest power of 2 with s <= L and s <= max(1, m - 1) on an axis of m,
+    at its start, every s positions after that and at its end, from a
+    table of level s over the positions -s to m. Its full blocks,
+    0 <= k <= m - s, are level s/2 read at k and at k + s/2, folded from
+    ``values`` into one of two buffers and then between them, one ufunc
+    call a level (at s = 1, ``values`` copied); its partial blocks at each
+    end are running maxima of the axis' first and last positions with 0,
+    and its two end rows, which a position beyond the table reads, are 0.
+    """
+    lo, hi = _clipped(lo, values, axis), _clipped(hi, values, axis)
+    if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
+        return _column_max(values, axis, lo, hi)
+    m = values.shape[axis]
+    top = min(1 << ((hi - lo + 1).bit_length() - 1),
+              1 << (max(1, m - 1).bit_length() - 1))
+    depth = top.bit_length() - 1
+    other = values.size // m
+    # level top in its table, m + top + 1 rows, in the first buffer; the
+    # levels below alternate between the second buffer and the first,
+    # m - s + 1 rows each, level top / 2 in the second
+    below = max((m - (1 << k) + 1 for k in range(depth - 1, 0, -2)), default=0)
+    with scratch((((m + top + 1) * other,), float), ((below * other,), float)) as buffers:
+        table = _positions(buffers[0], values, axis, -top, m)
+        level = values
+        for k in range(1, depth + 1):
+            s = 1 << k
+            fold = (_along(table, axis, top, m + 1) if k == depth else
+                    _positions(buffers[(depth - k) % 2], values, axis, 0, m - s))
+            np.maximum(_along(level, axis, 0, m - s + 1),
+                       _along(level, axis, s // 2, m - s // 2 + 1), out=fold)
+            level = fold
+        if not depth:
+            np.copyto(_along(table, axis, 1, m + 1), values)
+        _ends(values, axis, top, _along(table, axis, 1, top),
+              _along(table, axis, m + 1, m + top))
+        _along(table, axis, 0, 1)[...] = 0.0
+        _along(table, axis, m + top, None)[...] = 0.0
+        out = np.empty(values.shape)
+        offsets = [*range(lo, hi - top + 1, top), hi - top + 1]
+        _read(np.maximum, table, -top, axis, offsets, out)
+    return out
+
+
+def _column_max(values, axis, lo, hi):
+    """``_sliding_max`` for per-column windows: ``lo`` and ``hi`` are
+    clipped, one offset per column (or one for all). Level 1 is a table of
+    every position read, min(lo, 0) to m - 1 + max(hi, 0) on an axis of m:
+    ``values`` on the axis, 0 outside it. Level 2s is level s read at k and
+    at k + s, folded between two buffers. A column keeps its level s, the
+    largest power of 2 with s <= hi - lo + 1, in the table, and reads it at
+    lo and at hi - s + 1: two blocks that cover its window.
     """
     m = values.shape[axis]
-    lo, hi = _clipped(lo, values, axis), _clipped(hi, values, axis)
-    columns = isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray)
-    cap = 1 << (max(1, m - 1).bit_length() - 1)
-    if columns:
-        span = np.minimum(1 << (np.frexp(hi - lo + 1)[1] - 1), cap)
-        top, lo_min, hi_max = int(span.max()), int(np.min(lo)), int(np.max(hi))
-    else:
-        span = top = min(1 << ((hi - lo + 1).bit_length() - 1), cap)
-        lo_min, hi_max = lo, hi
-    levels = [1 << k for k in range(1, top.bit_length())]
-    other = values.size // m
-    # the full blocks of each level but the last; the last, for one window,
-    # in the table it is read from: positions -top to m
-    rows = [m - s + 1 for s in levels]
-    if levels and not columns:
-        rows[-1] = m + top + 1
+    span = 1 << (np.frexp(hi - lo + 1)[1] - 1)
+    start, stop = min(int(np.min(lo)), 0), m - 1 + max(int(np.max(hi)), 0)
+    count, other = stop - start + 1, values.size // m
+    levels = [1 << k for k in range(1, int(span.max()).bit_length())]
     # levels 2, 8, 32, ... fold into the first buffer, 4, 16, 64, ... into the second
-    halves = [max(rows[0::2], default=0) * other, max(rows[1::2], default=0) * other]
-    # per-column windows: the partial blocks at both ends, then the kept table
-    kept = (2 * (top - 1) + hi_max + m - lo_min) * other if columns else 0
-    with scratch(((sum(halves) + other,), float), ((kept,), float),
-                 *_gather_buffers(values, columns)) as (flat, kept, *gather):
-        buffers = flat[:halves[0]], flat[halves[0]:sum(halves)]
-        zero = _positions(flat[sum(halves):], values, axis, 0, 0)
-        zero[...] = 0.0
-        if columns:
-            ends, kept = kept[:2 * (top - 1) * other], kept[2 * (top - 1) * other:]
-            ends = _positions(ends, values, axis, 1, 2 * (top - 1))
-            kept = _positions(kept, values, axis, lo_min, hi_max + m - 1)
-            kept[...] = 0.0
-            spans = _per_column(span, axis)
-            _ends(values, axis, top, _along(ends, axis, 0, top - 1),
-                  _along(ends, axis, top - 1, None))
-        level = values
-        for k, s in enumerate([1] + levels):
-            if s > 1:
-                fold = _positions(buffers[(k - 1) % 2], values, axis, 0, rows[k - 1] - 1)
-                if s == top and not columns:
-                    table, fold = fold, _along(fold, axis, top, m + 1)
-                np.maximum(_along(level, axis, 0, m - s + 1),
-                           _along(level, axis, s // 2, m - s // 2 + 1), out=fold)
-                level = fold
-            if columns:
-                # the level's full blocks, then its partial blocks at each end
-                where = spans == s
-                _put(kept, lo_min, level, 0, axis, where)
-                _put(kept, lo_min, _along(ends, axis, 0, s - 1), 1 - s, axis, where)
-                _put(kept, lo_min, _along(ends, axis, 2 * top - 1 - s, 2 * (top - 1)),
-                     m - s + 1, axis, where)
+    rows = [count - s + 1 for s in levels[:2]]
+    with scratch(*_gather_buffers(values), ((count * other,), float),
+                 *[((r * other,), float) for r in rows]) as (base, index, taken, kept, *buffers):
+        kept = _positions(kept, values, axis, start, stop)
+        _along(kept, axis, 0, -start)[...] = 0.0
+        np.copyto(_along(kept, axis, -start, m - start), values)
+        _along(kept, axis, m - start, None)[...] = 0.0
+        spans, level = _per_column(span, axis), kept
+        for k, s in enumerate(levels):
+            fold = _positions(buffers[k % 2], values, axis, 0, count - s)
+            np.maximum(_along(level, axis, 0, count - s + 1),
+                       _along(level, axis, s // 2, count - s // 2 + 1), out=fold)
+            np.copyto(_along(kept, axis, 0, count - s + 1), fold, where=spans == s)
+            level = fold
         out = np.empty(values.shape)
-        if columns:
-            reads = int((-(-(hi - lo + 1) // span)).max())
-            offsets = [np.minimum(lo + r * span, hi - span + 1) for r in range(reads)]
-            _gather(np.maximum, kept, lo_min, axis, offsets, out, *gather)
-        else:
-            offsets = [*range(lo, hi - span + 1, span), hi - span + 1]
-            if top > 1:
-                _ends(values, axis, top, _along(table, axis, 1, top),
-                      _along(table, axis, m + 1, m + top))
-                _along(table, axis, 0, 1)[...] = 0.0
-                _along(table, axis, m + top, None)[...] = 0.0
-                _read(np.maximum, table, -top, axis, offsets, 0, out)
-            else:
-                _read(np.maximum, values, 0, axis, offsets, 0, out, (zero, zero))
+        _gather(np.maximum, kept, start, axis, (lo, hi - span + 1), out, base, index, taken)
     return out
 
 
@@ -245,7 +247,7 @@ def _sliding_sum(values, axis, lo, hi):
     start = min(int(np.min(lo)) - 1, -1)
     stop = max(int(np.max(hi)) + m - 1, m - 1)
     with scratch((((stop - start + 1) * (values.size // m),), float),
-                 *_gather_buffers(values, columns)) as (table, *gather):
+                 *(_gather_buffers(values) if columns else ())) as (table, *gather):
         table = _positions(table, values, axis, start, stop)
         _along(table, axis, 0, -start)[...] = 0.0
         np.cumsum(values, axis, float, _along(table, axis, -start, m - start))
@@ -254,7 +256,7 @@ def _sliding_sum(values, axis, lo, hi):
         if columns:
             _gather(np.subtract, table, start, axis, (hi, lo - 1), out, *gather)
         else:
-            _read(np.subtract, table, start, axis, (hi, lo - 1), 0, out)
+            _read(np.subtract, table, start, axis, (hi, lo - 1), out)
     return out
 
 
@@ -289,30 +291,26 @@ def _per_column(x, axis):
     return x.reshape(x.shape[:axis] + (1,) + x.shape[axis:]) if np.ndim(x) else x
 
 
-def _read(ufunc, table, start, axis, offsets, first, out, edges=None):
+def _read(ufunc, table, start, axis, offsets, out):
     """``out[i]`` along ``axis`` is ``ufunc`` folded over the table's
-    entries at the positions ``i + first + o``, one per offset o, in order.
-    The table holds the positions from ``start`` on; a position before or
-    after them reads ``edges``, one row each, by default the table's first
-    and last. The reads are slices, one run of output indices at a time."""
+    entries at the positions ``i + o``, one per offset o, in order. The
+    table holds the positions from ``start`` on; a position before or after
+    them reads the table's first or last row. The reads are slices, one run
+    of output indices at a time."""
     lead, n, count = (slice(None),) * axis, out.shape[axis], table.shape[axis]
-    shift = first - start  # the table row that output index 0 reads at offset 0
+    edges = table[lead + (slice(0, 1),)], table[lead + (slice(-1, None),)]
     cuts = [0, n]
     for o in offsets:
-        cuts.extend(c for c in (-shift - o, count - shift - o) if 0 < c < n)
+        cuts.extend(c for c in (start - o, start + count - o) if 0 < c < n)
     cuts.sort()
     for i, j in zip(cuts, cuts[1:]):
         if i == j:
             continue
         reads = []
         for o in offsets:
-            p = i + shift + o
-            if 0 <= p < count:
-                reads.append(table[lead + (slice(p, p + j - i),)])
-            else:
-                if edges is None:
-                    edges = table[lead + (slice(0, 1),)], table[lead + (slice(-1, None),)]
-                reads.append(edges[p >= count])
+            p = i + o - start  # the table row that output index i reads
+            reads.append(table[lead + (slice(p, p + j - i),)] if 0 <= p < count
+                         else edges[p >= count])
         piece = out[lead + (slice(i, j),)]
         if len(reads) == 1:
             np.copyto(piece, reads[0])
@@ -323,21 +321,9 @@ def _read(ufunc, table, start, axis, offsets, first, out, edges=None):
     return out
 
 
-def _put(table, start, part, first, axis, where):
-    """Copy ``part``, the positions from ``first`` on along ``axis``, into
-    ``table``, the positions from ``start`` on, where they overlap and
-    ``where`` holds."""
-    a = max(first, start)
-    b = min(first + part.shape[axis], start + table.shape[axis])
-    if a < b:
-        np.copyto(_along(table, axis, a - start, b - start),
-                  _along(part, axis, a - first, b - first), where=where)
-
-
-def _gather_buffers(values, columns):
-    """The two index buffers and the value buffer of a per-column read,
-    none otherwise."""
-    return [(values.shape, np.intp)] * 2 + [(values.shape, float)] if columns else []
+def _gather_buffers(values):
+    """The two index buffers and the value buffer of a per-column read."""
+    return [(values.shape, np.intp)] * 2 + [(values.shape, float)]
 
 
 def _gather(ufunc, table, start, axis, offsets, out, base, index, taken):
@@ -422,8 +408,7 @@ def budgeted_stencil(window, grid):
     if parts * grid.size > _STENCIL_BUDGET:
         raise EmptyGridError(
             f"control function: {grid.size:,} grid points times {parts:,} stencil "
-            f"parts exceed the budget of {_STENCIL_BUDGET:,}; an ax+b ball has "
-            "more parts at larger grid.x_cells")
+            f"parts exceed the budget of {_STENCIL_BUDGET:,}")
     return stencil
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .amalgam import AmalgamSpace, amalgam_norm, budgeted_stencil, equivalence_pairs
+from .amalgam import AmalgamSpace, budgeted_stencil, equivalence_pairs
 from .axb import compute_ball_weights, lpq_discrete_norm, right_translation_bound
 from .components import (
     MixedLpq,
@@ -38,7 +38,7 @@ from .components import (
 from .config import GROUPS, check_config
 from .convolution import convolve
 from .discretization import build_axb_lattice, build_bupu, euclidean_lattice
-from .errors import ConfigError, NonFiniteSampleError, WamalgamError
+from .errors import ConfigError, EmptyGridError, NonFiniteSampleError, WamalgamError
 from .families import N_DIMENSIONAL_FAMILIES, build_family, delta_comb, generator
 from .groups import AxbGrid, AxbGroup, LatticeGrid, SampledFunction, UniformGrid
 from .relations import RELATIONS, RelationSettings
@@ -66,6 +66,24 @@ def build_grid(cfg):
                           **(defaults | cfg.get("grid", {})))
     except WamalgamError as exc:
         raise ConfigError(f"config.grid: {exc}") from exc
+
+
+# group kind -> how to shrink its grid when a stencil is over budget
+SHRINK = {
+    "euclidean": "lower config.grid.cells",
+    "lattice": "narrow config.grid.lo to config.grid.hi",
+    "axb": "lower config.grid.x_cells, which sets both counts",
+}
+
+
+def check_budget(window, grid):
+    """Refuse at ``config.grid`` a window whose stencil on the grid is over
+    the control functions' budget (``budgeted_stencil``); the grid and
+    window alone decide it, so a command checks before it builds more."""
+    try:
+        budgeted_stencil(window, grid)
+    except EmptyGridError as exc:
+        raise ConfigError(f"config.grid: {exc}; {SHRINK[grid.group.kind]}") from exc
 
 
 def build_window(cfg, group):
@@ -204,13 +222,11 @@ def write_csv(path, header, rows):
 def cmd_norm(cfg, args):
     grid = build_grid(cfg)
     window = build_window(cfg, grid.group)
-    component = build_component(cfg, grid.group)
-    local = cfg.get("local", "linf")
-    budgeted_stencil(window, grid)  # before sampling, which the budget may refuse
-    F = build_function(cfg, grid, args.seed)
-    value = amalgam_norm(F, window, local, component)
+    check_budget(window, grid)
+    space = AmalgamSpace(cfg.get("local", "linf"), build_component(cfg, grid.group), window)
+    value = space.norm(build_function(cfg, grid, args.seed))
     results = {
-        "space": f"W({local},{component.describe()})",
+        "space": space.describe(),
         "window": window.descriptor(),
         "value": "OVERFLOW" if is_overflow(value) else float(value),
     }
@@ -231,15 +247,14 @@ def cmd_equivalence(cfg, args):
     grid = build_grid(cfg)
     group = grid.group
     window = build_window(cfg, group)
-    component = build_component(cfg, group)
-    local = cfg.get("local", "linf")
+    check_budget(window, grid)
+    space = AmalgamSpace(cfg.get("local", "linf"), build_component(cfg, group), window)
     spacing = cfg.get("lattice_spacing", 1.0)
     X = euclidean_lattice(grid, spacing)
     bupu = build_bupu(X, BoxWindow.centered(spacing, group.n), grid=grid)
     family = cfg.get("family", {})
     specs = build_family_on(family.get("kind"), group, family.get("count", 50),
                             args.seed)
-    space = AmalgamSpace(local, component, window)
     ratios = [disc / cont for cont, disc in equivalence_pairs(
         space, bupu, (spec.sample(grid) for spec in specs))]
     if not ratios:
@@ -247,7 +262,7 @@ def cmd_equivalence(cfg, args):
     ratios = np.asarray(ratios)
     bracket = float(max(ratios.max(), 1.0 / ratios.min()))
     results = {
-        "space": f"W({local},{component.describe()})",
+        "space": space.describe(),
         "ratios_min": float(ratios.min()),
         "ratios_max": float(ratios.max()),
         "bracket_constant": bracket,

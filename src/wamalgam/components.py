@@ -162,7 +162,6 @@ class WeightedLp:
 
     p: float
     weight: WeightFunction | None = None
-    group: object = None
 
     def __post_init__(self):
         if not (self.p > 0):
@@ -237,15 +236,7 @@ def _lp_sum(values, mass, p):
         return _guarded(np.sum(values**p * mass) ** (1.0 / p))
 
 
-def _check_group(component, grid):
-    if component.group is not None and grid.group != component.group:
-        raise GroupMismatchError(
-            f"function on {grid.group} fed to component over {component.group}"
-        )
-
-
 def _weighted_lp_norm(component, F):
-    _check_group(component, F.grid)
     absF = np.abs(F.values)
     if component.weight is not None:
         absF = absF * component.weight.on_grid(F.grid)
@@ -540,7 +531,6 @@ def sequence_norm(seq, grid=None):
         step = assemble_step_function(seq.well_spread, seq.window,
                                       seq.coefficients, grid)
         return quasi_norm(component, step)
-    _check_group(component, grid)
     atoms = seq.well_spread.cell_masks(seq.window, grid).atoms
     values = atoms.sums(np.abs(seq.coefficients))
     if np.isnan(values).any():

@@ -308,12 +308,20 @@ def test_refine_below_one_is_a_usage_error(tmp_path, capsys):
     *[(["axb", sub], {"group": {"kind": "axb", "n": 3}},
        "config.group.n: expected n = 1 or 2, where ball integrals run, got 3")
       for sub in ("tilde-v", "discrete-norm")],
+    *[(argv, {"group": {"n": 3}}, "config.grid: control function: 134,217,728 grid "
+       "points times 1 stencil parts exceed the budget of 100,000,000; lower "
+       "config.grid.cells") for argv in (["norm"], ["equivalence"])],
 ])
-def test_bad_config_names_the_key(tmp_path, capsys, argv, config, key):
-    """Bad values and unknown keys exit 1 with their key path, before any
-    command runs."""
+def test_bad_config_names_the_key(tmp_path, capsys, monkeypatch, argv, config, key):
+    """Bad values, unknown keys and over-budget grids exit 1 with their key
+    path, before a command builds a BUPU or samples anything."""
     from wamalgam import cli
 
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_bupu was reached")
+
+    # a 512^3 BUPU would take 8 GiB
+    monkeypatch.setattr(cli, "build_bupu", unreachable)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path)]) == 1
