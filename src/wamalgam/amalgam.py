@@ -59,7 +59,7 @@ from .errors import (
     InvalidElementError,
     NonFiniteSampleError,
 )
-from .groups import SampledFunction, corner_weight, haar_integral
+from .groups import SampledFunction, corner_weight
 from .workspace import scratch
 
 # grid points times stencil parts that one control function may slide over
@@ -97,12 +97,6 @@ class DiscreteMeasure:
         ]
         if self.grid is None and self.density is not None:
             self.grid = self.density.grid
-
-    def total_variation(self):
-        tv = sum(abs(m) for _, m in self.atoms)
-        if self.density is not None:
-            tv += haar_integral(abs(self.density))
-        return tv
 
 
 @dataclass
@@ -508,22 +502,20 @@ def _reduce_rows(F, grid, op, local):
     return op.reduce(np.maximum if local == "linf" else np.add, piece)
 
 
-def discrete_amalgam_norm(F, bupu, local, component, window=None,
-                          variant="bupu"):
+def discrete_amalgam_norm(F, bupu, local, component, variant="bupu"):
     """Equivalent discrete quasi-norm through a BUPU (or indicator system).
 
-    Computes the Y_d(X) norm of the member-wise local norms; ``window``
-    defaults to the BUPU's size window.
+    Computes the Y_d(X) norm of the member-wise local norms; the indicator
+    system is that of the BUPU's size window.
     """
-    window = window if window is not None else bupu.size_window
     if variant == "bupu":
         coeffs = local_norms_bupu(F, bupu, local)
     elif variant == "indicator":
-        coeffs = local_norms_indicator(F, bupu.base_set, window, local)
+        coeffs = local_norms_indicator(F, bupu.base_set, bupu.size_window, local)
     else:
         raise InvalidElementError(f"unknown discrete variant {variant!r}")
     grid = F.grid if not isinstance(F, DiscreteMeasure) else bupu.grid
-    seq = DiscreteSequence(coeffs, bupu.base_set, component, window)
+    seq = DiscreteSequence(coeffs, bupu.base_set, component, bupu.size_window)
     return sequence_norm(seq, grid)
 
 

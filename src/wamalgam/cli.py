@@ -38,7 +38,13 @@ from .components import (
 from .config import GROUPS, check_config
 from .convolution import convolve
 from .discretization import build_axb_lattice, build_bupu, euclidean_lattice
-from .errors import ConfigError, EmptyGridError, NonFiniteSampleError, WamalgamError
+from .errors import (
+    ConfigError,
+    EmptyGridError,
+    NonFiniteSampleError,
+    WamalgamError,
+    WeightDomainError,
+)
 from .families import N_DIMENSIONAL_FAMILIES, build_family, delta_comb, generator
 from .groups import AxbGrid, AxbGroup, LatticeGrid, SampledFunction, UniformGrid
 from .relations import RELATIONS, RelationSettings
@@ -104,6 +110,15 @@ def build_weight(w):
     if w is None:
         return None
     return WEIGHT_FAMILIES[w["family"]](**{k: v for k, v in w.items() if k != "family"})
+
+
+def refusing_weight(run, *args):
+    """``run(*args)``, reporting at ``config.weight`` a weight that its ball
+    integrals or its doubling certificate refuse."""
+    try:
+        return run(*args)
+    except WeightDomainError as exc:
+        raise ConfigError(f"config.weight: {exc}") from exc
 
 
 def build_component(cfg, group):
@@ -237,7 +252,8 @@ def cmd_doubling(cfg, args):
     weight = build_weight(cfg.get("weight")) or constant_weight(1.0)
     centers = [np.full(cfg["group"]["n"], c)
                for c in cfg.get("centers", [0.0, 1.5, -3.0])]
-    record = check_doubling(weight, centers, cfg.get("radii", [0.5, 1.0, 2.0, 4.0]))
+    record = refusing_weight(check_doubling, weight, centers,
+                             cfg.get("radii", [0.5, 1.0, 2.0, 4.0]))
     results = {"weight": weight.certificate_record(), "verdict": record}
     status = "pass" if record["passed"] else "fail"
     return None, results, f"doubling: {status}", record["passed"]
@@ -289,7 +305,7 @@ def cmd_convolve(cfg, args):
 def cmd_verify(cfg, args):
     relation = RELATIONS[args.relation]
     grid = build_grid(cfg) if "grid" in cfg else relation.grid
-    results = relation.run(RelationSettings(
+    results = refusing_weight(relation.run, RelationSettings(
         seed=args.seed, levels=args.refine, p=cfg.get("p"), q=cfg.get("q", 1.0),
         weighted=cfg.get("weighted", False),
         weight=build_weight(cfg.get("weight")), grid=grid,
@@ -315,7 +331,7 @@ def cmd_axb(cfg, args):
                           lat.get("k_range", [-10, 10]), lat.get("j_range", [-2, 2]),
                           grid=grid, n=n)
     weight = build_weight(cfg.get("weight")) or constant_weight(1.0)
-    table = compute_ball_weights(weight, X)
+    table = refusing_weight(compute_ball_weights, weight, X)
     if sub == "tilde-v":
         rows = [[str(k), j, *x[:-1], x[-1], v]
                 for (k, j), x, v in zip(X.labels, X.points, table.values)]

@@ -23,8 +23,7 @@ temporaries stay one block, and writes each row as one outer sum of its
 supports' flat strides and one outer product of their values. A right
 translate is covered by ``window.right_cover(g)``: a box moved by g, or on
 ax+b an ``AxbCoverWindow``, whose rows are built the same way.
-Separation counts come from ``window.overlaps``, and Voronoi owners from
-the grid's ``axis_queries``.
+Separation counts come from ``window.overlaps``.
 
 A ``Bupu`` holds its members once, as one ``CellOperator`` with values
 (``bupu.operator``); ``member_indices`` and ``member_values`` are read-only
@@ -47,11 +46,11 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import DensityError, EmptyGridError, InvalidElementError
-from .groups import SampledFunction, tensor_points
+from .groups import tensor_points
 
 _TOL = 1e-9
-# entries of one block array: the squared distances _voronoi_owner holds at
-# once, and the factor entries and divisions of the hat and cell builders
+# entries of one block array: the factor entries and divisions of the hat
+# and cell builders
 _OWNER_BLOCK = 1 << 16
 
 
@@ -274,8 +273,9 @@ class WellSpreadSet:
         return len(self.points)
 
     def cell_masks(self, window, grid):
-        """The ``CellOperator`` of the translates ``x_i . window`` (cached)."""
-        key = (window.key(), grid)
+        """The ``CellOperator`` of the translates ``x_i . window``, cached by
+        the window's and the grid's values (windows are frozen dataclasses)."""
+        key = (window, grid)
         if key not in self._mask_cache:
             self._mask_cache[key] = _product_rows(self.points, window.axis_masks,
                                                   grid)
@@ -333,13 +333,13 @@ def euclidean_lattice(grid, spacing, origin=0.0):
 
 
 def build_axb_lattice(a0, b0, k_range=None, j_range=(0, 0), grid=None, n=1,
-                      density_window=None, x_extent=None):
+                      x_extent=None):
     """Affine lattice ``(a0 b0^{-j} k, b0^{-j})`` for k in Z^n, j in Z.
 
     The spatial spacing scales with the level, so the family is well
     spread; density for ``AxbWindow(r, beta)`` holds whenever
-    ``r >= a0 * sqrt(n) / 2`` and ``beta >= sqrt(b0)`` and is certified
-    numerically when a density window is supplied. ``k_range`` fixes the
+    ``r >= a0 * sqrt(n) / 2`` and ``beta >= sqrt(b0)``; ``check_density``
+    certifies it numerically on the grid. ``k_range`` fixes the
     index range on every level; ``x_extent`` instead keeps the spatial
     extent constant by widening the index range on finer levels.
     """
@@ -364,11 +364,8 @@ def build_axb_lattice(a0, b0, k_range=None, j_range=(0, 0), grid=None, n=1,
         block[:, -1] = scale
         pts.append(block)
         labels.extend((tuple(kv), int(j)) for kv in kvecs)
-    X = WellSpreadSet(np.concatenate(pts, axis=0), grid=grid,
-                      labels=np.array(labels, dtype=object))
-    if density_window is not None and grid is not None:
-        check_density(X, density_window)
-    return X
+    return WellSpreadSet(np.concatenate(pts, axis=0), grid=grid,
+                         labels=np.array(labels, dtype=object))
 
 
 # ---------------------------------------------------------------------------
@@ -417,47 +414,21 @@ class Bupu:
     def member_values(self):
         return _RowViews(self.operator.indptr, self.operator.values)
 
-    def member(self, i):
-        """Member i as a dense SampledFunction."""
-        out = np.zeros(self.grid.shape)
-        out.reshape(-1)[self.member_indices[i]] = self.member_values[i]
-        return SampledFunction(self.grid, out)
 
-    def total(self):
-        op = self.operator
-        total = np.bincount(op.indices, weights=op.values, minlength=op.size)
-        return SampledFunction(self.grid, total.reshape(self.grid.shape))
-
-
-def build_bupu(X, window, grid=None, kind="hat"):
+def build_bupu(X, window, grid=None):
     """Partition of unity subordinate to ``x_i . window``.
 
-    ``kind="hat"`` builds the hats ``window.axis_hats`` gives, renormalized
-    by their pointwise sum: tensor products of 1-D hats for boxes, and for
-    ``AxbWindow`` an x-ball hat times a log-scale hat. ``kind="voronoi"``
-    assigns each grid point to its nearest lattice point, giving a
-    {0,1}-valued partition. Raises DensityError (naming an uncovered grid
-    point) when X is not dense enough for the window. A hat costs its
-    factors' lengths plus its support per member; the build holds the
-    operator, the pointwise sum and one block of divisions.
+    The members are the hats ``window.axis_hats`` gives, renormalized by
+    their pointwise sum: tensor products of 1-D hats for boxes, and for
+    ``AxbWindow`` an x-ball hat times a log-scale hat. Raises DensityError
+    (naming an uncovered grid point) when X is not dense enough for the
+    window. A hat costs its factors' lengths plus its support per member;
+    the build holds the operator, the pointwise sum and one block of
+    divisions.
     """
-    if kind not in ("hat", "voronoi"):
-        raise InvalidElementError(
-            f"unknown BUPU kind {kind!r}; choose 'hat' or 'voronoi'")
     grid = grid if grid is not None else X.grid
     if grid is None:
         raise EmptyGridError("building a BUPU needs a grid")
-    if kind == "voronoi":
-        pts = grid.points()
-        owner = _voronoi_owner(X, grid, pts)
-        indptr = np.zeros(len(X) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(owner, minlength=len(X)), out=indptr[1:])
-        op = CellOperator(indptr, np.argsort(owner, kind="stable"), grid.size,
-                          np.ones(grid.size))
-        bupu = Bupu(X, window, grid, op)
-        _check_supports(bupu, window, pts)
-        return bupu
-
     op = _product_rows(X.points, window.axis_hats, grid)
     total = np.bincount(op.indices, weights=op.values, minlength=grid.size)
     uncovered = np.flatnonzero(total <= 0)
@@ -470,37 +441,6 @@ def build_bupu(X, window, grid=None, kind="hat"):
         block = slice(start, start + _OWNER_BLOCK)
         op.values[block] /= total[op.indices[block]]
     return Bupu(X, window, grid, op)
-
-
-def _voronoi_owner(X, grid, pts):
-    """Index of the nearest lattice point, in the grid's interpolation
-    coordinates (``axis_queries``: log a on ax+b).
-
-    Grid points are taken in blocks of about ``_OWNER_BLOCK / |X|`` rows,
-    so the distance array stays small; each row's distances and ``argmin``
-    (first minimum on ties) are those of the whole array.
-    """
-    q = np.column_stack(grid.axis_queries(pts.T))
-    c = np.column_stack(grid.axis_queries(X.points.T))
-    rows = max(1, _OWNER_BLOCK // max(len(c), 1))
-    owner = np.empty(len(q), dtype=np.intp)
-    for start in range(0, len(q), rows):
-        block = q[start:start + rows, None, :]
-        d2 = np.sum((block - c[None, :, :]) ** 2, axis=-1)
-        owner[start:start + rows] = np.argmin(d2, axis=1)
-    return owner
-
-
-def _check_supports(bupu, window, pts):
-    for i, (idx, vals) in enumerate(zip(bupu.member_indices, bupu.member_values)):
-        if idx.size == 0:
-            continue
-        inside = window.contains(bupu.base_set.points[i], pts[idx])
-        if not np.all(inside | (vals <= _TOL)):
-            raise DensityError(
-                "voronoi cell leaks outside its size window",
-                pts[idx[int(np.argmin(inside))]],
-            )
 
 
 def bupu_to_csv(bupu, path):

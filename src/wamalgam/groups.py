@@ -29,8 +29,6 @@ from .errors import (
     NonFiniteSampleError,
 )
 
-_EPS = 1e-12
-
 
 def _as_points(g, dim):
     g = np.asarray(g, dtype=float)
@@ -49,7 +47,7 @@ def _coords(g):
 
 
 class GroupSpec:
-    """Group law, inverse, identity, left-Haar density and modular function."""
+    """Group law, inverse, identity and modular function."""
 
     kind: str
     n: int
@@ -77,10 +75,6 @@ class GroupSpec:
 
     @property
     def identity(self):
-        raise NotImplementedError
-
-    def haar_density(self, g):
-        """Density of the left Haar measure w.r.t. coordinate Lebesgue/counting measure."""
         raise NotImplementedError
 
     def modular(self, g):
@@ -124,10 +118,6 @@ class _Additive(GroupSpec):
     @property
     def identity(self):
         return np.zeros(self.dim)
-
-    def haar_density(self, g):
-        g = self.check_element(g)
-        return np.ones(g.shape[:-1])
 
 
 def _integral_coords(g):
@@ -187,10 +177,6 @@ class AxbGroup(GroupSpec):
         e = np.zeros(self.dim)
         e[-1] = 1.0
         return e
-
-    def haar_density(self, g):
-        g = self.check_element(g)
-        return g[..., -1] ** (-(self.n + 1))
 
 
 def element(group, *coords):
@@ -400,10 +386,17 @@ def _axis_locate(axis, step, q):
     return low.astype(np.intp), frac, inside
 
 
-def _check_window(lo, hi, lo_name, hi_name):
+def _window_steps(lo, hi, cells, lo_name, hi_name):
+    """Widths of ``cells`` cells per axis from ``lo`` to ``hi``: finite, or raises."""
     if not np.all(lo < hi):
         raise EmptyGridError(f"grid window is empty: it needs {lo_name} < {hi_name} "
                              f"on every axis, got {lo.tolist()} and {hi.tolist()}")
+    with np.errstate(over="ignore"):
+        steps = (hi - lo) / np.array(cells)
+    if not np.all(np.isfinite(steps)):
+        raise InvalidElementError(f"grid window is too wide: {hi_name} - {lo_name} "
+                                  f"overflows, got {lo.tolist()} and {hi.tolist()}")
+    return steps
 
 
 def _integral(bound, name, n):
@@ -427,8 +420,7 @@ class UniformGrid(Grid):
         self.cells = tuple(np.broadcast_to(np.asarray(cells, dtype=int), (group.n,)))
         if any(c <= 0 for c in self.cells):
             raise EmptyGridError("grid needs at least one cell per axis")
-        _check_window(self.lo, self.hi, "lo", "hi")
-        self.steps = (self.hi - self.lo) / np.array(self.cells)
+        self.steps = _window_steps(self.lo, self.hi, self.cells, "lo", "hi")
         self.axes = tuple(
             self.lo[k] + (np.arange(self.cells[k]) + 0.5) * self.steps[k]
             for k in range(group.n)
@@ -528,8 +520,7 @@ class AxbGrid(Grid):
         self.a_lo, self.a_hi, self.a_cells = float(a_lo), float(a_hi), int(a_cells)
         if any(c <= 0 for c in self.x_cells) or self.a_cells <= 0:
             raise EmptyGridError("grid needs at least one cell per axis")
-        _check_window(self.x_lo, self.x_hi, "x_lo", "x_hi")
-        self.x_steps = (self.x_hi - self.x_lo) / np.array(self.x_cells)
+        self.x_steps = _window_steps(self.x_lo, self.x_hi, self.x_cells, "x_lo", "x_hi")
         x_axes = tuple(
             self.x_lo[k] + (np.arange(self.x_cells[k]) + 0.5) * self.x_steps[k]
             for k in range(n)

@@ -155,9 +155,6 @@ class BoxWindow:
         return BoxWindow(tuple((np.asarray(self.lo) + g).tolist()),
                          tuple((np.asarray(self.hi) + g).tolist()))
 
-    def key(self):
-        return ("box", self.lo, self.hi)
-
     def descriptor(self):
         return {"shape": "box", "lo": list(self.lo), "hi": list(self.hi)}
 
@@ -267,9 +264,6 @@ class AxbWindow(_AffineWindow):
         return AxbCoverWindow(self.beta * float(np.linalg.norm(y)) + self.radius,
                               b / self.beta, b * self.beta)
 
-    def key(self):
-        return ("axb", self.radius, self.beta)
-
     def descriptor(self):
         return {"shape": "axb", "radius": self.radius, "beta": self.beta}
 
@@ -301,9 +295,6 @@ class AxbCoverWindow(_AffineWindow):
                                   "it has no hats and no overlap test")
 
     axis_hats = overlaps = _unsupported
-
-    def key(self):
-        return ("axb-cover", self.radius_mult, self.scale_lo, self.scale_hi)
 
     def descriptor(self):
         return {"shape": "axb-cover", "radius_mult": self.radius_mult,

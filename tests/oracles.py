@@ -1,10 +1,11 @@
 """Oracles and bound slacks that only the tests use: Haar measures of
-windows, covers of one box by translates of another, and the lattice
-points of a grid as a well-spread set."""
+windows, covers of one box by translates of another, the lattice points
+of a grid as a well-spread set, and a BUPU's members and their sum as
+dense sampled functions."""
 
 import numpy as np
 
-from wamalgam import Euclidean, IntegerLattice, WellSpreadSet
+from wamalgam import Euclidean, IntegerLattice, SampledFunction, WellSpreadSet
 from wamalgam.errors import InvalidElementError
 from wamalgam.groups import tensor_points
 from wamalgam.windows import _TOL
@@ -47,3 +48,19 @@ def cover_by_translates(big, small, group):
 def integer_lattice_set(grid):
     """All points of a LatticeGrid as a well-spread set."""
     return WellSpreadSet(grid.points(), grid=grid)
+
+
+def dense_member(bupu, i):
+    """Member i of a BUPU as a dense SampledFunction, from its operator's row."""
+    op = bupu.operator
+    row = slice(op.indptr[i], op.indptr[i + 1])
+    out = np.zeros(bupu.grid.size)
+    out[op.indices[row]] = op.values[row]
+    return SampledFunction(bupu.grid, out.reshape(bupu.grid.shape))
+
+
+def member_sum(bupu):
+    """The pointwise sum of a BUPU's members as a dense SampledFunction."""
+    op = bupu.operator
+    total = np.bincount(op.indices, weights=op.values, minlength=op.size)
+    return SampledFunction(bupu.grid, total.reshape(bupu.grid.shape))

@@ -35,6 +35,8 @@ from wamalgam.amalgam import local_norms_bupu
 from wamalgam.discretization import _OWNER_BLOCK
 from wamalgam.windows import AxbCoverWindow
 
+from oracles import dense_member
+
 
 def _factor_case(name, rng):
     """A window, its grid and a stack of base points, some off the grid."""
@@ -132,7 +134,8 @@ def test_members_at_atoms_match_per_member_interpolation(name):
     mu = DiscreteMeasure(bupu.grid.group, atoms, grid=bupu.grid)
     zs = np.array([z for z, _ in atoms], dtype=float)
     masses = np.abs([m for _, m in atoms])
-    want = np.array([masses @ bupu.member(i).eval_at(zs) for i in range(len(bupu))])
+    want = np.array([masses @ dense_member(bupu, i).eval_at(zs)
+                     for i in range(len(bupu))])
     got = local_norms_bupu(mu, bupu, "m")
     assert want.max() > 0
     assert np.max(np.abs(got - want)) <= 1e-14 * want.max()

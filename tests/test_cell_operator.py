@@ -39,6 +39,7 @@ from wamalgam import (
 from wamalgam import components
 from wamalgam.amalgam import local_norms_bupu, local_norms_indicator
 from wamalgam.components import OVERFLOW, assemble_step_function
+from wamalgam.discretization import Bupu, CellOperator
 from wamalgam.errors import (
     DimensionMismatchError,
     InvalidElementError,
@@ -167,6 +168,32 @@ def test_lattice_rows_include_both_faces():
     X = WellSpreadSet(np.array([[0.0]]), grid=grid)
     row = X.cell_masks(BoxWindow((-2.0,), (3.0,)), grid)[0]
     assert np.array_equal(grid.axes[0][row], np.arange(-2.0, 4.0))
+
+
+def _line_grid(lo=-4.0):
+    return UniformGrid(Euclidean(1), lo, 4.0, 64)
+
+
+def _axb_grid(lo=-4.0):
+    return AxbGrid(AxbGroup(1), lo, 4.0, 32, 0.25, 4.0, 16)
+
+
+@pytest.mark.parametrize("points, window, other, grid", [
+    ([[0.0], [1.5]], lambda: BoxWindow.centered(0.5, 1), BoxWindow.centered(0.75, 1),
+     _line_grid),
+    ([[0.0, 1.0], [1.0, 0.5]], lambda: AxbWindow(0.5, 1.5), AxbWindow(0.5, 2.0),
+     _axb_grid),
+    ([[0.0, 1.0], [1.0, 0.5]], lambda: AxbWindow(0.5, 1.5).right_cover([1.0, 2.0]),
+     AxbWindow(0.5, 1.5).right_cover([1.0, 3.0]), _axb_grid),
+], ids=["box", "axb", "axb-cover"])
+def test_cell_masks_cached_by_window_and_grid_value(points, window, other, grid):
+    """A window or a grid built twice finds the operator built for the
+    first; a different window or grid gets its own."""
+    X = WellSpreadSet(np.array(points))
+    op = X.cell_masks(window(), grid())
+    assert X.cell_masks(window(), grid()) is op
+    assert X.cell_masks(other, grid()) is not op
+    assert X.cell_masks(window(), grid(lo=-2.0)) is not op
 
 
 @pytest.mark.parametrize("name", ["R2", "Z", "axb-n2"])
@@ -345,7 +372,11 @@ def test_measure_local_norms_by_hand():
     X = euclidean_lattice(grid, 1.0)
     # each grid point belongs to its nearest integer: 8 points per inner
     # member, 4 for the members at +-4
-    bupu = build_bupu(X, BoxWindow.centered(0.75, 1), grid=grid, kind="voronoi")
+    owner = np.argmin(np.abs(grid.points() - X.points.T), axis=1)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(X)))])
+    bupu = Bupu(X, BoxWindow.centered(0.75, 1), grid,
+                CellOperator(indptr, np.argsort(owner, kind="stable"), grid.size,
+                             np.ones(grid.size)))
     density = SampledFunction(grid, np.full(grid.shape, 2.0))
     # 0.1 lies between two points of member 0; 0.5 halfway between members 0, 1
     mu = DiscreteMeasure(E, [(np.array([0.1]), 3.0), (np.array([0.5]), -1j)],

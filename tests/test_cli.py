@@ -311,6 +311,18 @@ def test_refine_below_one_is_a_usage_error(tmp_path, capsys):
     *[(argv, {"group": {"n": 3}}, "config.grid: control function: 134,217,728 grid "
        "points times 1 stencil parts exceed the budget of 100,000,000; lower "
        "config.grid.cells") for argv in (["norm"], ["equivalence"])],
+    (["norm"], {"group": {"kind": "axb"}, "grid": {"x_lo": -1e308, "x_hi": 1e308}},
+     "config.grid: grid window is too wide: x_hi - x_lo overflows"),
+    (["norm"], {"grid": {"lo": -1e308, "hi": 1e308}},
+     "config.grid: grid window is too wide: hi - lo overflows"),
+    (["doubling"], {"weight": {"family": "power", "s": -1}},
+     "config.weight: ball integral of weight power over ball([0.0], 0.5) does not "
+     "converge"),
+    (["axb", "tilde-v"], {"weight": {"family": "power", "s": -3}},
+     "config.weight: ball integral of weight power over ball([-4.0], 4.0) does not "
+     "converge"),
+    (["verify", "axb_relation"], {"weight": {"family": "exponential"}},
+     "config.weight: weight failed doubling certification"),
 ])
 def test_bad_config_names_the_key(tmp_path, capsys, monkeypatch, argv, config, key):
     """Bad values, unknown keys and over-budget grids exit 1 with their key

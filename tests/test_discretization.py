@@ -19,6 +19,8 @@ from wamalgam import (
 )
 from wamalgam.errors import DensityError, EmptyGridError, InvalidElementError
 
+from oracles import dense_member, member_sum
+
 
 def test_separation_integer_lattice(line_grid):
     X = euclidean_lattice(line_grid, 1.0)
@@ -94,8 +96,8 @@ def test_axb_lattice_points_direct_substitution():
 
 def test_axb_lattice_density_certified(axb):
     grid = AxbGrid(axb, -4, 4, 64, 0.25, 4.0, 40)
-    X = build_axb_lattice(0.5, 2.0, (-16, 16), (-2, 2), grid=grid,
-                          density_window=AxbWindow(1.0, 2.0))
+    X = build_axb_lattice(0.5, 2.0, (-16, 16), (-2, 2), grid=grid)
+    check_density(X, AxbWindow(1.0, 2.0))
     assert X.density_window is not None
 
 
@@ -119,7 +121,7 @@ def test_hat_bupu_on_integers(line_grid):
     # (grid midpoints sit h/2 off the node, hence the h-sized slack)
     h = float(line_grid.steps[0])
     i0 = int(np.argmin(np.abs(X.points[:, 0])))
-    member = bupu.member(i0)
+    member = dense_member(bupu, i0)
     xs = line_grid.axes[0]
     assert member.values[np.argmin(np.abs(xs - 0.0))] >= 1 - h
     assert member.values[np.argmin(np.abs(xs - 1.0))] <= h
@@ -136,32 +138,16 @@ def test_bupu_members_are_read_only_views_of_its_operator(line_grid):
             assert np.shares_memory(row, store) and not row.flags.writeable
 
 
-def test_voronoi_bupu_is_indicator_partition(line_grid):
-    X = euclidean_lattice(line_grid, 1.0)
-    bupu = build_bupu(X, BoxWindow.centered(0.75, 1), grid=line_grid,
-                      kind="voronoi")
-    check = verify_bupu(bupu)
-    assert check["passed"]
-    for vals in bupu.member_values:
-        assert np.all((vals == 0.0) | (vals == 1.0))
-
-
 def test_axb_bupu_sums_to_one(axb_grid, rng):
     X = build_axb_lattice(0.5, 2.0, j_range=(-3, 3), grid=axb_grid,
                           x_extent=6.5)
     bupu = build_bupu(X, AxbWindow(1.0, 2.0))
     assert verify_bupu(bupu)["passed"]
     # the sum at 10^4 random grid points is one to 1e-12
-    total = bupu.total()
+    total = member_sum(bupu)
     flat = total.values.ravel()
     idx = rng.integers(0, flat.size, 10_000)
     assert np.abs(flat[idx] - 1.0).max() <= 1e-12
-
-
-def test_bupu_unknown_kind_names_the_choices(line_grid):
-    X = euclidean_lattice(line_grid, 1.0)
-    with pytest.raises(InvalidElementError, match="'vornoi'.*'hat'.*'voronoi'"):
-        build_bupu(X, BoxWindow.centered(1.0, 1), grid=line_grid, kind="vornoi")
 
 
 def test_bupu_not_dense_raises(line_grid):
@@ -193,36 +179,3 @@ def test_bupu_csv_export(tmp_path, line_grid):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "member,support_lo0,support_hi0,x0,value"
     assert len(lines) > len(X)
-
-
-def _broadcast_owner(X, grid, pts):
-    if isinstance(grid, AxbGrid):
-        q = np.column_stack([pts[:, :-1], np.log(pts[:, -1])])
-        c = np.column_stack([X.points[:, :-1], np.log(X.points[:, -1])])
-    else:
-        q, c = pts, X.points
-    return np.argmin(np.sum((q[:, None, :] - c[None, :, :]) ** 2, axis=-1), axis=1)
-
-
-@pytest.mark.parametrize("block", [None, 1000])
-def test_voronoi_owner_matches_broadcast(axb_grid, monkeypatch, block):
-    """Blocked owners are bit-identical to the one-array formula, ties
-    (grid points midway between lattice points) included."""
-    from wamalgam import discretization
-    from wamalgam.groups import Euclidean
-
-    if block is not None:
-        # a block that does not divide the grid: the last one is partial
-        monkeypatch.setattr(discretization, "_OWNER_BLOCK", block)
-    # step 1/8 with grid points on the integers, so on the half-integers too
-    grid2 = UniformGrid(Euclidean(2), -4.0625, 3.9375, 64)
-    X2 = euclidean_lattice(grid2, 1.0)
-    Xa = build_axb_lattice(0.5, 2.0, j_range=(-2, 2), grid=axb_grid, x_extent=6.0)
-    for X, grid in ((X2, grid2), (Xa, axb_grid)):
-        pts = grid.points()
-        want = _broadcast_owner(X, grid, pts)
-        got = discretization._voronoi_owner(X, grid, pts)
-        assert np.array_equal(got, want)
-    # many grid points of R^2 are equidistant from two or four lattice points
-    d2 = np.sum((grid2.points()[:, None, :] - X2.points[None]) ** 2, axis=-1)
-    assert np.sum(d2 == d2.min(axis=1, keepdims=True)) > grid2.size

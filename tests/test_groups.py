@@ -90,10 +90,8 @@ def test_modular_and_density_values():
     G = AxbGroup(1)
     g = element(G, 0.0, 2.0)
     assert np.isclose(G.modular(g), 0.5)
-    assert np.isclose(G.haar_density(g), 0.25)
     E = Euclidean(3)
     assert np.isclose(E.modular(np.zeros(3)), 1.0)
-    assert np.isclose(E.haar_density(np.ones(3)), 1.0)
 
 
 def test_axb_positivity_enforced():
