@@ -38,6 +38,7 @@ from .components import (
     quasi_constant_from_p_exponent,
     quasi_norm,
     sequence_norm,
+    sequence_norms,
     shifted_power_weight,
     table_weight,
 )

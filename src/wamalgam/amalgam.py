@@ -51,6 +51,7 @@ from .components import (
     is_overflow,
     quasi_norm,
     sequence_norm,
+    sequence_norms,
 )
 from .errors import (
     CoverageWarning,
@@ -671,9 +672,12 @@ def estimate_translation_operator_norm(space, g, direction, *, grid,
 
     The lower bound maximizes norm ratios over the test family. The upper
     bound compares sequence norms over translated windows (right/measure
-    directions) or translated point sets (left), maximized over random
-    nonnegative coefficient vectors, and scales by the squared equivalence
-    bracket (one factor per switch between continuous and discrete norms).
+    directions) or translated point sets (left), maximized over
+    ``coeff_count`` random nonnegative coefficient vectors and one one-hot
+    vector per scanned cell, and scales by the squared equivalence bracket
+    (one factor per switch between continuous and discrete norms). The
+    vectors are stacked, so the moved and the base cover each take one
+    ``sequence_norms`` call.
     """
     direction = _one_of(direction, DIRECTIONS, "translation direction")
     if not test_family and well_spread is None:
@@ -714,17 +718,14 @@ def estimate_translation_operator_norm(space, g, direction, *, grid,
         ok = _unclipped_cells(base_X, base_U, grid) & _unclipped_cells(
             moved_X, moved_U, grid)
         scanned = int(np.count_nonzero(ok))
-        vectors = [np.abs(rng.standard_normal(len(well_spread))) * ok
-                   for _ in range(coeff_count)]
-        # one-hot vectors extremize per-cell ratios for solid norms
-        vectors.extend(row for row in np.eye(len(well_spread))[ok])
-        for lam in vectors:
-            num = sequence_norm(
-                DiscreteSequence(lam, moved_X, space.global_component, moved_U),
-                grid)
-            den = sequence_norm(
-                DiscreteSequence(lam, base_X, space.global_component, base_U),
-                grid)
+        vectors = np.concatenate([
+            np.abs(rng.standard_normal((coeff_count, len(well_spread)))) * ok,
+            # one-hot vectors extremize per-cell ratios for solid norms
+            np.eye(len(well_spread))[ok]])
+        Y = space.global_component
+        nums = sequence_norms(vectors, moved_X, Y, moved_U, grid)
+        dens = sequence_norms(vectors, base_X, Y, base_U, grid)
+        for num, den in zip(nums, dens):
             if is_overflow(num) or is_overflow(den) or den <= 0:
                 continue
             ratio = max(ratio, num / den)

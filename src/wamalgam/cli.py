@@ -396,8 +396,9 @@ def build_parser():
         p.add_argument("--config", help="path to a JSON config file")
         p.add_argument("--out", default="reports", help="output directory for reports")
         p.add_argument("--seed", type=int, default=0, help="PCG64 seed")
-        p.add_argument("--refine", type=_levels, default=2,
-                       help="number of grid resolutions for verification")
+        if name == "verify":
+            p.add_argument("--refine", type=_levels, default=2,
+                           help="number of grid resolutions for verification")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="primary report format")
     return parser

@@ -228,12 +228,17 @@ def _guarded(value):
 
 
 def _lp_sum(values, mass, p):
-    """``(sum values^p mass)^(1/p)``, or ``max values mass`` at p = inf,
-    guarded."""
+    """``(sum values^p mass)^(1/p)`` over the last axis, or ``max values mass``
+    at p = inf: one guarded value per row of ``values``.
+
+    Each row's root is a scalar power: numpy's array power may round it
+    differently.
+    """
     if p == math.inf:
-        return _guarded(np.max(values * mass, initial=0.0))
+        return [_guarded(t) for t in np.max(values * mass, axis=-1, initial=0.0).flat]
     with np.errstate(over="ignore"):
-        return _guarded(np.sum(values**p * mass) ** (1.0 / p))
+        return [_guarded(t ** (1.0 / p))
+                for t in np.sum(values**p * mass, axis=-1).flat]
 
 
 def _weighted_lp_norm(component, F):
@@ -241,8 +246,8 @@ def _weighted_lp_norm(component, F):
     if component.weight is not None:
         absF = absF * component.weight.on_grid(F.grid)
     # at p = inf a point's mass is 1: the weight is in absF
-    return _lp_sum(absF, F.grid.weights if component.p < math.inf else 1.0,
-                   component.p)
+    mass = F.grid.weights.ravel() if component.p < math.inf else 1.0
+    return _lp_sum(absF.ravel(), mass, component.p)[0]
 
 
 def _mixed_norm(component, F):
@@ -509,30 +514,45 @@ def assemble_step_function(X, window, coefficients, grid):
 
 
 def sequence_norm(seq, grid=None):
-    """Y_d quasi-norm of a coefficient sequence.
-
-    The step function ``s = sum_i |c_i| chi_{x_i . window}`` is constant on
-    the atoms of the cover (``CellOperator.atoms``). For ``WeightedLp`` the
-    norm is taken on the atoms, as ``(sum_a s_a^p m_a)^(1/p)`` with
-    ``m_a = sum_{x in a} w(x)^p mu(x)``, and as ``max_a s_a max_{x in a} w(x)``
-    at p = inf. The atoms keep ``m_a`` per p and weight array, so a call
-    costs O(atoms + atoms per row), not O(grid), and agrees with the norm
-    of the step function on the grid up to rounding (exactly at p = inf).
-    ``MixedLpq`` takes its norm of the step function on the grid.
-    """
+    """Y_d quasi-norm of a coefficient sequence, on ``grid`` or the grid of
+    its point set: the one-row case of ``sequence_norms``."""
     if grid is None:
         grid = seq.well_spread.grid
     if grid is None:
         raise IndexMismatchError(
             "sequence norm needs a grid: pass one or attach it to the point set"
         )
-    component = seq.component
+    return sequence_norms(seq.coefficients[None], seq.well_spread, seq.component,
+                          seq.window, grid)[0]
+
+
+def sequence_norms(coefficients, X, component, window, grid):
+    """Y_d quasi-norms of a (V, |X|) stack of coefficient vectors, one per row.
+
+    Row v is normed as ``DiscreteSequence(coefficients[v], X, component,
+    window)``. The step function ``s = sum_i |c_i| chi_{x_i . window}`` is
+    constant on the atoms of the cover (``CellOperator.atoms``). For
+    ``WeightedLp`` the norm is taken on the atoms, as
+    ``(sum_a s_a^p m_a)^(1/p)`` with ``m_a = sum_{x in a} w(x)^p mu(x)``,
+    and as ``max_a s_a max_{x in a} w(x)`` at p = inf. The atoms keep
+    ``m_a`` per p and weight array, and ``AtomPartition.sums`` takes the
+    whole stack at once, so a call costs O(atoms + atom entries) per row
+    with one set-up, not O(grid); each row's norm is bit-identical to its
+    norm alone and agrees with the norm of the step function on the grid
+    up to rounding (exactly at p = inf). ``MixedLpq`` takes its norm of
+    each row's step function on the grid.
+    """
+    coefficients = np.asarray(coefficients)
+    if coefficients.ndim != 2 or coefficients.shape[1] != len(X.points):
+        raise IndexMismatchError(
+            f"coefficients of shape {coefficients.shape} for {len(X.points)} "
+            f"points: need one row of one coefficient per point, as a 2-D array"
+        )
     if isinstance(component, MixedLpq):
-        step = assemble_step_function(seq.well_spread, seq.window,
-                                      seq.coefficients, grid)
-        return quasi_norm(component, step)
-    atoms = seq.well_spread.cell_masks(seq.window, grid).atoms
-    values = atoms.sums(np.abs(seq.coefficients))
+        return [quasi_norm(component, assemble_step_function(X, window, row, grid))
+                for row in coefficients]
+    atoms = X.cell_masks(window, grid).atoms
+    values = atoms.sums(np.abs(coefficients))
     if np.isnan(values).any():
         raise NonFiniteSampleError("samples contain NaN")
     weight = component.weight.on_grid(grid) if component.weight is not None else None

@@ -50,7 +50,7 @@ from .groups import tensor_points
 
 _TOL = 1e-9
 # entries of one block array: the factor entries and divisions of the hat
-# and cell builders
+# and cell builders, and the weights of the atom sums of a stack of vectors
 _OWNER_BLOCK = 1 << 16
 
 
@@ -123,14 +123,38 @@ class AtomPartition:
     _measures: dict = field(default_factory=dict, repr=False)
 
     def sums(self, coefficients):
-        """Per-atom ``sum_i c_i`` over the rows covering the atom.
+        """Per-atom ``sum_i c_i`` over the rows covering the atom, for one
+        vector of row coefficients or for each vector of a (V, rows) stack.
 
-        ``np.bincount`` adds in entry order, so each atom sums its rows in
-        row order, as every grid point of it did in a per-point sum.
+        A block of vectors takes one ``np.bincount`` over the flat bins
+        ``v * count + atom``, with the weights in row order within each
+        vector; a block holds at most ``_OWNER_BLOCK`` weights, or one
+        vector. ``np.bincount`` adds in entry order, so each atom sums its
+        rows in row order, as every grid point of it did in a per-point
+        sum, and a vector's sums are bit-identical alone or in a stack.
         """
-        return np.bincount(self.indices,
-                           weights=np.repeat(coefficients, np.diff(self.indptr)),
-                           minlength=self.count)
+        coefficients = np.asarray(coefficients)
+        if coefficients.ndim == 1:
+            return self.sums(coefficients[None])[0]
+        entries = len(self.indices)
+        block = max(1, _OWNER_BLOCK // max(entries, 1))
+        # one vector's bins are its atoms: no offsets to add
+        bins = self.indices if len(coefficients) == 1 else (
+            np.arange(min(block, len(coefficients)))[:, None] * self.count
+            + self.indices).ravel()
+        out = np.empty((len(coefficients), self.count))
+        for start in range(0, len(coefficients), block):
+            rows = coefficients[start:start + block]
+            out[start:start + len(rows)] = np.bincount(
+                bins[:len(rows) * entries],
+                weights=np.repeat(rows, self.lengths, axis=1).ravel(),
+                minlength=len(rows) * self.count).reshape(len(rows), self.count)
+        return out
+
+    @cached_property
+    def lengths(self):
+        """The number of atoms each row covers."""
+        return np.diff(self.indptr)
 
     def measure(self, p, weight, quadrature):
         """Per-atom ``sum_{x in a} w(x)^p mu(x)``, or ``max_{x in a} w(x)`` at p = inf.
@@ -262,7 +286,6 @@ class WellSpreadSet:
 
     points: np.ndarray
     grid: object = None
-    density_window: object = None
     labels: np.ndarray | None = None
 
     def __post_init__(self):
@@ -285,9 +308,7 @@ class WellSpreadSet:
         """The point family ``g . x_i``."""
         g = np.asarray(g, dtype=float)
         moved = self.grid.group.multiply(g[None, :], self.points)
-        return WellSpreadSet(moved, grid=self.grid,
-                             density_window=self.density_window,
-                             labels=self.labels)
+        return WellSpreadSet(moved, grid=self.grid, labels=self.labels)
 
 
 def check_relatively_separated(X, window):
@@ -313,9 +334,7 @@ def check_density(X, window):
         raise DensityError(
             f"point set is not dense for window {window.descriptor()}", missing
         )
-    cert = {"window": window.descriptor(), "probes": grid.size, "covered": True}
-    X.density_window = window
-    return cert
+    return {"window": window.descriptor(), "probes": grid.size, "covered": True}
 
 
 def euclidean_lattice(grid, spacing, origin=0.0):

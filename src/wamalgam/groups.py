@@ -387,16 +387,22 @@ def _axis_locate(axis, step, q):
 
 
 def _window_steps(lo, hi, cells, lo_name, hi_name):
-    """Widths of ``cells`` cells per axis from ``lo`` to ``hi``: finite, or raises."""
+    """Widths of ``cells`` cells per axis from ``lo`` to ``hi``, and the cell
+    volume, their product: both finite, or raises."""
     if not np.all(lo < hi):
         raise EmptyGridError(f"grid window is empty: it needs {lo_name} < {hi_name} "
                              f"on every axis, got {lo.tolist()} and {hi.tolist()}")
     with np.errstate(over="ignore"):
         steps = (hi - lo) / np.array(cells)
+        volume = float(np.prod(steps))
     if not np.all(np.isfinite(steps)):
         raise InvalidElementError(f"grid window is too wide: {hi_name} - {lo_name} "
                                   f"overflows, got {lo.tolist()} and {hi.tolist()}")
-    return steps
+    if not np.isfinite(volume):
+        raise InvalidElementError(f"grid window is too wide: the cell volume, the "
+                                  f"product of the cell widths {steps.tolist()}, "
+                                  f"overflows")
+    return steps, volume
 
 
 def _integral(bound, name, n):
@@ -420,7 +426,7 @@ class UniformGrid(Grid):
         self.cells = tuple(np.broadcast_to(np.asarray(cells, dtype=int), (group.n,)))
         if any(c <= 0 for c in self.cells):
             raise EmptyGridError("grid needs at least one cell per axis")
-        self.steps = _window_steps(self.lo, self.hi, self.cells, "lo", "hi")
+        self.steps, volume = _window_steps(self.lo, self.hi, self.cells, "lo", "hi")
         self.axes = tuple(
             self.lo[k] + (np.arange(self.cells[k]) + 0.5) * self.steps[k]
             for k in range(group.n)
@@ -428,7 +434,7 @@ class UniformGrid(Grid):
         self.interp_axes = self.axes
         self.interp_steps = tuple(self.steps)
         self.shape = tuple(self.cells)
-        self.weight_factors = (float(np.prod(self.steps)), 1.0)
+        self.weight_factors = (volume, 1.0)
 
     @cached_property
     def weights(self):
@@ -520,7 +526,8 @@ class AxbGrid(Grid):
         self.a_lo, self.a_hi, self.a_cells = float(a_lo), float(a_hi), int(a_cells)
         if any(c <= 0 for c in self.x_cells) or self.a_cells <= 0:
             raise EmptyGridError("grid needs at least one cell per axis")
-        self.x_steps = _window_steps(self.x_lo, self.x_hi, self.x_cells, "x_lo", "x_hi")
+        self.x_steps, x_volume = _window_steps(self.x_lo, self.x_hi, self.x_cells,
+                                               "x_lo", "x_hi")
         x_axes = tuple(
             self.x_lo[k] + (np.arange(self.x_cells[k]) + 0.5) * self.x_steps[k]
             for k in range(n)
@@ -533,8 +540,7 @@ class AxbGrid(Grid):
         self.interp_axes = x_axes + (self.u_axis,)
         self.interp_steps = tuple(self.x_steps) + (self.u_step,)
         self.shape = tuple(self.x_cells) + (self.a_cells,)
-        self.weight_factors = (float(np.prod(self.x_steps)),
-                               self.u_step * a_axis ** (-float(n)))
+        self.weight_factors = (x_volume, self.u_step * a_axis ** (-float(n)))
 
     @cached_property
     def weights(self):

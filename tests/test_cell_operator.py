@@ -33,18 +33,21 @@ from wamalgam import (
     euclidean_lattice,
     quasi_norm,
     sequence_norm,
+    sequence_norms,
     shifted_power_weight,
     verify_bupu,
 )
 from wamalgam import components
 from wamalgam.amalgam import local_norms_bupu, local_norms_indicator
 from wamalgam.components import OVERFLOW, assemble_step_function
-from wamalgam.discretization import Bupu, CellOperator
+from wamalgam.discretization import _OWNER_BLOCK, Bupu, CellOperator
 from wamalgam.errors import (
     DimensionMismatchError,
     InvalidElementError,
     NonFiniteSampleError,
 )
+
+from oracles import per_vector_operator_norm
 
 
 def reference_rows(X, window, grid):
@@ -268,6 +271,41 @@ def test_sequence_norm_on_atoms_keeps_nan_and_overflow(name, rng):
             sequence_norm(DiscreteSequence(lam, X, Y, window), grid)
         lam[i] = np.inf
         assert sequence_norm(DiscreteSequence(lam, X, Y, window), grid) is OVERFLOW
+        stack = np.stack([np.ones(len(X)), lam])
+        finite, overflow = sequence_norms(stack, X, Y, window, grid)
+        assert finite > 0 and overflow is OVERFLOW
+        stack[1, i] = np.nan
+        with pytest.raises(NonFiniteSampleError):
+            sequence_norms(stack, X, Y, window, grid)
+
+
+@pytest.mark.parametrize("name", ["R2", "R2-many-atoms", "axb"])
+def test_sequence_norms_of_a_stack_equal_the_norms_of_its_rows(name, rng):
+    """The stacked route is bit-identical to one ``sequence_norm`` per row,
+    on a stack that spans more than one block of ``AtomPartition.sums``;
+    on a cover of more than 128 atoms numpy's pairwise sums split a row."""
+    if name == "R2-many-atoms":
+        grid = UniformGrid(Euclidean(2), -4.0, 4.0, 64)
+        X, window = euclidean_lattice(grid, 1.0), BoxWindow.centered(0.75, 2)
+        assert X.cell_masks(window, grid).atoms.count > 128
+    else:
+        X, window, grid = _case(name, rng)
+    entries = len(X.cell_masks(window, grid).atoms.indices)
+    count = _OWNER_BLOCK // entries + 3
+    rows = _vectors(len(X), rng)
+    draws = count - len(rows)
+    lams = np.concatenate([rows, rng.standard_normal((draws, len(X)))
+                           * 10.0 ** rng.uniform(-3, 3, (draws, len(X)))])
+    assert count * entries > _OWNER_BLOCK
+    spaces = [WeightedLp(p, weight) for weight in (None, shifted_power_weight(1.0))
+              for p in (0.5, 1.0, 2.0, np.inf)]
+    if isinstance(grid, AxbGrid):
+        spaces += [MixedLpq(1.0, 1.0, None, n=1),
+                   MixedLpq(0.5, 2.0, shifted_power_weight(1.0), n=1)]
+    for Y in spaces:
+        got = sequence_norms(lams, X, Y, window, grid)
+        assert got == [sequence_norm(DiscreteSequence(lam, X, Y, window), grid)
+                       for lam in lams]
 
 
 def test_sequence_norm_stays_off_the_grid(monkeypatch, rng):
@@ -364,6 +402,37 @@ def test_discrete_norms_and_estimator_match_per_point_reference(rng):
                 / quasi_norm(Y, reference_step(cells, lam, grid)) for lam in vectors)
     assert _relative(bound.sequence_ratio, ratio) <= 1e-12
     assert _relative(bound.upper, ratio) <= 1e-12
+
+
+@pytest.mark.parametrize("direction", ["right", "left", "measure"])
+def test_estimator_equals_the_per_vector_loop(direction):
+    """Two stacked ``sequence_norms`` calls give the record of one pair of
+    ``sequence_norm`` calls per coefficient vector, bit for bit."""
+    grid = UniformGrid(Euclidean(2), -4.0, 4.0, 32)
+    X = euclidean_lattice(grid, 1.0)
+    family = [SampledFunction.sample(grid, lambda x, y: np.exp(-(x - 0.5)**2 - y**2))]
+    g = [0.75, -0.5]
+    for p in (0.5, 2.0):
+        space = AmalgamSpace("linf", WeightedLp(p, shifted_power_weight(1.0)),
+                             BoxWindow.centered(1.0, 2))
+        got = estimate_translation_operator_norm(
+            space, g, direction, grid=grid, test_family=family, well_spread=X,
+            bracket_constant=1.25)
+        assert got.cells_scanned > 0
+        assert got.as_record() == per_vector_operator_norm(
+            space, g, direction, grid, family, X, 1.25).as_record()
+
+
+def test_estimator_equals_the_per_vector_loop_on_mixed_norms():
+    grid = AxbGrid(AxbGroup(1), -4.0, 4.0, 64, 0.25, 4.0, 40)
+    X = build_axb_lattice(0.5, 2.0, j_range=(-1, 1), x_extent=4.0, grid=grid)
+    space = AmalgamSpace("linf", MixedLpq(1.0, 2.0, shifted_power_weight(1.0), n=1),
+                         AxbWindow(0.5, 1.5))
+    got = estimate_translation_operator_norm(space, [0.5, 1.3], "right", grid=grid,
+                                             well_spread=X, bracket_constant=1.25)
+    assert got.cells_scanned > 0
+    assert got.as_record() == per_vector_operator_norm(
+        space, [0.5, 1.3], "right", grid, (), X, 1.25).as_record()
 
 
 def test_measure_local_norms_by_hand():

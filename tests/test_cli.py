@@ -187,6 +187,16 @@ def test_refine_below_one_is_a_usage_error(tmp_path, capsys):
     assert "--refine: expected an integer >= 1, got '0'" in capsys.readouterr().err
 
 
+def test_refine_outside_verify_is_a_usage_error(tmp_path, capsys):
+    from wamalgam import cli
+
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["norm", "--refine", "5", "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "--refine" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, config, key", [
     (["verify", "cor_conv_Lp"], {"p": "abc"}, "config.p"),
     (["verify", "cor_conv_Lp"], {"p": 0}, "config.p"),
@@ -323,6 +333,11 @@ def test_refine_below_one_is_a_usage_error(tmp_path, capsys):
      "converge"),
     (["verify", "axb_relation"], {"weight": {"family": "exponential"}},
      "config.weight: weight failed doubling certification"),
+    (["norm"], {"group": {"n": 2}, "grid": {"lo": -1e200, "hi": 1e200, "cells": 64}},
+     "config.grid: grid window is too wide: the cell volume"),
+    (["norm"], {"group": {"kind": "axb", "n": 2},
+                "grid": {"x_lo": -1e200, "x_hi": 1e200}},
+     "config.grid: grid window is too wide: the cell volume"),
 ])
 def test_bad_config_names_the_key(tmp_path, capsys, monkeypatch, argv, config, key):
     """Bad values, unknown keys and over-budget grids exit 1 with their key

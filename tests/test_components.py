@@ -30,6 +30,7 @@ from wamalgam import (
     quasi_constant_from_p_exponent,
     quasi_norm,
     sequence_norm,
+    sequence_norms,
     shifted_power_weight,
 )
 from wamalgam.components import table_weight
@@ -336,6 +337,10 @@ def test_sequence_norm_index_mismatch(z_grid):
     for coefficients in (np.ones(3), np.float64(1.0), np.ones((len(X), 2))):
         with pytest.raises(IndexMismatchError):
             DiscreteSequence(coefficients, X, WeightedLp(1.0), BoxWindow.origin(1))
+    for coefficients in (np.ones(len(X)), np.ones((2, 3)), np.ones((len(X), 2))):
+        with pytest.raises(IndexMismatchError):
+            sequence_norms(coefficients, X, WeightedLp(1.0), BoxWindow.origin(1),
+                           z_grid)
 
 
 def test_sequence_window_independence_bound(euclid, rng):

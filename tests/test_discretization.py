@@ -97,8 +97,9 @@ def test_axb_lattice_points_direct_substitution():
 def test_axb_lattice_density_certified(axb):
     grid = AxbGrid(axb, -4, 4, 64, 0.25, 4.0, 40)
     X = build_axb_lattice(0.5, 2.0, (-16, 16), (-2, 2), grid=grid)
-    check_density(X, AxbWindow(1.0, 2.0))
-    assert X.density_window is not None
+    window = AxbWindow(1.0, 2.0)
+    cert = check_density(X, window)
+    assert cert["covered"] and cert["window"] == window.descriptor()
 
 
 def test_axb_lattice_validation():
