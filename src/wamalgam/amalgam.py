@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -712,7 +712,9 @@ def estimate_translation_operator_norm(space, g, direction, *, grid,
             if direction == "measure":
                 modular_factor = float(group.modular(gg))
             base_X, base_U = well_spread, space.window
-            moved_X, moved_U = well_spread, space.window.right_cover(gg)
+            # the cover moved by g is the caller's set on a window of this
+            # call alone: a copy of the set holds its masks, which go with it
+            moved_X, moved_U = replace(well_spread), space.window.right_cover(gg)
         # cells clipped by the truncation window would fake ratios that the
         # whole-space norms do not have; scan interior coefficients only
         ok = _unclipped_cells(base_X, base_U, grid) & _unclipped_cells(

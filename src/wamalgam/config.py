@@ -228,9 +228,18 @@ COMMANDS = {
 _BALL_N = _check(lambda v: isinstance(v, int) and _number(v) and 1 <= v <= 2,
                  "n = 1 or 2, where ball integrals run")
 _BALL_GROUP = SECTIONS["group"]._replace(keys=SECTIONS["group"].keys | {"n": _BALL_N})
+# The R relations need v to be w-moderate, v(x + y) <= C w(x) v(y); no w
+# bounds a power weight |x|^s that vanishes (s > 0) or has a pole (s < 0) at 0
+_LINE_WEIGHT = _WEIGHT._replace(forms=_WEIGHT.forms | {"power": Form(
+    "a power weight", {"family": _chosen, "s": _check(
+        lambda v: _number(v) and v == 0, "s = 0 (|x|^s with s != 0 vanishes or has a "
+        "pole at 0, so no weight w makes it w-moderate, as R's relations need)", float)},
+        ("s",))})
 NARROWED = {("verify cor_conv_Lp", "p"): _positive, ("doubling", "group.n"): _BALL_N,
             ("axb tilde-v", "group"): _BALL_GROUP,
-            ("axb discrete-norm", "group"): _BALL_GROUP}
+            ("axb discrete-norm", "group"): _BALL_GROUP,
+            **{(f"verify {row}", "weight"): _LINE_WEIGHT
+               for row in ("thm_conv_a", "thm_conv_b", "thm_convYvee")}}
 
 
 def check_config(cfg, command):

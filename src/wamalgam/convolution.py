@@ -6,15 +6,18 @@ coordinates, so ``y^{-1} z`` only takes values at whole-step offsets
 between grid points. Every group runs one route, on ``F w`` laid out
 scale axis first and x axes last (one row on R^n and Z^n):
 
-1. Support box of ``F w``, cut at the support cutoff.
+1. Support box of ``F w`` (``_cut_weighted``), cut at the support cutoff.
 2. Reaching offsets: per x axis, offset d reaches F's window from box
    indices [f.start, f.stop) when 0 <= i + d < N for some i there, so d
    runs from ``1 - f.stop`` to ``N - 1 - f.start``, not over all ``2N - 1``.
 3. Table (``_Table``): on Z^n, G's samples at those offsets, cut to their
    support box; elsewhere multilinear interpolation of G, one 2-tap pass
    per axis (``Grid.interpolate_along``) by rules (lower index and
-   fraction) that ``Grid.locate_along`` gives once per convolution and x
-   axis, for all rows' queries inside G's window at once. On ax+b,
+   fraction) that ``Grid.locate_along`` gives for every scale row's query
+   on every offset of the axis. Those queries depend only on F's and G's
+   grids, so ``_located_offsets`` locates them once for a pair of grids
+   and keeps them (for the last four pairs), and a convolution slices its
+   rows' spans inside G's window out of them. On ax+b,
    ``y^{-1} z`` scales the x offsets by ``1/a`` of the source's scale row
    but not the scale offsets, so the scale axis is tabulated once, on the
    scale offsets that reach from the box, and scale row j reads a window
@@ -40,14 +43,15 @@ scale axis first and x axes last (one row on R^n and Z^n):
    row's 2-tap passes read its slice of the located rules, gather the
    lower and upper samples into the 2-tap workspace (which at n >= 2 also
    holds the passes before the last) and write the last pass into the
-   table buffer, and its table is transformed along the last x axis into
-   the spectrum buffer, then in place along the others, as ``rfftn`` does
-   without its per-call set-up. ``F w``'s transform and the sum's inverse
-   run axis by axis in the same way. These buffers and the spectra of
-   ``F w`` and of the sum are the thread's kept workspace
-   (``workspace``), so the row loop on the shapes of an earlier one
-   allocates only the inverse transform. Complex factors
-   use the complex transform, real ones the real.
+   table buffer. Every transform, of both kernels, is ``_forward``'s or
+   ``_inverse``'s: ``rfft`` (``fft`` when complex) along the last x axis
+   and in-place ``fft``s along the others, as ``rfftn`` computes it
+   without its per-call set-up, and the inverse in ``irfftn``'s (or
+   ``ifftn``'s) order. The row loop's buffers and the spectra of ``F w``
+   and of the sum come from the thread's kept workspace (``workspace``)
+   in one block, so the row loop on the shapes of an earlier one
+   allocates only the inverse transform. Complex factors use the complex
+   transform, real ones the real.
 
 Embedding checks compare the target amalgam norm of F*G against the
 product of factor norms over a test family and track the empirical
@@ -78,11 +82,7 @@ def convolve(F, G):
     if F.grid.group != G.grid.group:
         raise GroupMismatchError("convolution factors live on different groups")
     grid = F.grid
-    vals = F.values
-    cutoff = _SUPPORT_CUTOFF
-    if not isinstance(grid, LatticeGrid):
-        cutoff *= max(1.0, np.abs(vals).max())
-    fw = np.where(np.abs(vals) > cutoff, vals * grid.weights, 0.0)
+    fw = _cut_weighted(F)
     out = np.zeros(grid.shape, np.result_type(fw, G.values))
     box = _support_box(fw)
     # the scale axis first, one source row per scale (one row on R^n, Z^n)
@@ -93,7 +93,7 @@ def convolve(F, G):
         fw, out_rows, box = fw[None], out[None], box and (slice(0, 1),) + box
     table = box and _Table(grid, fw, box, G)
     if table and table.rows:
-        exact = isinstance(grid, LatticeGrid) and _integral(fw[box]) and _integral(table.values)
+        exact = isinstance(grid, LatticeGrid) and _integral(fw[box], table.values)
         size, take, put = _placement(box[1:], table.start, table.shape, out_rows.shape[1:], exact)
         xs = tuple(range(1, fw.ndim))
         if exact:
@@ -106,11 +106,23 @@ def convolve(F, G):
     return result
 
 
+def _cut_weighted(F):
+    """F w, 0 where ``|F|`` is at most the support cutoff: ``_SUPPORT_CUTOFF``
+    on Z^n, times ``max(1, max |F|)`` elsewhere."""
+    vals, weights = F.values, F.grid.weights
+    mag, cutoff = np.abs(vals), _SUPPORT_CUTOFF
+    if not isinstance(F.grid, LatticeGrid):
+        cutoff *= max(1.0, mag.max())
+    return np.multiply(vals, weights, out=np.zeros(vals.shape, np.result_type(vals, weights)),
+                       where=mag > cutoff)
+
+
 class _Table:
     """G on the whole-step offsets through which ``fw[box]`` (F w, scale
     axis first) reaches F's window: per x axis, ``start`` is the offset (in
     steps) of its first entry and ``shape`` its length. ``rows`` lists the
-    scale rows that reach G, and ``tables(size)`` yields each one's table.
+    scale rows that reach G, and ``tables`` yields each one's table into
+    the workspace that ``buffers(size)`` specifies.
     On Z^n, ``values`` is the whole table, G's samples cut to their support
     box, with a scale axis of length 1."""
 
@@ -118,7 +130,7 @@ class _Table:
         n, js = grid.group.n, box[0]
         # offset d reaches F's window from box index i when 0 <= i + d < N
         reach = [(1 - f.stop, int(N) - f.start) for f, N in zip(box[1:], grid.shape)]
-        self._G, self._j0, self._rules, plan = G, js.start, (), []
+        self._G, self._j0, self._rules, plan, self.width = G, js.start, (), [], 0
         if isinstance(grid, LatticeGrid):
             # offset d is G's index d - G.lo
             g_lo = G.grid.lo.tolist()
@@ -129,11 +141,10 @@ class _Table:
             if gbox:
                 self.values = self._table = near[gbox][None]
                 self.start = [f + s.start for f, s in zip(first, gbox)]
-                self.shape, self._origin = list(self.values.shape[1:]), [0] * n
-                plan = [(0, 0, 1, 0, [(0, m) for m in self.shape])]
+                self.shape, self._origin = [s.stop - s.start for s in gbox], [0] * n
+                plan, self.width = [(0, 0, 1, 0, [(0, m) for m in self.shape])], 1
+            self.rows = [js.start] if plan else []
         else:
-            # row j's queries along x are the offsets scaled by 1 / a_j
-            offsets = [_steps(ax, a, b) for ax, (a, b) in zip(grid.interp_axes, reach)]
             if isinstance(grid, AxbGrid):
                 # output column m of row j reads scale offset m - j, which is
                 # table column m + js.stop - 1 - j
@@ -141,70 +152,119 @@ class _Table:
                 u = _steps(grid.interp_axes[n], 1 - js.stop, na - js.start)
                 self._table = G.grid.interpolate_along(np.moveaxis(G.values, -1, 0),
                                                        G.grid.locate_along(n, u), axis=0)
-                scales = grid.axes[-1][js]
             else:
-                na, self._table, scales = 1, G.values[None], np.ones(1)
-            queries = [d / scales[:, None] for d in offsets]
-            inside = [[e.tolist() for e in G.grid.window_range(k, q)]
-                      for k, q in enumerate(queries)]
-            cols = self._table.reshape(len(self._table), -1).any(axis=1).nonzero()[0].tolist()
-            for r in fw[box].reshape(len(scales), -1).any(axis=1).nonzero()[0].tolist():
+                na, self._table = 1, G.values[None]
+            located, xs = _located_offsets(grid, G.grid), tuple(range(1, fw.ndim))
+            cols = self._table.any(axis=xs).nonzero()[0].tolist()
+            # the box's first and last rows are nonzero, the rows between may be zero
+            last = js.stop - js.start - 1
+            rows = [0] if not last else [
+                0, *(1 + fw[box][1:-1].any(axis=xs).nonzero()[0]).tolist(), last]
+            for r in rows:
                 c0 = js.stop - 1 - js.start - r
                 first, stop = bisect_left(cols, c0), bisect_left(cols, c0 + na)
                 # the row's queries inside G's window, as reaching-offset indices
-                x = [(a[r], b[r]) for a, b in inside]
+                x = [(min(max(s[js.start + r], a), b) - a, min(max(e[js.start + r], a), b) - a)
+                     for (a, b), (s, e, *_) in zip(reach, located)]
                 if first < stop and all(a < b for a, b in x):
                     plan.append((r, cols[first], cols[stop - 1] + 1, c0, x))
+                    self.width = max(self.width, cols[stop - 1] + 1 - cols[first])
+            self.rows = [js.start + p[0] for p in plan]
             if plan:
-                self._origin = [min(x[k][0] for *_, x in plan) for k in range(n)]
-                self.shape = [max(x[k][1] for *_, x in plan) - o
-                              for k, o in enumerate(self._origin)]
-                self.start = [a + o for (a, _), o in zip(reach, self._origin)]
-                # per x axis, the rule of every row's span, rows one after
-                # another; the spans are inside G's window, so no query is
-                # outside and a row's rule is a slice of it. The query
-                # matrix is freed first, so that locating the spans does not
-                # raise the set-up's peak memory
-                spans = [np.concatenate([q[r, slice(*x[k])] for r, *_, x in plan])
-                         for k, q in enumerate(queries)]
-                del queries
-                self._rules = [G.grid.locate_along(k, q) for k, q in enumerate(spans)]
-        self._plan, self.rows = plan, [js.start + r for r, *_ in plan]
-        self.width = max((hi - lo for _, lo, hi, *_ in plan), default=0)
-        self.dtype = np.result_type(fw, G.values)
+                self._origin, self.shape, self.start, self._rules = [], [], [], []
+                for k, ((a, _), (s, _, at, i0, frac)) in enumerate(zip(reach, located)):
+                    los, his = zip(*[x[k] for *_, x in plan])
+                    self._origin.append(min(los))
+                    self.shape.append(max(his) - min(los))
+                    self.start.append(a + min(los))
+                    # the rule of every row's span, rows one after another;
+                    # the spans are inside G's window, so no query is outside
+                    # and a row's rule is a slice of it
+                    spans = [slice(at[j] + a + lo - s[j], at[j] + a + hi - s[j])
+                             for j, lo, hi in zip(self.rows, los, his)]
+                    self._rules.append((_joined([i0[d] for d in spans]),
+                                        _joined([frac[d] for d in spans]), _NONE))
+        self._plan, self.dtype = plan, np.result_type(fw, G.values)
 
-    def tables(self, size):
-        """Yield ``(j, cols, K)`` per reaching row j: ``K`` is its table for
-        the output columns ``cols``, scale axis first, zero-padded to ``size``
-        along x, in one workspace buffer that the next row overwrites. The
-        rows' 2-tap passes gather into one more, which at n >= 2 also holds
-        the passes before the last, in alternate halves."""
+    def buffers(self, size):
+        """The workspace ``tables`` writes to, as ``scratch`` specs: the
+        rows' table buffer, zero-padded to ``size`` along x, and two halves
+        of the 2-tap workspace, each with room for one pass's lower and upper
+        samples (the second is empty when there is no pass before the
+        last)."""
         # one pass's result, the largest over the rows and the x axes
         gx, part = self._table.shape[1:], 0
         for _, lo, hi, _, x in self._plan:
-            for k in range(len(self._rules)):
-                part = max(part, (hi - lo) * math.prod(b - a for a, b in x[:k + 1])
-                           * math.prod(gx[k + 1:]))
-        with scratch(((self.width, *size), self.dtype),
-                     ((2 * part * min(len(self._rules), 2),), self._table.dtype)) as (
-                         buf, work):
-            buf[...] = 0.0
-            halves = (work[:2 * part], work[2 * part:])
-            spans, written = [0] * len(self._rules), None
-            for r, lo, hi, c0, x in self._plan:
-                if written:
-                    buf[written] = 0.0
-                written = (slice(0, hi - lo),) + tuple(
-                    slice(a - o, b - o) for (a, b), o in zip(x, self._origin))
-                block = self._table[lo:hi]
-                if not self._rules:  # Z^n: G's samples, no interpolation
-                    buf[written] = block
-                for k, ((i0, frac, outside), (a, b)) in enumerate(zip(self._rules, x)):
-                    s, spans[k] = spans[k], spans[k] + b - a
-                    block = self._G.grid.interpolate_along(
-                        block, (i0[s:spans[k]], frac[s:spans[k]], outside), k + 1,
-                        out=buf[written] if k == len(x) - 1 else None, work=halves[k % 2])
-                yield self._j0 + r, slice(lo - c0, hi - c0), buf[:hi - lo]
+            cells = hi - lo
+            for k, (a, b) in enumerate(x[:len(self._rules)]):
+                cells *= b - a
+                part = max(part, cells * math.prod(gx[k + 1:]))
+        dtype = self._table.dtype
+        return (((self.width, *size), self.dtype), ((2 * part,), dtype),
+                ((2 * part if len(self._rules) > 1 else 0,), dtype))
+
+    def tables(self, buf, *halves):
+        """Yield ``(j, cols, K)`` per reaching row j: ``K`` is its table for
+        the output columns ``cols``, scale axis first, zero-padded along x,
+        in the ``buffers`` given, which the next row overwrites. The rows'
+        2-tap passes gather into the 2-tap workspace, whose halves at n >= 2
+        also hold the passes before the last, in turn."""
+        buf[...] = 0.0
+        spans, written = [0] * len(self._rules), None
+        for r, lo, hi, c0, x in self._plan:
+            if written:
+                buf[written] = 0.0
+            written = (slice(0, hi - lo),) + tuple(
+                slice(a - o, b - o) for (a, b), o in zip(x, self._origin))
+            block = self._table[lo:hi]
+            if not self._rules:  # Z^n: G's samples, no interpolation
+                buf[written] = block
+            for k, ((i0, frac, outside), (a, b)) in enumerate(zip(self._rules, x)):
+                s, spans[k] = spans[k], spans[k] + b - a
+                block = self._G.grid.interpolate_along(
+                    block, (i0[s:spans[k]], frac[s:spans[k]], outside), k + 1,
+                    out=buf[written] if k == len(x) - 1 else None, work=halves[k % 2])
+            yield self._j0 + r, slice(lo - c0, hi - c0), buf[:hi - lo]
+
+
+@functools.lru_cache(maxsize=4)
+def _located_offsets(grid, G_grid):
+    """Per x axis k of F's ``grid``, G's 2-tap rule (``Grid.locate_along``)
+    at each scale row j's queries inside G's window, among its queries on
+    the whole-step offsets d of the axis, ``1 - N_k <= d < N_k``: the offset
+    scaled by ``1 / a_j`` on ax+b, as it is elsewhere, where the one row has
+    a = 1. Per axis ``(first, stop, at, i0, frac)``: per row, the offsets
+    [first, stop) whose queries are inside G's window and where their
+    lower indices and fractions start in ``i0`` and ``frac``, which hold the
+    rows' rules one after another. The queries depend only on the two
+    grids, so a convolution reads its rows' spans from the rules of earlier
+    ones on the same grids; the arrays are shared, and read-only. The rows
+    are located one at a time, so no rows-by-offsets array is made."""
+    scales = grid.axes[-1] if isinstance(grid, AxbGrid) else (1.0,)
+    located = []
+    for k in range(grid.group.n):
+        d0 = 1 - int(grid.shape[k])
+        offsets, first, stop, at, rules = _steps(grid.interp_axes[k], d0, 1 - d0), [], [], [0], []
+        for a in scales:
+            q = offsets / a
+            lo, hi = (int(e) for e in G_grid.window_range(k, q))
+            rules.append(G_grid.locate_along(k, q[lo:hi])[:2])
+            first.append(lo + d0)
+            stop.append(hi + d0)
+            at.append(at[-1] + hi - lo)
+        i0, frac = (np.concatenate(r) for r in zip(*rules))
+        i0.flags.writeable = frac.flags.writeable = False
+        located.append((tuple(first), tuple(stop), tuple(at), i0, frac))
+    return located
+
+
+def _joined(pieces):
+    """The pieces one after another: the one piece itself, or a new array."""
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+_NONE = np.empty(0, np.intp)
+_NONE.flags.writeable = False
 
 
 def _steps(axis, lo, hi):
@@ -238,53 +298,59 @@ def _row_convolution(fw, j0, table, size, xs, na):
     box, scale axis first, from row j0) with its table: one forward
     transform of ``fw``, one of each table, and one inverse of the spectra
     summed into ``na`` output columns. The spectra and the tables' buffers
-    are the workspace's. Each transform is ``rfftn``'s or ``irfftn``'s
-    (``fftn``'s or ``ifftn``'s when complex), axis by axis in their order,
+    are the workspace's. Each transform is ``_forward``'s or ``_inverse``'s,
     written in place but for the first axis of a forward transform, which
     pads, and the last of the inverse, which gives the result."""
     complex_ = table.dtype.kind == "c"
-    fftn, ifftn = (np.fft.fftn, np.fft.ifftn) if complex_ else (np.fft.rfftn, np.fft.irfftn)
     spectrum = (*size[:-1], size[-1] if complex_ else size[-1] // 2 + 1)
     with scratch(((len(fw), *spectrum), complex), ((na, *spectrum), complex),
-                 ((table.width, *spectrum), complex)) as (FW, spec, term):
-        # F w's transform along the last x axis, padded with zeros along the others
-        fftn(fw, size[-1:], xs[-1:], out=FW[(slice(None),) + tuple(
-            slice(0, m) for m in fw.shape[1:-1])])
-        for ax in xs[:-1]:
-            FW[(slice(None),) * ax + (slice(fw.shape[ax], None),)] = 0.0
-        _transform_inner_axes(FW, xs)
+                 ((table.width, *spectrum), complex), *table.buffers(size)) as (
+                     FW, spec, term, *buffers):
+        _forward(fw, size, xs, FW, complex_)
         spec[...] = 0.0
-        for j, cols, K in table.tables(size):
-            rows = (np.fft.fft if complex_ else np.fft.rfft)(K, axis=-1, out=term[:len(K)])
-            _transform_inner_axes(rows, xs)
+        for j, cols, K in table.tables(*buffers):
+            rows = _forward(K, size, xs, term[:len(K)], complex_)
             spec[cols] += np.multiply(FW[j - j0], rows, out=rows)
-        # ifftn takes the axes from last to first, irfftn from first to last
-        inner, final = (xs[:0:-1], xs[:1]) if complex_ else (xs[:-1], xs[-1:])
-        for ax in inner:
-            np.fft.ifft(spec, axis=ax, out=spec)
-        return ifftn(spec, [size[ax - 1] for ax in final], final)
+        return _inverse(spec, size, xs, complex_)
 
 
-def _transform_inner_axes(a, xs):
-    """``fft`` along the x axes but the last, from last to first, in place:
-    what ``rfftn`` and ``fftn`` do after the last axis."""
+def _forward(a, size, xs, out, complex_):
+    """``rfftn(a, size, xs)`` (``fftn`` when ``complex_``) of ``a``, scale
+    axis first, written to ``out``, as ``rfftn`` computes it but without its
+    per-call set-up: along the last x axis, padded to its length, into
+    ``out``'s corner, then, with the rest of ``out`` zeroed, in place along
+    the other x axes from last to first."""
+    corner = (slice(None), *map(slice, a.shape[1:-1]))
+    (np.fft.fft if complex_ else np.fft.rfft)(a, size[-1], xs[-1], out=out[corner])
+    for ax in xs[:-1]:
+        out[(slice(None),) * ax + (slice(a.shape[ax], None),)] = 0.0
     for ax in xs[-2::-1]:
-        np.fft.fft(a, axis=ax, out=a)
+        np.fft.fft(out, axis=ax, out=out)
+    return out
+
+
+def _inverse(spec, size, xs, complex_):
+    """``irfftn(spec, size, xs)`` (``ifftn`` when ``complex_``), in place but
+    for the last step, which gives the result: ``ifftn`` takes the axes from
+    last to first, ``irfftn`` from first to last."""
+    inner, final = (xs[:0:-1], xs[0]) if complex_ else (xs[:-1], xs[-1])
+    for ax in inner:
+        np.fft.ifft(spec, axis=ax, out=spec)
+    return (np.fft.ifft if complex_ else np.fft.irfft)(spec, size[final - 1], final)
 
 
 def _support_box(a):
     """Per axis, the slice from the first to the last index at which ``a``
     is nonzero; None when ``a`` is all zero."""
-    if not a.size:
-        return None
-    box, nonzero = [], a != 0
-    for k in range(a.ndim):
-        others = tuple(j for j in range(a.ndim) if j != k)
-        line = nonzero.any(axis=others) if others else nonzero
-        first = int(line.argmax())
-        if not line[first]:
+    box, nonzero, axes = [], a != 0, tuple(range(a.ndim))
+    for k in axes:
+        others = axes[:k] + axes[k + 1:]
+        # a bool array's bytes are 0 and 1
+        line = (nonzero.any(axis=others) if others else nonzero).tobytes()
+        first = line.find(1)
+        if first < 0:
             return None
-        box.append(slice(first, len(line) - int(line[::-1].argmax())))
+        box.append(slice(first, line.rfind(1) + 1))
     return tuple(box)
 
 
@@ -306,18 +372,25 @@ def _smooth_length(n):
 
 
 def _fft_convolve(a, b, axes, size):
-    """Circular convolution of real ``a`` and ``b`` at lengths ``size`` over ``axes``."""
-    spec = np.fft.rfftn(a, size, axes) * np.fft.rfftn(b, size, axes)
-    return np.fft.irfftn(spec, size, axes)
+    """Circular convolution of real ``a`` and ``b`` (scale axis first) at
+    lengths ``size`` over the x axes ``axes``."""
+    spectrum = (len(a), *size[:-1], size[-1] // 2 + 1)
+    spec = _forward(a, size, axes, np.empty(spectrum, complex), False)
+    spec *= _forward(b, size, axes, np.empty(spectrum, complex), False)
+    return _inverse(spec, size, axes, False)
 
 
-def _integral(a):
-    """True when every entry is a finite real integer."""
-    if np.iscomplexobj(a):
+def _integral(*arrays):
+    """True when every entry of the arrays is a finite real integer."""
+    if any(a.dtype.kind == "c" for a in arrays):
         return False
-    a = np.asarray(a, dtype=float)  # bool arrays have no subtraction
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is nonzero
-        return not (a - np.trunc(a)).any()
+        for a in arrays:
+            a = np.asarray(a, dtype=float)  # bool arrays have no subtraction
+            whole = np.trunc(a)
+            if np.subtract(a, whole, out=whole).any():
+                return False
+    return True
 
 
 def _fft_error_bound(a, b, size):
@@ -349,12 +422,18 @@ def _fft_error_bound(a, b, size):
         raise ValueError(f"certified FFT lengths must be powers of two, got {list(size)}")
     u = 2.0 ** -53
     gamma4 = 4 * u / (1 - 4 * u)
-    eta = u + gamma4 * (np.sqrt(2.0) + u)
-    l_eta = max(1.0, np.log2(np.prod(size, dtype=float))) * eta
+    eta = u + gamma4 * (math.sqrt(2.0) + u)
+    l_eta = max(1.0, math.log2(math.prod(size))) * eta
     delta = l_eta / (1 - l_eta)
-    a1, a2 = np.abs(a).sum(), np.sqrt(np.sum(np.abs(a) ** 2))
-    b1, b2 = np.abs(b).sum(), np.sqrt(np.sum(np.abs(b) ** 2))
+    (a1, a2), (b1, b2) = _norms_1_2(a), _norms_1_2(b)
     return 2 * 4 * delta * max(a1 * b2, a2 * b1)
+
+
+def _norms_1_2(a):
+    """``||a||_1`` and ``||a||_2``. On integers whose sums stay below 2^53,
+    the sums are exact in any order."""
+    m = np.abs(a, dtype=float)
+    return np.add.reduce(m, None), math.sqrt(np.vdot(m, m))
 
 
 def _exact_convolution(a, b, axes, size):
@@ -362,7 +441,8 @@ def _exact_convolution(a, b, axes, size):
     ``_fft_error_bound`` certifies an error below 1/2; ``size`` must be
     powers of two."""
     if _fft_error_bound(a, b, size) < 0.5:
-        return np.rint(_fft_convolve(a, b, axes, size))
+        conv = _fft_convolve(a, b, axes, size)
+        return np.rint(conv, out=conv)
     # digits below 2^k in magnitude on the same supports have norms at most
     # 2^k times the supports' indicators, so the bound scales by 4^k
     unit = _fft_error_bound(a != 0, b != 0, size)
@@ -422,13 +502,13 @@ def convolve_measure(mu, G):
 def _truncation_ratio(out):
     """Largest absolute value on the window's edge over the peak (0 if none)."""
     vals = np.abs(out.values)
-    peak = vals.max(initial=0.0)
+    peak = np.maximum.reduce(vals, None, initial=0.0)
     if peak <= 0:
         return 0.0
     edge = 0.0
     for ax in range(vals.ndim):
-        edge = max(edge, vals.take(0, axis=ax).max(initial=0.0),
-                   vals.take(-1, axis=ax).max(initial=0.0))
+        for end in (0, -1):
+            edge = max(edge, np.maximum.reduce(vals.take(end, ax), None, initial=0.0))
     return float(edge / peak)
 
 

@@ -221,7 +221,7 @@ class Grid:
     queries is that pass folded over the axes, which is how convolution
     tabulates G on the offsets: on ax+b the scale axis once per
     convolution, the x axes once per source scale row, at the queries that
-    ``window_range`` finds inside the window, located once per convolution.
+    ``window_range`` finds inside the window, located once per pair of grids.
 
     ``weight_factors`` splits ``weights`` into ``(x_volume, scale_weights)``,
     the factor along the last axis: ``u_step * a^{-n}`` on ax+b, else 1.
@@ -338,8 +338,8 @@ class Grid:
         else:
             size = math.prod(shape)
             lo, hi = work[:size].reshape(shape), work[size:2 * size].reshape(shape)
-        np.take(values, i0, axis, out=lo, mode="clip")
-        np.take(values, i0 + 1, axis, out=hi, mode="clip")  # clipped to the last index
+        values.take(i0, axis, lo, "clip")
+        values.take(i0 + 1, axis, hi, "clip")  # clipped to the last index
         if out is None:
             out = lo
         np.multiply(1.0 - frac, lo, out=out)

@@ -1,6 +1,7 @@
 """Control functions, amalgam norms, discrete equivalence, translations."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -690,3 +691,30 @@ def test_measure_control_at_grid_points_is_its_indicator_norms():
     mu = DiscreteMeasure(grid.group, atoms, density=density)
     np.testing.assert_allclose(control_function(mu, window, "m").values[at],
                                local_norms_indicator(mu, X, window, "m"), rtol=1e-12)
+
+
+def test_estimator_keeps_no_mask_per_shift():
+    """Calls with distinct shifts g leave the well-spread set's mask cache
+    and the memory it retains as they were after the first call: the cover
+    moved by g is not cached on the caller's set."""
+    grid = UniformGrid(Euclidean(2), -4.0, 4.0, 64)
+    X = euclidean_lattice(grid, 1.0)
+    space = AmalgamSpace("linf", WeightedLp(1.0, shifted_power_weight(1.0)),
+                         BoxWindow.centered(1.0, 2))
+    shifts = [[0.3 * k, -0.2 * k] for k in range(1, 6)]
+
+    def call(g):
+        return estimate_translation_operator_norm(space, g, "right", grid=grid,
+                                                  well_spread=X, coeff_count=2).as_record()
+
+    first = call(shifts[0])
+    entries = len(X._mask_cache)
+    tracemalloc.start()
+    try:
+        records = [call(g) for g in shifts]
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert records[0] == first
+    assert len(X._mask_cache) == entries
+    assert retained < 64 * 1024

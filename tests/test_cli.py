@@ -338,6 +338,11 @@ def test_refine_outside_verify_is_a_usage_error(tmp_path, capsys):
     (["norm"], {"group": {"kind": "axb", "n": 2},
                 "grid": {"x_lo": -1e200, "x_hi": 1e200}},
      "config.grid: grid window is too wide: the cell volume"),
+    *[(["verify", row], {"weight": {"family": "power", "s": s}},
+       f"config.weight.s: expected s = 0 (|x|^s with s != 0 vanishes or has a pole "
+       f"at 0, so no weight w makes it w-moderate, as R's relations need), got {s}")
+      for row, s in (("thm_conv_b", 2), ("thm_conv_b", -0.5), ("thm_conv_a", 2),
+                     ("thm_convYvee", 2))],
 ])
 def test_bad_config_names_the_key(tmp_path, capsys, monkeypatch, argv, config, key):
     """Bad values, unknown keys and over-budget grids exit 1 with their key

@@ -22,6 +22,7 @@ from wamalgam import (
 )
 from wamalgam.convolution import _Table, _support_box
 from wamalgam.groups import Grid
+from wamalgam.workspace import scratch
 
 
 def _reach(grid, fw):
@@ -69,7 +70,14 @@ def _tables(F_grid, G_grid, seed, box=None, complex_g=False):
     G = SampledFunction(G_grid, values)
     fw = _sources(F_grid, box)
     table = _Table(F_grid, fw, _support_box(fw), G)
-    return G, fw, table, {j: (cols, K.copy()) for j, cols, K in table.tables(table.shape)}
+    return G, fw, table, {j: (cols, K.copy()) for j, cols, K in _row_tables(table)}
+
+
+def _row_tables(table):
+    """``table.tables`` in a workspace block, each row's table at the
+    table's own extent."""
+    with scratch(*table.buffers(table.shape)) as buffers:
+        yield from table.tables(*buffers)
 
 
 def _embedded(table, reach, cols, K, columns):
@@ -185,7 +193,7 @@ def test_rows_without_support_are_skipped():
     fw[2, 3] = fw[5, 7] = 1.0
     G = SampledFunction(G_grid, np.ones(G_grid.shape))
     table = _Table(F_grid, fw, _support_box(fw), G)
-    rows = [j for j, _, _ in table.tables(table.shape)]
+    rows = [j for j, _, _ in _row_tables(table)]
     assert rows == table.rows == [2, 5]
 
 
@@ -206,7 +214,7 @@ def test_lattice_table_is_exact(monkeypatch, n):
         if edge:
             G.values[0] = 0.0
         table = _Table(F_grid, fw, _support_box(fw), G)
-        [(j, cols, K)] = list(table.tables(table.shape))
+        [(j, cols, K)] = list(_row_tables(table))
         assert j == 0 and cols == slice(0, 1)
         assert np.array_equal(table.values, K)
         assert table.start == [G_grid.lo[0] + edge] + G_grid.lo.tolist()[1:]
