@@ -16,8 +16,8 @@ scale axis first and x axes last (one row on R^n and Z^n):
    fraction) that ``Grid.locate_along`` gives for every scale row's query
    on every offset of the axis. Those queries depend only on F's and G's
    grids, so ``_located_offsets`` locates them once for a pair of grids
-   and keeps them (for the last four pairs), and a convolution slices its
-   rows' spans inside G's window out of them. On ax+b,
+   and keeps the last pair's, and a convolution slices its rows' spans
+   inside G's window out of them. On ax+b,
    ``y^{-1} z`` scales the x offsets by ``1/a`` of the source's scale row
    but not the scale offsets, so the scale axis is tabulated once, on the
    scale offsets that reach from the box, and scale row j reads a window
@@ -227,7 +227,13 @@ class _Table:
             yield self._j0 + r, slice(lo - c0, hi - c0), buf[:hi - lo]
 
 
-@functools.lru_cache(maxsize=4)
+# The relations convolve all of a refinement level's pairs on one pair of
+# grids before they refine, so the last pair is the one asked for next: in
+# 56 of a line-relations pass's 64 R convolutions (4 grid pairs, 8 runs)
+# and 10 of an axb-relation pass's 12 (2 pairs, 2 runs), whatever the
+# number of levels. Keeping more pairs would add only the ladder's
+# restarts, which a later relation makes, and keep their rules alive.
+@functools.lru_cache(maxsize=1)
 def _located_offsets(grid, G_grid):
     """Per x axis k of F's ``grid``, G's 2-tap rule (``Grid.locate_along``)
     at each scale row j's queries inside G's window, among its queries on
@@ -238,23 +244,20 @@ def _located_offsets(grid, G_grid):
     lower indices and fractions start in ``i0`` and ``frac``, which hold the
     rows' rules one after another. The queries depend only on the two
     grids, so a convolution reads its rows' spans from the rules of earlier
-    ones on the same grids; the arrays are shared, and read-only. The rows
-    are located one at a time, so no rows-by-offsets array is made."""
-    scales = grid.axes[-1] if isinstance(grid, AxbGrid) else (1.0,)
+    ones on the same grids; the arrays are shared, and read-only. All rows
+    are located at once, from one rows-by-offsets array per axis."""
+    scales = np.asarray(grid.axes[-1] if isinstance(grid, AxbGrid) else (1.0,))
     located = []
     for k in range(grid.group.n):
         d0 = 1 - int(grid.shape[k])
-        offsets, first, stop, at, rules = _steps(grid.interp_axes[k], d0, 1 - d0), [], [], [0], []
-        for a in scales:
-            q = offsets / a
-            lo, hi = (int(e) for e in G_grid.window_range(k, q))
-            rules.append(G_grid.locate_along(k, q[lo:hi])[:2])
-            first.append(lo + d0)
-            stop.append(hi + d0)
-            at.append(at[-1] + hi - lo)
-        i0, frac = (np.concatenate(r) for r in zip(*rules))
+        q = _steps(grid.interp_axes[k], d0, 1 - d0) / scales[:, None]
+        lo, hi = (e.tolist() for e in G_grid.window_range(k, q))
+        i0, frac = G_grid.locate_along(
+            k, np.concatenate([row[a:b] for row, a, b in zip(q, lo, hi)]))[:2]
         i0.flags.writeable = frac.flags.writeable = False
-        located.append((tuple(first), tuple(stop), tuple(at), i0, frac))
+        at = np.cumsum([0] + [b - a for a, b in zip(lo, hi)]).tolist()
+        located.append((tuple(a + d0 for a in lo), tuple(b + d0 for b in hi), tuple(at),
+                        i0, frac))
     return located
 
 

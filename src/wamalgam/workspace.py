@@ -7,10 +7,7 @@ returns none of them: every array it returns is its own. The buffer
 grows to exactly the largest request so far and is kept, so a kernel run
 again on the same shapes allocates no temporaries, and the allocator
 does not hand their pages back to the OS to fault them in again on the
-next call. The arrays of the last blocks are kept too, by their specs
-and their place in the buffer, so a block like an earlier one takes the
-same arrays again rather than carving new views; growing the buffer
-drops them.
+next call.
 
 While a block runs, numpy's ufunc buffer size is its smallest, 16
 elements. An elementwise ufunc on strided or broadcast operands builds
@@ -31,7 +28,6 @@ import numpy as np
 
 _ALIGN = 64  # bytes between the starts of two carved arrays
 _SMALLEST_BUFSIZE = 16
-_CARVED = 64  # blocks whose arrays are kept for the next block of the same specs
 _local = threading.local()
 
 
@@ -44,38 +40,21 @@ class scratch:
         self._specs = specs
 
     def __enter__(self):
-        self._used = used = getattr(_local, "used", 0)
-        carved = getattr(_local, "carved", None)
-        if carved is None:
-            carved = _local.carved = {}
-        key = (used, self._specs)
-        if key not in carved:
-            block = self._carve(used, carved)
-            if len(carved) >= _CARVED:
-                carved.clear()
-            carved[key] = block
-        _local.used, arrays = carved[key]
-        # an enclosing block has set it already
-        self._bufsize = np.setbufsize(_SMALLEST_BUFSIZE) if not used else None
-        return arrays
-
-    def _carve(self, start, carved):
-        """The end of this block's arrays from ``start`` and the arrays,
-        growing the buffer if it is too short."""
+        self._used = start = getattr(_local, "used", 0)
         buffer = getattr(_local, "buffer", None)
         spans = []
         for shape, dtype in self._specs:
             dtype = np.dtype(dtype)
-            size = math.prod(shape) * dtype.itemsize
             spans.append((start, shape, dtype))
-            start += -(-size // _ALIGN) * _ALIGN
+            start += -(-math.prod(shape) * dtype.itemsize // _ALIGN) * _ALIGN
         if buffer is None or len(buffer) < start:
-            # an enclosing block keeps the old buffer alive through its
-            # arrays; the arrays carved from it so far are dropped
+            # an enclosing block keeps the old buffer alive through its arrays
             _local.buffer = None
             buffer = _local.buffer = np.empty(start, np.uint8)
-            carved.clear()
-        return start, [np.ndarray(shape, dtype, buffer, at) for at, shape, dtype in spans]
+        _local.used = start
+        # an enclosing block has set it already
+        self._bufsize = np.setbufsize(_SMALLEST_BUFSIZE) if not self._used else None
+        return [np.ndarray(shape, dtype, buffer, at) for at, shape, dtype in spans]
 
     def __exit__(self, *exc):
         # a generator's block can end after the block around it

@@ -32,6 +32,7 @@ from wamalgam import (
     translate,
     verify_embedding,
 )
+from wamalgam import convolution
 from wamalgam.convolution import (
     _exact_convolution,
     _fft_error_bound,
@@ -425,20 +426,20 @@ def _box_mask(shape, box):
 
 
 def _record_calls(monkeypatch):
-    """Record the length of every rfft (every forward transform's first
-    step, along the last x axis) and every interpolate_along call."""
+    """Record the lengths of every forward transform, one per x axis, and
+    every interpolate_along call."""
     lengths, interpolations = [], []
-    rfft, interpolate_along = np.fft.rfft, Grid.interpolate_along
+    forward, interpolate_along = convolution._forward, Grid.interpolate_along
 
-    def counted_rfft(a, n=None, axis=-1, *args, **kwargs):
-        lengths.append((n if n is not None else np.shape(a)[axis],))
-        return rfft(a, n, axis, *args, **kwargs)
+    def counted_forward(a, size, *args, **kwargs):
+        lengths.append(tuple(size))
+        return forward(a, size, *args, **kwargs)
 
     def counted_interpolate_along(self, *args, **kwargs):
         interpolations.append(self)
         return interpolate_along(self, *args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+    monkeypatch.setattr(convolution, "_forward", counted_forward)
     monkeypatch.setattr(Grid, "interpolate_along", counted_interpolate_along)
     return lengths, interpolations
 

@@ -103,23 +103,3 @@ def test_nested_blocks_do_not_overlap():
             assert not np.shares_memory(outer, inner)
             assert not np.shares_memory(inner, index)
         assert np.array_equal(outer, np.ones(3))
-
-
-def test_a_block_after_the_buffer_grew_carves_it_again():
-    """A block like an earlier one takes the earlier block's arrays while
-    the buffer is the same, and new arrays of the new buffer once a larger
-    block has grown it."""
-    from wamalgam import workspace
-    from wamalgam.workspace import scratch
-
-    spec = ((5,), float)
-    with scratch(spec) as (first,):
-        pass
-    with scratch(spec) as (again,):
-        assert again is first
-    with scratch(((len(workspace._local.buffer) + 8,), np.uint8)):
-        pass
-    with scratch(spec) as (after,):
-        after[:] = 7.0
-        assert np.shares_memory(after, workspace._local.buffer)
-        assert not np.shares_memory(after, first)
