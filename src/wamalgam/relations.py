@@ -24,6 +24,7 @@ from .components import (
     WeightedLp,
     check_doubling,
     constant_weight,
+    exponential_weight,
     shifted_power_weight,
 )
 from .convolution import verify_embedding
@@ -107,12 +108,12 @@ class LpAlgebra:
 
 def _line_spaces(s, n):
     """R's set: Y = W(L^inf, L^p_v) on the window [-1/2, 1/2], M = W(M, L^p_v)
-    and bound = W(L^inf, L^r_w) with r = min(1, p), Y's p-exponent, and
-    w = (1 + |x|)^|s| (s is v's exponent, 1 if it has none). Defaults:
-    p = 1, v = 1 + |x|. Its family label is the row's."""
+    and bound = W(L^inf, L^r_w) with r = min(1, p), Y's p-exponent, and w
+    the weight v is moderate for (``_moderating_weight``). Defaults: p = 1,
+    v = 1 + |x|. Its family label is the row's."""
     p, v = _default(s.p, 1.0), _default(s.weight, shifted_power_weight(1.0))
     window = BoxWindow.centered(0.5, n)
-    w = shifted_power_weight(abs(v.params.get("s", 1.0)))
+    w = _moderating_weight(v)
     Y = AmalgamSpace("linf", WeightedLp(p, v), window)
     return {"Y": Y, "M": AmalgamSpace("m", WeightedLp(p, v), window),
             "bound": AmalgamSpace("linf", WeightedLp(Y.p_exponent, w), window)}, None
@@ -135,6 +136,20 @@ def _axb_spaces(s, n, alpha=None, right_weight=None):
     Y = AmalgamSpace("linf", MixedLpq(p, s.q, v, n=n), AxbWindow(0.5, 1.5))
     bound = AmalgamSpace("linf", WeightedLp(Y.p_exponent, w), Y.window)
     return {"Y": Y, "bound": bound}, f"axb p={p} q={s.q} v={v.name} alpha={alpha:.4g}"
+
+
+def _moderating_weight(v):
+    """The weight w of R's relations for the weight v of their spaces, from
+    v's family, so that ``v(x + y) <= C w(x) v(y)``, as the paper's relations
+    need: ``(1 + |x|)^|s|`` for ``shifted-power`` s (Peetre's inequality,
+    C = 1), ``e^{|rate| |x|}`` for ``exponential`` (C = 1), and 1 for a
+    bounded v, ``constant``, ``table`` (C = max / min of its values) or
+    ``power`` with s = 0, the only power weight the rows take."""
+    if v.name == "shifted-power":
+        return shifted_power_weight(abs(v.params["s"]))
+    if v.name == "exponential":
+        return exponential_weight(abs(v.params["rate"]))
+    return constant_weight(1.0)
 
 
 # group kind -> (settings, n) -> its spaces by name and its family label, or

@@ -320,35 +320,41 @@ def test_certified_lengths_are_powers_of_two(check):
         check(a, a)
 
 
-def test_z2_convolution_matches_point_reference_exactly():
+def test_z2_convolution_matches_point_reference_exactly(monkeypatch):
     rng = generator(95)
     grid_f = LatticeGrid(IntegerLattice(2), [-4, -5], [5, 4])
     grid_g = LatticeGrid(IntegerLattice(2), [-3, -6], [6, 3])
     F = SampledFunction(grid_f, rng.integers(-2**20, 2**20 + 1, grid_f.shape).astype(float))
     G = SampledFunction(grid_g, rng.integers(-2**20, 2**20 + 1, grid_g.shape).astype(float))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        out = convolve(F, G).values.ravel()
     ref = np.array([convolve_point(F, G, z) for z in grid_f.points()])
     assert not np.any(ref.imag)
-    assert np.array_equal(out, ref.real)
+    for out, *_ in _both_kernels(monkeypatch, F, G).values():
+        assert np.array_equal(out.ravel(), ref.real)
+        assert np.array_equal(out, _pairwise_lattice_sum(F, G))
 
 
-def test_z2_convolution_exact_beyond_one_certified_fft():
+def test_z2_convolution_exact_beyond_one_certified_fft(monkeypatch):
     """Entries up to 2^22 on 10x10 windows: every sum of |F| |G| stays below
     2^53, but the FFT's error bound does not certify rounding, so the
-    factors are convolved digit by digit."""
+    factors are convolved digit by digit. ||F||_1 ||G||_1 is above 2^53, so
+    the certified kernel runs unless the direct one is forced; forced, the
+    direct kernel's sums, each at most 100 products, are still exact."""
     rng = generator(96)
     grid_f = LatticeGrid(IntegerLattice(2), [-5, -5], [4, 4])
     grid_g = LatticeGrid(IntegerLattice(2), [-4, -6], [5, 3])
     F = SampledFunction(grid_f, rng.integers(-2**22, 2**22 + 1, grid_f.shape).astype(float))
     G = SampledFunction(grid_g, rng.integers(-2**22, 2**22 + 1, grid_g.shape).astype(float))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        out = convolve(F, G).values.ravel()
     ref = np.array([convolve_point(F, G, z) for z in grid_f.points()])
     assert not np.any(ref.imag)
-    assert np.array_equal(out, ref.real)
+    digits, split = [], convolution._digits
+    monkeypatch.setattr(convolution, "_digits", lambda *args: digits.append(args) or split(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        assert np.array_equal(convolve(F, G).values.ravel(), ref.real)
+    assert digits
+    for out, *_ in _both_kernels(monkeypatch, F, G).values():
+        assert np.array_equal(out.ravel(), ref.real)
+        assert np.array_equal(out, _pairwise_lattice_sum(F, G))
 
 
 @pytest.mark.parametrize("a, integral", [
@@ -444,40 +450,60 @@ def _record_calls(monkeypatch):
     return lengths, interpolations
 
 
+def _both_kernels(monkeypatch, F, G):
+    """``convolve(F, G)`` with its kernel forced to the direct one and to the
+    certified one, as ``{kernel: (values, lengths, interpolations,
+    warnings)}``: the forward transforms' lengths and the interpolate_along
+    calls (``_record_calls``) and the TruncationWarnings of that run. The
+    two outputs agree bit for bit, the direct run transforms nothing, and
+    no exact zero carries a sign."""
+    runs = {}
+    for kernel in ("direct", "certified"):
+        with monkeypatch.context() as m:
+            m.setattr(convolution, "_sums_directly", lambda *args, k=kernel: k == "direct")
+            lengths, interpolations = _record_calls(m)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", TruncationWarning)
+                out = convolve(F, G).values
+        assert not np.signbit(out[out == 0]).any()
+        runs[kernel] = (out, lengths, interpolations, caught)
+    assert np.array_equal(runs["direct"][0].view(np.int64), runs["certified"][0].view(np.int64))
+    assert not runs["direct"][1]
+    return runs
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("case", ["windows", "edges", "zero F", "zero G",
                                   "out of reach", "spill"])
 def test_lattice_support_boxes_match_pairwise_sum(monkeypatch, case, n):
-    """Integral factors on Z^n are convolved on their support boxes: the
-    result is the exact pairwise sum, no offset table is interpolated, no
-    transform is longer than the power of two >= 2N - 1 of F's window, and
-    a factor that is zero or out of reach runs no transform at all."""
+    """Integral factors on Z^n are convolved on their support boxes, by
+    either kernel: the result is the exact pairwise sum, no offset table is
+    interpolated, no transform is longer than the power of two >= 2N - 1 of
+    F's window, and a factor that is zero or out of reach runs no transform
+    at all."""
     F, G = _lattice_case(case, n)
     want = _pairwise_lattice_sum(F, G)
-    lengths, interpolations = _record_calls(monkeypatch)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", TruncationWarning)
-        out = convolve(F, G).values
-    assert np.array_equal(out, want)
-    assert not interpolations
-    today = [1 << (2 * N - 2).bit_length() for N in F.grid.shape]
-    assert all(np.all(np.array(L) <= today) for L in lengths)
-    if case in ("zero F", "zero G", "out of reach"):
-        assert not lengths and not np.any(out)
-    if case == "spill":
-        ratio = _truncation_ratio(SampledFunction(F.grid, want.astype(float)))
-        assert ratio > 1e-8
-        [warning] = caught
-        assert f"edge/peak = {ratio:.2e}" in str(warning.message)
-    if case == "windows":
-        assert not caught
+    for out, lengths, interpolations, caught in _both_kernels(monkeypatch, F, G).values():
+        assert np.array_equal(out, want)
+        assert not interpolations
+        today = [1 << (2 * N - 2).bit_length() for N in F.grid.shape]
+        assert all(np.all(np.array(L) <= today) for L in lengths)
+        if case in ("zero F", "zero G", "out of reach"):
+            assert not lengths and not np.any(out)
+        if case == "spill":
+            ratio = _truncation_ratio(SampledFunction(F.grid, want.astype(float)))
+            assert ratio > 1e-8
+            [warning] = caught
+            assert f"edge/peak = {ratio:.2e}" in str(warning.message)
+        if case == "windows":
+            assert not caught
 
 
 def test_lattice_transform_length_follows_the_supports(monkeypatch):
     """On [-2000, 2000] with supports in [-999, 999] every transform has
     length 4096, not the 8192 that the window's 2N - 1 = 8001 needs, and
-    every output is the exact int64 convolution of the sparse, medium and
-    dense factors."""
+    every output of either kernel is the exact int64 convolution of the
+    sparse, medium and dense factors."""
     grid = LatticeGrid(IntegerLattice(1), -2000, 2000)
     rng = generator(99)
     inner = np.abs(grid.axes[0]) <= 999
@@ -488,15 +514,124 @@ def test_lattice_transform_length_follows_the_supports(monkeypatch):
                 for _ in range(2))
         f[[1001, 2999]] = g[[1001, 2999]] = 1.0  # the supports span [-999, 999]
         pairs.append((SampledFunction(grid, f), SampledFunction(grid, g)))
-    lengths, interpolations = _record_calls(monkeypatch)
-    outputs = [convolve(F, G).values for F, G in pairs]
+    runs = [_both_kernels(monkeypatch, F, G) for F, G in pairs]
+    lengths = [L for run in runs for L in run["certified"][1]]
     assert lengths and set(lengths) == {(4096,)}
-    assert not interpolations
-    for (F, G), out in zip(pairs, outputs):
+    assert not any(run[k][2] for run in runs for k in run)
+    for (F, G), run in zip(pairs, runs):
         # index i of either factor is the point i - 2000, so entry k of the
         # full convolution is the point k - 4000
         want = np.convolve(F.values.astype(np.int64), G.values.astype(np.int64))
-        assert np.array_equal(out, want[2000:6001])
+        for out, *_ in run.values():
+            assert np.array_equal(out, want[2000:6001])
+
+
+def _benchmark_shaped(rng, kind):
+    """Two integer sequences on [-2000, 2000] shaped like the line-relations
+    benchmark's Z pairs: ``sparse``, 100 nonzeros in {-2, -1, 1, 2} at
+    random points of [-999, 999]; ``dense``, ``floor(1000 e^{-|k| / 300})``
+    with random signs on all of [-999, 999]."""
+    grid = LatticeGrid(IntegerLattice(1), -2000, 2000)
+    k = grid.axes[0]
+    inner = np.abs(k) <= 999
+    pair = []
+    for _ in range(2):
+        if kind == "sparse":
+            v = np.zeros(grid.shape)
+            v[rng.choice(np.flatnonzero(inner), 100, replace=False)] = rng.choice(
+                [-2.0, -1.0, 1.0, 2.0], 100)
+        else:
+            v = np.floor(1000.0 * np.exp(-np.abs(k) / 300.0)) * rng.choice([-1.0, 1.0], k.size)
+            v[~inner] = 0.0
+        pair.append(SampledFunction(grid, v))
+    return pair
+
+
+@pytest.mark.parametrize("kind, transforms", [("sparse", []), ("dense", [(4096,)] * 2)])
+def test_benchmark_shaped_pairs_choose_their_kernel(monkeypatch, kind, transforms):
+    """100 x 100 nonzeros take the direct kernel and run no transform; 1999
+    x 1999 take the certified kernel and its two 4096-point forward
+    transforms. Both results are the exact int64 convolution."""
+    F, G = _benchmark_shaped(generator(100), kind)
+    lengths, _ = _record_calls(monkeypatch)
+    out = convolve(F, G).values
+    assert lengths == transforms
+    want = np.convolve(F.values.astype(np.int64), G.values.astype(np.int64))
+    assert np.array_equal(out, want[2000:6001])
+
+
+def test_exact_lattice_zeros_carry_no_sign():
+    """Rounding the certified kernel's transform keeps the sign of its noise
+    where the exact sum is 0; an exact Z output has no -0."""
+    F, G = _benchmark_shaped(generator(100), "dense")
+    out = convolve(F, G).values
+    assert np.count_nonzero(out == 0)
+    assert not np.signbit(out[out == 0]).any()
+
+
+def test_spilling_sparse_pair_warns_as_the_certified_kernel(monkeypatch):
+    """A sparse pair whose products spill past both ends of F's window
+    takes the direct kernel, which drops those products and warns with the
+    certified kernel's edge/peak text."""
+    grid = LatticeGrid(IntegerLattice(1), -300, 300)
+    rng = generator(101)
+    F, G = (SampledFunction(grid, np.where(rng.random(grid.shape) < 0.05,
+                                           rng.integers(-9, 10, grid.shape), 0).astype(float))
+            for _ in range(2))
+    lengths, _ = _record_calls(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        out = convolve(F, G).values
+    assert not lengths
+    assert np.array_equal(out, _pairwise_lattice_sum(F, G))
+    [warning] = caught
+    [certified] = _both_kernels(monkeypatch, F, G)["certified"][3]
+    assert "edge/peak" in str(warning.message)
+    assert str(warning.message) == str(certified.message)
+
+
+def test_products_that_all_leave_the_window_give_zeros(monkeypatch):
+    """On Z^2, F at the corners (0, 2) and (2, 0) of its 3x3 window and G at
+    the one offset (2, 2), which reaches the window from F's support box:
+    both products leave the window, and either kernel gives zeros."""
+    group = IntegerLattice(2)
+    grid = LatticeGrid(group, [0, 0], [2, 2])
+    f = np.zeros(grid.shape)
+    f[0, 2] = f[2, 0] = 1.0
+    F = SampledFunction(grid, f)
+    G = SampledFunction(LatticeGrid(group, [2, 2], [2, 2]), np.full((1, 1), 3.0))
+    for out, *_ in _both_kernels(monkeypatch, F, G).values():
+        assert np.array_equal(out, np.zeros(grid.shape))
+
+
+def test_samples_at_the_cutoff_are_cut_before_either_kernel(monkeypatch):
+    """F's sample 1e-14 at 1, at the support cutoff and inside F's support
+    box [0, 2], is cut: with G's 2^50 at 0, either kernel gives 2^50 at 0
+    and 2 and an exact 0 at 1, not 1e-14 * 2^50 = 11.26."""
+    grid = LatticeGrid(IntegerLattice(1), -8, 8)
+    f, g = np.zeros(grid.shape), np.zeros(grid.shape)
+    f[[8, 9, 10]] = [1.0, 1e-14, 1.0]
+    g[8] = 2.0**50
+    want = np.zeros(grid.shape)
+    want[[8, 10]] = 2.0**50
+    for out, *_ in _both_kernels(monkeypatch, SampledFunction(grid, f),
+                                 SampledFunction(grid, g)).values():
+        assert np.array_equal(out, want)
+
+
+def test_values_beyond_the_exact_bound_take_the_certified_kernel(monkeypatch):
+    """Eight products, but ||F||_1 ||G||_1 > 2^53, so the direct kernel's
+    sums are not known to be exact: the certified kernel runs, and its
+    result is the exact sum, each entry below 2^53."""
+    grid = LatticeGrid(IntegerLattice(1), -50, 50)
+    f, g = np.zeros(grid.shape), np.zeros(grid.shape)
+    f[[30, 40, 60, 70]] = [2.0**25 + 1, -(2.0**25) - 3, 2.0**25 + 5, -(2.0**25) - 7]
+    g[[45, 55]] = [2.0**26 + 1, -(2.0**26) - 1]
+    F, G = SampledFunction(grid, f), SampledFunction(grid, g)
+    lengths, _ = _record_calls(monkeypatch)
+    out = convolve(F, G).values
+    assert lengths
+    assert np.array_equal(out, _pairwise_lattice_sum(F, G))
 
 
 def test_row_transform_length_follows_the_supports(monkeypatch):
@@ -762,9 +897,9 @@ def test_embedding_with_estimator_built_weight(euclid):
     assert report.passed
 
 
-def test_lattice_algebra_500_random_pairs(z_grid):
+def test_lattice_algebra_500_random_pairs(monkeypatch, z_grid):
     """Random finitely supported pairs (support <= 8) never violate the
-    weighted l^{1/2} algebra inequality."""
+    weighted l^{1/2} algebra inequality, through either kernel."""
     rng = generator(94)
     w = shifted_power_weight(1.0)
     Y = WeightedLp(0.5, w)
@@ -774,8 +909,11 @@ def test_lattice_algebra_500_random_pairs(z_grid):
         nf, ng = quasi_norm(Y, F), quasi_norm(Y, G)
         if nf == 0 or ng == 0:
             continue
-        nc = quasi_norm(Y, convolve(F, G))
-        assert nc <= nf * ng * (1 + 1e-9)
+        want = _pairwise_lattice_sum(F, G)
+        for out, *_ in _both_kernels(monkeypatch, F, G).values():
+            assert np.array_equal(out, want)
+            nc = quasi_norm(Y, SampledFunction(z_grid, out))
+            assert nc <= nf * ng * (1 + 1e-9)
 
 
 def test_lattice_convolution_mismatched_windows(lattice):

@@ -16,7 +16,6 @@ SOURCES = [p for d in ("src", "tests", "bench", "demos") for p in (ROOT / d).rgl
 # the parameters set only through a registry, which no call names:
 # "function(parameter)": the route that sets it
 REGISTRY_ROUTES = {
-    "exponential_weight(rate)": "config weight.rate -> exponential_weight(rate)",
     "gaussian_bump_sum(n)": "build_family(**kwargs) -> gaussian_bump_sum(n)",
 }
 

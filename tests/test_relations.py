@@ -25,18 +25,22 @@ from wamalgam import (
     Euclidean,
     MixedLpq,
     RelationSettings,
+    SampledFunction,
     UniformGrid,
     WeightedLp,
     build_family,
     check_doubling,
     constant_weight,
+    convolve,
+    exponential_weight,
     shifted_power_weight,
+    table_weight,
     translation_bound_weight,
     verify_axb_convolution,
     verify_embedding,
 )
 from wamalgam.errors import WeightDomainError
-from wamalgam.relations import SPACES, EmbeddingRow
+from wamalgam.relations import SPACES, EmbeddingRow, _moderating_weight
 
 _LINE64 = UniformGrid(Euclidean(1), -16.0, 16.0, 64)
 _AXB24 = AxbGrid(AxbGroup(1), -6.0, 6.0, 24, 0.125, 8.0, 12)
@@ -166,3 +170,38 @@ def test_axb_set_carries_a_reflected_norm():
     assert records[0]["relation"] == "axb_convYvee"
     assert np.isfinite(records[0]["c_emp"]) and records[0]["c_emp"] > 0
     assert records[0]["c_emp"] != records[1]["c_emp"]
+
+
+@pytest.mark.parametrize("v, C", [
+    (shifted_power_weight(1.0), 1.0),
+    (shifted_power_weight(2.5), 1.0),
+    (shifted_power_weight(-1.5), 1.0),
+    (exponential_weight(1.0), 1.0),
+    (exponential_weight(-0.5), 1.0),
+    (table_weight([0.0, 4.0, 8.0], [1.0, 100.0, 10000.0]), 10000.0),
+    (constant_weight(3.0), 1.0),
+])
+def test_moderating_weight_bounds_the_translates(v, C):
+    """``v(x + y) <= C w(x) v(y)`` for R's w of v, with the closed form's C,
+    over x and y in [-200, 200], spaced 1 and, on [-1, 1], 0.01."""
+    w = _moderating_weight(v)
+    x = np.concatenate((np.linspace(-200.0, 200.0, 401), np.linspace(-1.0, 1.0, 201)))
+    lhs = v((x[:, None] + x[None, :])[..., None])
+    rhs = C * w(x[:, None, None]) * v(x[None, :, None])
+    assert np.all(lhs <= rhs * (1 + 1e-12))
+
+
+def test_exponential_weight_keeps_thm_conv_b_bounded_under_translation():
+    """F, a Gaussian bump (sigma 0.3) at 0, and G, the same bump at c, through
+    ``thm_conv_b``'s spaces for v = e^|x|: the ratio ||F*G||_Y / (||F||_Y
+    ||G||_bound) stays within 25% of its c = 0 value for c = 0, 4, 8, 16.
+    With w = 1 + |x| in place of e^|x| it grows like e^c."""
+    spaces, _ = SPACES["euclidean"](RelationSettings(weight=exponential_weight(1.0)), 1)
+    ratios = []
+    for c in (0.0, 4.0, 8.0, 16.0):
+        grid = UniformGrid(Euclidean(1), -4.0, c + 4.0, int(16 * (c + 8)))
+        F, G = (SampledFunction.sample(grid, lambda x, m=m: np.exp(-(x - m) ** 2 / 0.18))
+                for m in (0.0, c))
+        target = spaces["Y"].norm(convolve(F, G))
+        ratios.append(target / (spaces["Y"].norm(F) * spaces["bound"].norm(G)))
+    assert max(ratios) <= 1.25 * ratios[0] and min(ratios) >= ratios[0] / 1.25, ratios
